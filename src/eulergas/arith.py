@@ -92,33 +92,17 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))
 
 
-_sigma_lock = threading.Lock()
-_sigma_cache: tuple[list[int], list[int]] = ([0], [0])
-
-
 def sigma_table(n_max: int) -> tuple[list[int], list[int]]:
-    """Sieved (sigma_0, sigma_1) tables for 1..n_max; index 0 is unused.
-
-    Cached and grown on demand behind a lock; callers must not mutate the
-    returned lists.
-    """
-    global _sigma_cache
+    """Sieved (sigma_0, sigma_1) tables for 0..n_max; index 0 is unused."""
     if n_max < 1:
         raise DomainError(f"sigma_table needs n_max >= 1, got {n_max}")
-    if len(_sigma_cache[0]) > n_max:
-        return _sigma_cache
-    with _sigma_lock:
-        if len(_sigma_cache[0]) > n_max:
-            return _sigma_cache
-        size = max(n_max + 1, 2 * len(_sigma_cache[0]))
-        s0 = [0] * size
-        s1 = [0] * size
-        for d in range(1, size):
-            for m in range(d, size, d):
-                s0[m] += 1
-                s1[m] += d
-        _sigma_cache = (s0, s1)
-    return _sigma_cache
+    s0 = [0] * (n_max + 1)
+    s1 = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for m in range(d, n_max + 1, d):
+            s0[m] += 1
+            s1[m] += d
+    return s0, s1
 
 
 # ---------------------------------------------------------------------------

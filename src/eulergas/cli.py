@@ -447,7 +447,8 @@ def _cmd_sweep(args) -> dict:
         for m in models:
             try:
                 row[m] = evaluators[m](v)
-            except (PrecisionError, ConvergenceError, DomainError) as exc:
+            except (PrecisionError, ConvergenceError, DomainError,
+                    ArithmeticError) as exc:
                 row[m] = None
                 errors.append(f"{m}={exc}")
         if quantity == "partition" and "rademacher" in row and "oracle" in row:

@@ -21,7 +21,7 @@ from enum import Enum
 import mpmath as mp
 
 from .arith import (DEFAULT_POLICY, DedekindConvention, PrecisionPolicy,
-                    kloosterman_phases, sigma_table)
+                    kloosterman_phases)
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _GUARD_BAND = 1e-9  # |y| must stay this far inside the unit circle
+# Z(e^{-x}) exceeds the largest double below this x: the root of
+# -x/24 + ln(x/2pi)/2 + pi^2/(6x) = ln(DBL_MAX), rounded up
+Z_OVERFLOW_X = 2.3047e-3
 
 
 def _product_length(abs_y: float, policy: PrecisionPolicy) -> int:
@@ -47,7 +50,7 @@ def partition_generating(y: complex | float,
 
     Real y in (0, 1) returns a float > 1.  Raises PrecisionError when |y|
     is within the guard band of the circle or the product would exceed the
-    term budget.
+    term budget, and DomainError when the product overflows a double.
     """
     abs_y = abs(y)
     if abs_y >= 1.0 - _GUARD_BAND:
@@ -66,14 +69,17 @@ def partition_generating(y: complex | float,
         for _ in range(n_terms):
             prod /= 1.0 - yn
             yn *= y
-        return prod
-    yr = float(y.real) if isinstance(y, complex) else float(y)
-    prod_r = 1.0
-    yn_r = yr
-    for _ in range(n_terms):
-        prod_r /= 1.0 - yn_r
-        yn_r *= yr
-    return prod_r
+    else:
+        yr = float(y.real) if isinstance(y, complex) else float(y)
+        prod = 1.0
+        yn_r = yr
+        for _ in range(n_terms):
+            prod /= 1.0 - yn_r
+            yn_r *= yr
+    if not cmath.isfinite(prod):
+        raise DomainError(f"Z(y) at y = {y} overflows a double; Z(e^-x) "
+                          f"fits only for x >= {Z_OVERFLOW_X:g}")
+    return prod
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -130,21 +136,28 @@ def functional_equation_rhs(x: float,
         y = e^{-x},  y' = e^{-4*pi^2/x}.
 
     For x <= 1 the Z(y') factor differs from 1 by less than e^{-4*pi^2}.
+    Below x = Z_OVERFLOW_X the value exceeds a double and DomainError is
+    raised.
     """
     if x <= 0.0:
         raise DomainError(f"need x > 0, got {x}")
+    if x < Z_OVERFLOW_X:
+        raise DomainError(f"Z(e^-x) at x = {x:g} overflows a double; it "
+                          f"fits only for x >= {Z_OVERFLOW_X:g}")
     z_dual = partition_generating(math.exp(-4.0 * math.pi ** 2 / x), policy)
-    return (math.exp(-x / 24.0) * math.sqrt(x / (2.0 * math.pi))
-            * math.exp(math.pi ** 2 / (6.0 * x)) * float(z_dual))
+    log_head = (-x / 24.0 + 0.5 * math.log(x / (2.0 * math.pi))
+                + math.pi ** 2 / (6.0 * x))
+    return math.exp(log_head) * float(z_dual)
 
 
 def eisenstein_g2(tau: complex,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Weight-two Eisenstein series from its Fourier expansion:
 
-        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n.
+        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n,
 
-    Truncated by the geometric tail bound sum_{m>N} m^2 r^m.
+    with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
+    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}).
     """
     tau = _require_upper_half(tau)
     y = cmath.exp(2j * math.pi * tau)
@@ -153,25 +166,22 @@ def eisenstein_g2(tau: complex,
     if r == 0.0:
         return complex(const, 0.0)
     acc = 0.0 + 0.0j
-    yn = y
-    n = 0
-    _, s1 = sigma_table(256)
+    yd = 1.0 + 0.0j
+    d = 0
+    omr = 1.0 - r
     while True:
-        n += 1
-        if n >= len(s1):
-            _, s1 = sigma_table(2 * len(s1))
-        acc += s1[n] * yn
-        yn *= y
-        # valid tail bound using sigma_1(m) <= m^2:
-        # sum_{m>n} m^2 r^m <= r^{n+1} ((n+1)^2/(1-r) + 2(n+1)/(1-r)^2 + 2/(1-r)^3)
-        omr = 1.0 - r
-        tail = r ** (n + 1) * ((n + 1) ** 2 / omr + 2 * (n + 1) / omr ** 2
-                               + 2.0 / omr ** 3)
+        d += 1
+        yd *= y
+        acc += d * yd / (1.0 - yd)
+        # sum_{m>d} m r^m = r^{d+1} ((d+1)/(1-r) + r/(1-r)^2), and every
+        # dropped denominator has |1 - y^m| >= 1 - r^{d+1}
+        tail = (r ** (d + 1) * ((d + 1) / omr + r / omr ** 2)
+                / (1.0 - r ** (d + 1)))
         scale = max(abs(acc), const / (8.0 * math.pi ** 2))
         if tail <= policy.rel_tol * scale:
             break
-        if n > policy.max_terms:
-            raise PrecisionError("G2 series exceeded term budget", n)
+        if d > policy.max_terms:
+            raise PrecisionError("G2 series exceeded term budget", d)
     return const - 8.0 * math.pi ** 2 * acc
 
 

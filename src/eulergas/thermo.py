@@ -1,24 +1,26 @@
 """Per-mode thermodynamics of the equally-spaced-level boson gas.
 
-Exact divisor-sum series for the free energy, occupation number, internal
-energy and entropy at x = h*nu/kT, their low-frequency closed forms, the
-per-mode energy fluctuation, the two conventional per-mode comparators, and
-the Mellin-transform cross-checks
+Exact free energy, occupation number, internal energy, entropy and energy
+fluctuation per mode at x = h*nu/kT, their low-frequency closed forms, the
+two conventional per-mode comparators, and the Mellin-transform cross-checks
 
     integral (-ln Z) x^{s-1} dx      = Gamma(s) zeta(s) zeta(s+1)
     integral  N(x)   x^{s-1} dx      = Gamma(s) zeta(s)^2
     integral (E/kTx) x^{s-1} dx      = Gamma(s) zeta(s) zeta(s-1)
 
-Series share one exponential grid per x and truncate when the next term and
-its geometric tail bound both drop below rel_tol of the partial sum.  Below
-x = 1e-6 the exact series are refused (term counts explode); the low
-frequency forms are the supported path there.
+The divisor series are evaluated in Lambert form, sum d^k r^d/(1 - r^d)
+with r = e^{-x}.  At x >= 2 at most 23 terms reach double precision.  Below
+x = 2, F, E and the fluctuation follow from the dual-scale functional
+equation of ln Z with the Lambert sums taken at 4 pi^2/x, which needs at most
+three terms; N is the Bose sum 1/(e^{nx} - 1) over int(47/x) + 8 terms.
+Every recorded tail bound is a geometric bound on the dropped terms.  Below
+x = 1e-6, or where N's term count would exceed max_terms, the exact values
+are refused; the low-frequency forms are the supported path there.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .arith import (DEFAULT_POLICY, PrecisionPolicy, euler_gamma, gamma_fn,
-                    riemann_zeta, sigma_table)
+                    riemann_zeta)
 from .errors import DomainError, PrecisionError
 
 __all__ = [
@@ -44,6 +46,12 @@ __all__ = [
 
 SERIES_X_FLOOR = 1e-6    # exact series refused below this x
 LOWFREQ_SWITCH = 1e-3    # integrands switch to closed forms below this x
+DUAL_SWITCH = 2.0        # F, E and the fluctuation use the dual scale below this x
+TAIL_EPS = 2.0 ** -56    # Lambert sums stop once the d^2 tail is below this
+                         # fraction of the first term
+# Tail bounds are rounded up by this factor, which covers the relative error
+# of evaluating them in floating point (below 1e-14 for every x)
+_BOUND_ROUNDING = 1.0 + 1e-12
 
 
 def _require_x(x: float) -> float:
@@ -53,13 +61,18 @@ def _require_x(x: float) -> float:
     return x
 
 
+def _bose_terms(x: float) -> int:
+    """Terms of the Bose sum for N at x: the dropped tail is below e^{-47}/x."""
+    return int(47.0 / x) + 8
+
+
 def _require_series_x(x: float, policy: PrecisionPolicy) -> float:
     x = _require_x(x)
     if x < SERIES_X_FLOOR:
         raise PrecisionError(
             f"exact series refused for x < {SERIES_X_FLOOR:g} (got {x:g}); "
             "use the low-frequency forms there", 0)
-    estimate = int(47.0 / x) + 8
+    estimate = _bose_terms(x)
     if estimate > policy.max_terms:
         raise PrecisionError(
             f"series at x={x:g} needs about {estimate} terms, "
@@ -69,11 +82,11 @@ def _require_series_x(x: float, policy: PrecisionPolicy) -> float:
 
 @dataclass(frozen=True)
 class ThermoPerMode:
-    """All four per-mode quantities from one shared truncation.
+    """All four per-mode quantities from one evaluation.
 
     s_over_k equals e_over_kT - f_over_kT exactly by construction;
-    tail_bound is the recorded geometric bound on the dropped tail of the
-    heaviest series.
+    terms_used counts the Lambert terms summed and tail_bound bounds every
+    dropped tail.
     """
 
     f_over_kT: float
@@ -84,103 +97,91 @@ class ThermoPerMode:
     tail_bound: float
 
 
-_weights_lock = threading.Lock()
-_weights_cache: dict[str, np.ndarray] = {}
-_weights_len = 0
-
-
-def _sigma_arrays(n_max: int) -> dict[str, np.ndarray]:
-    """Float views of the sigma tables for vectorized series evaluation."""
-    global _weights_len, _weights_cache
-    if _weights_len >= n_max + 1:
-        return _weights_cache
-    s0, s1 = sigma_table(n_max)
-    with _weights_lock:
-        if _weights_len >= n_max + 1:
-            return _weights_cache
-        ns = np.arange(len(s0), dtype=np.float64)
-        ns[0] = 1.0  # avoid 0/0 at the unused index
-        a1 = np.asarray(s1, dtype=np.float64)
-        _weights_cache = {
-            "n": ns,
-            "sigma0": np.asarray(s0, dtype=np.float64),
-            "sigma1": a1,
-            "sigma_m1": a1 / ns,
-            "n_sigma1": a1 * np.arange(len(s0), dtype=np.float64),
-        }
-        _weights_len = len(s0)
-    return _weights_cache
-
-
 @dataclass(frozen=True)
 class _ModeSums:
-    f: float          # -sum sigma_{-1}(n) e^{-nx}
-    n_occ: float      # sum sigma_0(n) e^{-nx}
-    e: float          # x * sum sigma_1(n) e^{-nx}
-    s_series: float   # literal termwise sum sigma_1(n)(x + 1/n) e^{-nx}
-    fluct: float      # x^2 * sum n*sigma_1(n) e^{-nx}
-    terms: int
-    tail: float
+    f: float          # F/kT = -ln Z
+    n_occ: float      # N
+    e: float          # E/kT
+    fluct: float      # energy variance in (kT)^2 units
+    terms: int        # Lambert terms summed
+    tail: float       # bound on every dropped tail
+
+
+def _power_tail(d: int, r: float, k: int) -> float:
+    """Bound on sum_{m>d} m^k r^m: its first term over one minus the largest
+    ratio of successive terms, ((d+2)/(d+1))^k r."""
+    return (d + 1) ** k * r ** (d + 1) / (1.0 - ((d + 2) / (d + 1)) ** k * r)
+
+
+def _lambert(x: float) -> tuple[float, float, float, float, int,
+                                float, float, float]:
+    """Direct Lambert forms at x >= DUAL_SWITCH, with r = e^{-x}:
+
+        ln Z = -sum ln(1 - r^d)          N     = sum r^d/(1 - r^d)
+        E/kT = x sum d r^d/(1 - r^d)     fluct = x^2 sum d^2 r^d/(1 - r^d)^2
+
+    Returns (ln Z, N, E/kT, fluct, terms, tail of ln Z and N, tail of E/kT,
+    tail of fluct).  After D terms every dropped term is at most
+    d^k r^d/(1 - r^{D+1}), with the denominator squared for fluct, so each
+    tail is bounded by a geometric sum.  The loop stops once the d^2 tail is
+    below TAIL_EPS of the first term, which every sum exceeds.
+    """
+    r = math.exp(-x)
+    ln_z = n_occ = e_sum = fl_sum = 0.0
+    rd = 1.0
+    d = 0
+    while True:
+        d += 1
+        rd *= r
+        q = rd / (1.0 - rd)
+        ln_z -= math.log1p(-rd)
+        n_occ += q
+        e_sum += d * q
+        fl_sum += d * d * q / (1.0 - rd)
+        if _power_tail(d, r, 2) <= TAIL_EPS * r:
+            break
+    inv = 1.0 / (1.0 - rd * r)
+    return (ln_z, n_occ, x * e_sum, x * x * fl_sum, d,
+            _power_tail(d, r, 0) * inv, x * _power_tail(d, r, 1) * inv,
+            x * x * _power_tail(d, r, 2) * inv * inv)
 
 
 @lru_cache(maxsize=4096)
 def _mode_sums(x: float, policy: PrecisionPolicy) -> _ModeSums:
-    """Evaluate all divisor series at x on one exponential grid.
+    """F, N, E and the fluctuation at x from Lambert sums.
 
-    Doubles the term count until, for every series, the next term and its
-    geometric tail bound term/(1 - e^{-x}) are below rel_tol of that
-    series' partial sum.
+    At x >= DUAL_SWITCH the direct Lambert forms converge fast.  Below it,
+    F, E and the fluctuation come from the functional equation
+
+        ln Z(x) = -x/24 + (1/2) ln(x/2pi) + pi^2/(6x) + ln Z(4 pi^2/x)
+
+    and its first two x-derivatives, with the Lambert forms evaluated at the
+    dual argument y = 4 pi^2/x > 2 pi^2.  N has no such law and is summed as
+    the Bose series at x.
     """
     x = _require_series_x(x, policy)
-    rel = policy.rel_tol
-    decay = math.exp(-x)
-    n_terms = max(16, min(int(47.0 / x) + 8, policy.max_terms))
-    while True:
-        w = _sigma_arrays(n_terms + 1)
-        ns = np.arange(1, n_terms + 1, dtype=np.float64)
-        ex = np.exp(-x * ns)
-        sm1 = w["sigma_m1"][1:n_terms + 1]
-        s0 = w["sigma0"][1:n_terms + 1]
-        s1 = w["sigma1"][1:n_terms + 1]
-        ns1 = w["n_sigma1"][1:n_terms + 1]
-
-        f_sum = float(np.dot(sm1, ex))
-        n_sum = float(np.dot(s0, ex))
-        e_sum = float(np.dot(s1, ex))
-        s_sum = float(np.dot(s1 * (x + 1.0 / ns), ex))
-        fl_sum = float(np.dot(ns1, ex))
-
-        # next-term estimates: last sieved weight times the next exponential,
-        # with slack for the local fluctuation of the divisor weights
-        nxt = 4.0 * math.exp(-x * (n_terms + 1))
-        checks = (
-            (sm1[-1] * nxt, abs(f_sum)),
-            (s0[-1] * nxt, abs(n_sum)),
-            (s1[-1] * nxt, abs(e_sum)),
-            (ns1[-1] * nxt, abs(fl_sum)),
-        )
-        geom = decay / (1.0 - decay)
-        ok = True
-        tail = 0.0
-        for nxt_term, scale in checks:
-            bound = float(nxt_term) * geom if nxt_term else 0.0
-            tail = max(tail, bound)
-            floor = max(float(scale), 1e-300)
-            if nxt_term > rel * floor or bound > rel * floor:
-                ok = False
-        if ok:
-            return _ModeSums(-f_sum, n_sum, x * e_sum, s_sum, x * x * fl_sum,
-                             n_terms, tail)
-        if n_terms >= policy.max_terms:
-            raise PrecisionError(
-                f"divisor series at x={x:g} still unconverged after "
-                f"{n_terms} terms", n_terms)
-        n_terms = min(2 * n_terms, policy.max_terms)
+    if x >= DUAL_SWITCH:
+        ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
+        return _ModeSums(-ln_z, n_occ, e, fluct, terms,
+                         _BOUND_ROUNDING * max(t_z, t_e, t_fl))
+    ln_zy, _, e_y, fl_y, terms, t_z, t_e, t_fl = _lambert(4.0 * math.pi ** 2 / x)
+    pi2_6x = math.pi ** 2 / (6.0 * x)
+    f = -pi2_6x - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0 - ln_zy
+    e = pi2_6x - 0.5 + x / 24.0 - e_y
+    fluct = 2.0 * pi2_6x - 0.5 - 2.0 * e_y + fl_y
+    n_bose = _bose_terms(x)
+    ns = np.arange(1, n_bose + 1, dtype=np.float64)
+    n_occ = float(np.sum(1.0 / np.expm1(x * ns)))
+    # sum_{d>D} 1/(e^{dx} - 1) <= r^{D+1} / ((1 - r)(1 - r^{D+1}))
+    t_n = (math.exp(-x * (n_bose + 1))
+           / (math.expm1(-x) * math.expm1(-x * (n_bose + 1))))
+    return _ModeSums(f, n_occ, e, fluct, terms + n_bose,
+                     _BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n))
 
 
 def thermo_per_mode(x: float,
                     policy: PrecisionPolicy = DEFAULT_POLICY) -> ThermoPerMode:
-    """F/kT, N, E/kT and S/k at one x from a single truncation."""
+    """F/kT, N, E/kT and S/k at one x from a single evaluation."""
     ms = _mode_sums(x, policy)
     return ThermoPerMode(ms.f, ms.n_occ, ms.e, ms.e - ms.f, ms.terms, ms.tail)
 
@@ -254,18 +255,9 @@ def internal_energy_lowfreq(x: float) -> float:
 
 
 def entropy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """S/k = sum sigma_1(n)(x + 1/n) e^{-nx}.
-
-    The identity value (E - F)/kT comes from the same truncation; the two
-    must agree to rel_tol or the evaluation is rejected.
-    """
+    """S/k = sum sigma_1(n)(x + 1/n) e^{-nx}, taken as (E - F)/kT."""
     ms = _mode_sums(x, policy)
-    identity = ms.e - ms.f
-    if abs(ms.s_series - identity) > policy.rel_tol * max(abs(ms.s_series), 1.0):
-        raise PrecisionError(
-            f"entropy identity violated at x={x:g}: series {ms.s_series!r} vs "
-            f"identity {identity!r}", ms.terms)
-    return ms.s_series
+    return ms.e - ms.f
 
 
 def entropy_lowfreq(x: float) -> float:

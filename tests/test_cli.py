@@ -180,6 +180,24 @@ def test_sweep_annotates_failed_cells(capsys):
     assert all(r["general-lf"] is not None for r in rows)
 
 
+def test_sweep_annotates_arithmetic_errors(capsys):
+    # the conventional column divides by expm1(0) at x = 0; that cell goes
+    # null with a note like the others and the rest of the sweep is filled
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "occupation",
+                           "--start", "0", "--stop", "1", "--points", "11",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 11
+    first = rows[0]
+    assert [first[m] for m in ("exact", "lowfreq", "conventional")] == [None] * 3
+    assert "conventional=" in first["errors"]
+    for row in rows[1:]:
+        assert "errors" not in row
+        assert row["conventional"] == pytest.approx(1.0 / math.expm1(row["x"]),
+                                                    rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # determinism and round-trips
 # ---------------------------------------------------------------------------

@@ -138,6 +138,18 @@ def test_functional_equation_domain():
         functional_equation_rhs(0.0)
 
 
+def test_overflow_is_a_domain_error_naming_the_threshold():
+    # Z(e^-x) exceeds the largest double for x below about 2.3047e-3
+    with pytest.raises(DomainError, match="0.0023047"):
+        functional_equation_rhs(0.002)
+    with pytest.raises(DomainError, match="0.0023047"):
+        partition_generating(math.exp(-0.002))
+    lhs = partition_generating(math.exp(-2.5e-3))
+    rhs = functional_equation_rhs(2.5e-3)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
+    assert abs(lhs - rhs) <= 1e-9 * lhs
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein series
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
+from eulergas.arith import sigma_table
 from eulergas.errors import DomainError, PrecisionError
 from eulergas.thermo import (MellinKind, PlanckVariant, entropy,
                              entropy_lowfreq, free_energy,
@@ -269,3 +271,93 @@ def test_domain_errors():
             internal_energy(bad)
         with pytest.raises(DomainError):
             free_energy_lowfreq(bad)
+
+
+# ---------------------------------------------------------------------------
+# Lambert and dual-scale routes against independent sums
+# ---------------------------------------------------------------------------
+
+def _fields(x):
+    tm = thermo_per_mode(x)
+    return (tm.f_over_kT, tm.n_occ, tm.e_over_kT, tm.s_over_k,
+            per_mode_energy_fluctuation(x))
+
+
+def _divisor_series(x, s0, s1):
+    """F, N, E, S and the fluctuation as literal divisor series, with S taken
+    termwise as sum sigma_1(n)(x + 1/n) e^{-nx}."""
+    n = np.arange(1, len(s0), dtype=np.float64)
+    w0 = np.asarray(s0[1:], dtype=np.float64)
+    w1 = np.asarray(s1[1:], dtype=np.float64)
+    ex = np.exp(-x * n)
+    return (-math.fsum(w1 / n * ex), math.fsum(w0 * ex),
+            x * math.fsum(w1 * ex), math.fsum(w1 * (x + 1.0 / n) * ex),
+            x * x * math.fsum(n * w1 * ex))
+
+
+def test_routes_match_divisor_series():
+    # n x >= 60 at the last table entry, so the series tails are negligible
+    s0, s1 = sigma_table(6100)
+    for x in np.geomspace(1e-2, 20.0, 25):
+        x = float(x)
+        for got, want in zip(_fields(x), _divisor_series(x, s0, s1)):
+            assert abs(got - want) <= 1e-13 * abs(want), x
+
+
+def test_routes_join_at_the_split():
+    # both sides of x = 2 agree with the divisor series to 1e-14, so the
+    # dual-scale and direct routes meet without a jump
+    s0, s1 = sigma_table(200)
+    for x in (2.0 * (1.0 - 1e-12), 2.0 * (1.0 + 1e-12)):
+        for got, want in zip(_fields(x), _divisor_series(x, s0, s1)):
+            assert abs(got - want) <= 1e-14 * abs(want), x
+
+
+def _mp_lambert(x, d_from, d_to):
+    """Sums over d_from <= d < d_to of the four Lambert terms at x, in
+    mpmath: -ln(1 - r^d), r^d/(1 - r^d), d r^d/(1 - r^d), d^2 r^d/(1 - r^d)^2."""
+    x = mpmath.mpf(x)
+    r = mpmath.exp(-x)
+    rd = r ** d_from
+    ln_z = n = e = fl = mpmath.mpf(0)
+    for d in range(d_from, d_to):
+        q = rd / (1 - rd)
+        ln_z -= mpmath.log1p(-rd)
+        n += q
+        e += d * q
+        fl += d * d * q / (1 - rd)
+        rd *= r
+    return ln_z, n, e, fl
+
+
+def test_tail_bound_covers_dropped_terms():
+    # direct route: the four sums at x each drop d > terms_used
+    x = 3.0
+    tm = thermo_per_mode(x)
+    d = tm.terms_used
+    with mpmath.workdps(40):
+        ln_z, n, e, fl = _mp_lambert(x, d + 1, d + 200)
+        dropped = (ln_z, n, x * e, x * x * fl)
+        assert all(tm.tail_bound >= t > 0 for t in dropped)
+    # dual route: N sums int(47/x) + 8 terms at x; ln Z, E and the
+    # fluctuation are taken at y = 4 pi^2/x with the remaining terms
+    x = 0.5
+    tm = thermo_per_mode(x)
+    d_n = int(47.0 / x) + 8
+    d_y = tm.terms_used - d_n
+    assert d_y >= 1
+    y = 4.0 * math.pi ** 2 / x
+    with mpmath.workdps(40):
+        ln_z, _, e, fl = _mp_lambert(y, d_y + 1, d_y + 50)
+        _, n, _, _ = _mp_lambert(x, d_n + 1, d_n + 400)
+        dropped = (ln_z, y * e, 2 * y * e + y * y * fl, n)
+        assert all(tm.tail_bound >= t > 0 for t in dropped)
+
+
+def test_values_match_high_precision_lambert_sums():
+    for x in (1.5e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.28, 8.0, 20.0, 30.0):
+        with mpmath.workdps(25):
+            ln_z, n, e, fl = _mp_lambert(x, 1, int(70.0 / x) + 20)
+            want = [float(v) for v in (-ln_z, n, x * e, x * e + ln_z, x * x * fl)]
+        for got, w in zip(_fields(x), want):
+            assert abs(got - w) <= 2e-15 * abs(w), x
