@@ -1,10 +1,11 @@
 """Exact arithmetic primitives and scalar special functions.
 
-Divisor power sums, a partition-count table built by coin-counting dynamic
-programming over the generating product, Farey sequences, Ford circles with
-their tangency geometry, Dedekind sums in two conventions, the root-of-unity
-sums A_q(n) entering the exact partition series, and float-valued zeta /
-gamma / Euler-constant evaluators.
+Divisor power sums, a partition-count table built by Euler's pentagonal
+number recurrence, Farey sequences, Ford circles with their tangency
+geometry, Dedekind sums in two conventions, the root-of-unity sums A_q(n)
+entering the exact partition series (from Dedekind-sum phases, and by
+Selberg's formula), and float-valued zeta / gamma / Euler-constant
+evaluators.
 
 All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
 appear solely in the special functions, where a :class:`PrecisionPolicy`
@@ -29,6 +30,7 @@ __all__ = [
     "farey_sequence", "reduced_fraction",
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
     "DedekindConvention", "DedekindValue", "dedekind_sum", "kloosterman_A",
+    "selberg_residues", "selberg_A",
     "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
 
@@ -114,27 +116,37 @@ _partition_cache: list[int] = [1]
 
 
 def partition_count_oracle(n: int) -> int:
-    """Exact partition count p(n) by coin-counting dynamic programming.
+    """Exact partition count p(n) by Euler's pentagonal number recurrence:
 
-    Builds the coefficient table of prod_{k<=n} (1-y^k)^{-1} with parts
-    1..n: O(n^2) exact big-integer additions.  The table is cached, so
-    sweeps over a range of n pay the cost once.  Desk-scale only; the
-    quadratic sweep makes n around 10^5 the practical ceiling.
+        p(m) = sum_{k>=1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)],
+
+    O(sqrt(m)) exact big-integer additions per entry, independent of the
+    Rademacher series.  The table is cached and grows to the largest n
+    asked, so sweeps over a range of n pay the cost once.
     """
     if n < 0:
         raise DomainError(f"partition count needs n >= 0, got {n}")
-    global _partition_cache
     if n < len(_partition_cache):
         return _partition_cache[n]
     with _partition_lock:
-        if n < len(_partition_cache):
-            return _partition_cache[n]
-        size = max(n, 2 * (len(_partition_cache) - 1)) + 1
-        table = [1] + [0] * (size - 1)
-        for part in range(1, size):
-            for amount in range(part, size):
-                table[amount] += table[amount - part]
-        _partition_cache = table
+        table = _partition_cache
+        # generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ... up to n;
+        # their signs run +, +, -, -, +, +, ...
+        pent = []
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            pent += [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
+            k += 1
+        for m in range(len(table), n + 1):
+            acc = 0
+            for i, g in enumerate(pent):
+                if g > m:
+                    break
+                if i & 2:
+                    acc -= table[m - g]
+                else:
+                    acc += table[m - g]
+            table.append(acc)
     return _partition_cache[n]
 
 
@@ -316,6 +328,27 @@ def kloosterman_A(q: int, n: int, convention: DedekindConvention) -> complex:
     return complex(re, im)
 
 
+def selberg_residues(q: int, n: int) -> list[int]:
+    """The residues l mod 2q with (3l^2 + l)/2 = -n (mod q), ascending.
+
+    They index Selberg's formula for the classical sums,
+
+        A_q(n) = sqrt(q/3) * sum_l (-1)^l cos((6l + 1) pi / (6q)),
+
+    which is real, costs O(q) and needs no Dedekind sums.
+    """
+    if q < 1:
+        raise DomainError(f"q must be >= 1, got {q}")
+    return [l for l in range(2 * q) if (l * (3 * l + 1) // 2 + n) % q == 0]
+
+
+def selberg_A(q: int, n: int) -> float:
+    """A_q(n) in the classical convention by Selberg's formula, in doubles."""
+    return math.sqrt(q / 3.0) * sum(
+        (-1) ** l * math.cos(math.pi * (6 * l + 1) / (6 * q))
+        for l in selberg_residues(q, n))
+
+
 # ---------------------------------------------------------------------------
 # Scalar special functions
 # ---------------------------------------------------------------------------
@@ -336,8 +369,8 @@ def riemann_zeta(s: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     Partial sum to N, then the integral, half-term and Bernoulli corrections;
     N doubles until the first omitted correction is below rel_tol.
     """
-    if s <= 1.0:
-        raise DomainError(f"riemann_zeta needs s > 1, got {s}")
+    if not (s > 1.0 and math.isfinite(s)):
+        raise DomainError(f"riemann_zeta needs finite s > 1, got {s}")
     n_cut = 16
     while n_cut <= (1 << 22):
         acc = sum(k ** -s for k in range(1, n_cut))

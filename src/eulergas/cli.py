@@ -144,7 +144,8 @@ def _cmd_partition(args) -> dict:
     if args.method == "rademacher":
         res = modular.rademacher_p(args.n, convention, policy)
         row.update(value=res.value, terms_used=res.terms_used,
-                   residual=res.residual, convention=convention.value)
+                   residual=res.residual, error_bound=res.error_bound,
+                   convention=convention.value)
     elif args.method == "oracle":
         row["value"] = arith.partition_count_oracle(args.n)
     elif args.method == "leading":

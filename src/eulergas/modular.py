@@ -6,22 +6,22 @@ the crude exponential estimate, and the exact convergent series for p(n)
 with integer rounding.
 
 The exact series needs working precision beyond 53 bits once p(n) outgrows
-doubles (n around 300); that path runs on mpmath with the bit count chosen
-from n.  Everything else is double precision under a PrecisionPolicy.
+doubles (n around 300): its large terms run on mpmath, each with the bits
+its own size needs, and its small terms in doubles, all under an explicit
+error bound.  Everything else is double precision under a PrecisionPolicy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import mpmath as mp
 
 from .arith import (DEFAULT_POLICY, DedekindConvention, PrecisionPolicy,
-                    kloosterman_phases)
+                    kloosterman_A, kloosterman_phases, selberg_residues)
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 __all__ = [
@@ -209,47 +209,87 @@ def leading_term_p(n: int) -> float:
 
 @dataclass(frozen=True)
 class RademacherResult:
-    """Outcome of the exact series: rounded value plus rounding metadata."""
+    """Outcome of the exact series: the certified value and its certificate.
+
+    residual    -- |sum - round(sum)|, imaginary part included
+    error_bound -- bound on |sum - p(n)|: Rademacher's remainder bound for
+                   the terms left out plus the evaluation error of the sum
+    The value is returned only when residual + error_bound < 1/2.
+    """
 
     n: int
     value: int
     terms_used: int
     residual: float
+    error_bound: float
     convention: DedekindConvention
 
 
-_aq_lock = threading.Lock()
-_aq_cache: dict[tuple[int, int, DedekindConvention, int], tuple] = {}
+_K = math.pi * math.sqrt(2.0 / 3.0)
+# Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
+# |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
+_REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
+_REM_B = math.pi * math.sqrt(2.0) / 75.0
+# every term is evaluated to within 2^-_EVAL_BITS / N
+_EVAL_BITS = 24
+# Truncate where the remainder bound falls below this.  The residual of a
+# correct sum is at most its error bound, so anything below 1/4 certifies;
+# a fifth leaves the certificate a margin of about 1/10.
+_REM_TARGET = 0.2
 
 
-def _required_bits(n: int, policy: PrecisionPolicy) -> int:
-    # magnitude of p(n) in bits plus guard, rounded to 64-bit buckets
-    need = int(math.pi * math.sqrt(2.0 * max(n, 1) / 3.0) / math.log(2.0)) + 64
-    need = max(need, policy.work_bits)
-    return ((need + 63) // 64) * 64
+def _remainder_bound(n: int, terms: int) -> float:
+    """Rademacher's bound on the terms q > `terms` of the series for p(n),
+    n >= 2, evaluated in logs so that large n cannot overflow."""
+    a = _K * math.sqrt(n) / terms
+    log_sinh = a + math.log1p(-math.exp(-2.0 * a)) - math.log(2.0)
+    log_second = math.log(_REM_B) + 0.5 * math.log(terms / (n - 1)) + log_sinh
+    try:
+        return _REM_A / math.sqrt(terms) + math.exp(log_second)
+    except OverflowError:
+        return math.inf
 
 
-def _a_q(q: int, n: int, convention: DedekindConvention, bits: int):
-    """A_q(n) as an (mpf, mpf) pair at the given precision, cached.
+def _a_q_summands(q: int, n: int, convention: DedekindConvention):
+    """A_q(n) = scale * sum of unit-modulus summands: (scale, items), with
+    the Selberg residues l (classical) or the exact Dedekind-sum phases t
+    (paper-literal) as items."""
+    if convention is DedekindConvention.CLASSICAL_SAWTOOTH:
+        return math.sqrt(q / 3.0), selberg_residues(q, n)
+    return 1.0, kloosterman_phases(q, n, convention)
 
-    A_q(n) only depends on n mod q, so the cache is tiny and shared by
-    whole sweeps over n.
-    """
-    key = (q, n % q, convention, bits)
-    hit = _aq_cache.get(key)
-    if hit is not None:
-        return hit
-    with mp.workprec(bits):
-        re = mp.mpf(0)
-        im = mp.mpf(0)
-        for t in kloosterman_phases(q, n, convention):
-            arg = mp.mpf(t.numerator) / t.denominator
-            re += mp.cospi(arg)
-            im += mp.sinpi(arg)
-    pair = (re, im)
-    with _aq_lock:
-        _aq_cache[key] = pair
-    return pair
+
+def _term_double(q: int, n: int, lam: float, items,
+                 convention: DedekindConvention) -> tuple[float, float]:
+    """Term q of the series in doubles, as (re, im)."""
+    kq = _K / q
+    e = math.exp(kq * lam)
+    # K_q cosh(u) - sinh(u)/lam with cosh and sinh from one exponential
+    deriv = ((kq - 1.0 / lam) * e + (kq + 1.0 / lam) / e) / (4.0 * lam * lam)
+    scale = math.sqrt(q) * deriv / (math.pi * math.sqrt(2.0))
+    if convention is DedekindConvention.CLASSICAL_SAWTOOTH:
+        # arith.selberg_A over the residues already found
+        a = math.sqrt(q / 3.0) * sum(
+            (-1) ** l * math.cos(math.pi * (6 * l + 1) / (6 * q)) for l in items)
+        return scale * a, 0.0
+    a = kloosterman_A(q, n, convention)
+    return scale * a.real, scale * a.imag
+
+
+def _term_mp(q: int, lam, k, items, convention: DedekindConvention):
+    """Term q of the series as an (re, im) pair of mpf at the current
+    precision, from lam and K = pi*sqrt(2/3) given at least as precise."""
+    kq = k / q
+    e = mp.exp(kq * lam)
+    deriv = ((kq - 1 / lam) * e + (kq + 1 / lam) / e) / (4 * lam * lam)
+    scale = mp.sqrt(q) * deriv / (mp.pi * mp.sqrt(2))
+    if convention is DedekindConvention.CLASSICAL_SAWTOOTH:
+        a = mp.sqrt(mp.mpf(q) / 3) * mp.fsum(
+            (-1) ** l * mp.cospi(mp.mpf(6 * l + 1) / (6 * q)) for l in items)
+        return scale * a, mp.mpf(0)
+    args = [mp.mpf(t.numerator) / t.denominator for t in items]
+    return (scale * mp.fsum(mp.cospi(a) for a in args),
+            scale * mp.fsum(mp.sinpi(a) for a in args))
 
 
 def rademacher_p(n: int,
@@ -257,64 +297,105 @@ def rademacher_p(n: int,
                  policy: PrecisionPolicy = DEFAULT_POLICY) -> RademacherResult:
     """Exact p(n) from the convergent series over Farey denominators:
 
-        p(n) = (1/(pi*sqrt(2))) * sum_q sqrt(q) A_q(n)
+        p(n) = (1/(pi*sqrt(2))) * sum_{q<=N} sqrt(q) A_q(n)
                * d/dn [ sinh(K_q*lam)/lam ],
         K_q = (pi/q)*sqrt(2/3),  lam = sqrt(n - 1/24),
 
     with the derivative in closed form
         (1/(2*lam^2)) * (K_q*cosh(K_q*lam) - sinh(K_q*lam)/lam).
 
-    Truncation starts at ceil(2*sqrt(n)) terms and extends geometrically
-    until the residual |sum - round(sum)| stays below 0.25 across three
-    consecutive checkpoints with a stable rounded value.
+    N is fixed before any term is summed: the smallest N whose Rademacher
+    remainder bound is below 1/5.  In the classical convention A_q(n)
+    comes from Selberg's formula, real and O(q).  Term q, of size about
+    exp(K_1*lam/q), gets only the bits it needs to keep its absolute error
+    below 2^-24/N, and never fewer than policy.work_bits; a term small
+    enough for that in doubles is evaluated in doubles under the same
+    explicit bound.  The sum is accumulated at the precision of the q = 1
+    term.  The result's error_bound is the remainder bound plus the
+    evaluation error, and the value is certified only when
+    residual + error_bound < 1/2; otherwise ConvergenceError is raised.
+
+    p(0) = p(1) = 1 are returned directly: the remainder bound needs n >= 2.
+    The paper-literal convention keeps the exact Dedekind-sum phases,
+    evaluated at each term's precision with the same N; it fails the
+    certification, or rounds to a wrong value, for most n.
     """
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    if n == 0:
-        return RademacherResult(0, 1, 0, 0.0, convention)
-    bits = _required_bits(n, policy)
-    with mp.workprec(bits):
-        lam = mp.sqrt(mp.mpf(24 * n - 1) / 24)
-        kq_base = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-        prefactor = 1 / (mp.pi * mp.sqrt(2))
-        inv_two_lam2 = 1 / (2 * lam * lam)
+    if n <= 1:
+        return RademacherResult(n, 1, 0, 0.0, 0.0, convention)
+    # the first part of the bound alone rules out every smaller N
+    n_terms = math.ceil((_REM_A / _REM_TARGET) ** 2)
+    while _remainder_bound(n, n_terms) >= _REM_TARGET:
+        n_terms += 1
+    if n_terms > policy.max_terms:
+        raise PrecisionError(f"series for p({n}) needs {n_terms} terms, "
+                             f"budget is {policy.max_terms}", n_terms)
+    guard = _EVAL_BITS + n_terms.bit_length()
+    lam = math.sqrt(n - 1.0 / 24.0)
 
-        def term(q: int):
-            kq = kq_base / q
-            u = kq * lam
-            deriv = inv_two_lam2 * (kq * mp.cosh(u) - mp.sinh(u) / lam)
-            a_re, a_im = _a_q(q, n, convention, bits)
-            scale = prefactor * mp.sqrt(q) * deriv
-            return scale * a_re, scale * a_im
+    # Per term: log2 of a bound on the size of its parts, and of the number
+    # of units of 2^-bits by which its evaluation can be off.  The argument
+    # u = K_q*lam carries a relative error of a few units, which cosh and
+    # sinh magnify by u; the rest is a few dozen roundings plus one per A_q
+    # summand.  Doubles count as 52 bits, to cover libm's last-bit errors.
+    plan = []
+    for q in range(1, n_terms + 1):
+        a_scale, items = _a_q_summands(q, n, convention)
+        if not items:
+            continue  # A_q(n) = 0 exactly
+        a_bound = a_scale * len(items)
+        kq = _K / q
+        u = kq * lam
+        log2_size = (u + math.log(math.sqrt(q) * a_bound * (kq + 1.0 / lam)
+                                  / (2.0 * lam * lam * math.pi * math.sqrt(2.0)))
+                     ) / math.log(2.0)
+        log2_units = math.log2(16.0 * (u + a_bound + 4.0))
+        need = math.ceil(log2_size + log2_units) + guard
+        bits = 0 if need <= 52 else max(need, policy.work_bits)
+        plan.append((q, items, bits, log2_size, log2_units))
+    sum_bits = max(policy.work_bits, plan[0][2])
 
-        q_checkpoint = max(2, math.ceil(2.0 * math.sqrt(n)))
-        q_cap = max(64, 16 * math.ceil(math.sqrt(n)))
-        sum_re = mp.mpf(0)
-        sum_im = mp.mpf(0)
-        q_done = 0
-        stable = 0
-        last_round = None
-        residual = math.inf
-        while q_checkpoint > q_done:
-            for q in range(q_done + 1, q_checkpoint + 1):
-                t_re, t_im = term(q)
-                sum_re += t_re
-                sum_im += t_im
-            q_done = q_checkpoint
-            rounded = mp.nint(sum_re)
-            residual = float(mp.sqrt((sum_re - rounded) ** 2 + sum_im ** 2))
-            if residual < 0.25 and (last_round is None or rounded == last_round):
-                stable += 1
-                last_round = rounded
-                if stable >= 3:
-                    return RademacherResult(n, int(rounded), q_done,
-                                            residual, convention)
-            else:
-                stable = 1 if residual < 0.25 else 0
-                last_round = rounded if residual < 0.25 else None
-            q_checkpoint = min(max(q_checkpoint + 4,
-                                   math.ceil(1.3 * q_checkpoint)), q_cap)
+    eval_err = 0.0
+    doubles_re: list[float] = []
+    doubles_im: list[float] = []
+    doubles_size = 0.0
+    sum_re = sum_im = mp.mpf(0)
+    with mp.workprec(sum_bits):
+        lam_mp = mp.sqrt(mp.mpf(24 * n - 1) / 24)
+        k_mp = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+    for q, items, bits, log2_size, log2_units in plan:
+        eval_err += 2.0 ** (log2_size + log2_units - (bits or 52))
+        if not bits:
+            t_re, t_im = _term_double(q, n, lam, items, convention)
+            doubles_re.append(t_re)
+            doubles_im.append(t_im)
+            doubles_size += 2.0 ** log2_size
+            continue
+        with mp.workprec(bits):
+            t_re, t_im = _term_mp(q, lam_mp, k_mp, items, convention)
+        with mp.workprec(sum_bits):
+            sum_re += t_re
+            sum_im += t_im
+    with mp.workprec(sum_bits):
+        sum_re += math.fsum(doubles_re)
+        sum_im += math.fsum(doubles_im)
+        rounded = mp.nint(sum_re)
+        residual = float(mp.sqrt((sum_re - rounded) ** 2 + sum_im ** 2))
+    # fsum rounds once, by at most 2^-53 of the doubles' sizes; each of the
+    # other additions by at most 2^-sum_bits of a partial sum, itself below
+    # the sum of all the sizes
+    log2_total = max(p[3] for p in plan) + n_terms.bit_length()
+    additions = len(plan) - len(doubles_re) + 1
+    eval_err += doubles_size * 2.0 ** -53 \
+        + additions * 2.0 ** (log2_total - sum_bits)
+
+    error_bound = _remainder_bound(n, n_terms) + eval_err
+    if residual + error_bound < 0.5:
+        return RademacherResult(n, int(rounded), n_terms, residual,
+                                error_bound, convention)
     raise ConvergenceError(
-        f"series for p({n}) did not stabilize (residual {residual:.3g} "
-        f"after {q_done} terms, convention {convention.value})",
-        terms_used=q_done, residual=residual, convention=convention.value)
+        f"series for p({n}) is not certified: residual {residual:.3g} + "
+        f"error bound {error_bound:.3g} >= 1/2 after {n_terms} terms "
+        f"(convention {convention.value})",
+        terms_used=n_terms, residual=residual, convention=convention.value)

@@ -56,8 +56,8 @@ _BOUND_ROUNDING = 1.0 + 1e-12
 
 def _require_x(x: float) -> float:
     x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"need x > 0, got {x}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"need finite x > 0, got {x}")
     return x
 
 
@@ -368,6 +368,8 @@ def mellin_check(s: float, kind: MellinKind,
     is split at x = 1, with the tail mapped through u = 1/x and the head on
     [0, c] integrated in closed low-frequency form.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"Mellin check needs finite s, got {s}")
     if kind in (MellinKind.FREE_ENERGY, MellinKind.OCCUPATION):
         if s <= 1.0:
             raise DomainError(f"{kind.value} Mellin check needs s > 1, got {s}")

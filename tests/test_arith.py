@@ -402,3 +402,9 @@ def test_precision_policy_validation():
         PrecisionPolicy(work_bits=32)
     with pytest.raises(DomainError):
         PrecisionPolicy(max_terms=0)
+
+
+def test_zeta_refuses_non_finite_s():
+    for s in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            riemann_zeta(s)

@@ -252,3 +252,29 @@ def test_computation_error_serialized(capsys):
     payload = json.loads(err)
     assert payload["error"]["type"] == "PrecisionError"
     assert "1e-06" in payload["error"]["message"]
+
+
+def test_partition_row_carries_its_certificate(capsys):
+    code, out, _ = run_cli(capsys, "partition", "--n", "1000",
+                           "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["value"] == 24061467864032622473692149727991
+    assert list(row)[3:6] == ["terms_used", "residual", "error_bound"]
+    assert 0.0 < row["error_bound"] < 0.5
+    assert row["residual"] + row["error_bound"] < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("thermo", "--x", "inf"),
+    ("thermo", "--x", "nan"),
+    ("mellin-check", "--s", "nan", "--kind", "free-energy"),
+    ("mellin-check", "--s", "inf", "--kind", "energy"),
+])
+def test_non_finite_input_is_refused(capsys, argv):
+    # DomainError is the usage-error exit code, with the message on stderr
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err

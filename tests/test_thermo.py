@@ -361,3 +361,18 @@ def test_values_match_high_precision_lambert_sums():
             want = [float(v) for v in (-ln_z, n, x * e, x * e + ln_z, x * x * fl)]
         for got, w in zip(_fields(x), want):
             assert abs(got - w) <= 2e-15 * abs(w), x
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_x_is_refused(x):
+    with pytest.raises(DomainError, match="finite"):
+        thermo_per_mode(x)
+    with pytest.raises(DomainError, match="finite"):
+        free_energy_lowfreq(x)
+
+
+@pytest.mark.parametrize("kind", list(MellinKind))
+def test_mellin_refuses_non_finite_s(kind):
+    for s in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            mellin_check(s, kind)
