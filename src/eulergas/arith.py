@@ -8,8 +8,8 @@ Selberg's formula), and float-valued zeta / gamma / Euler-constant
 evaluators.
 
 All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
-appear solely in the special functions, where a :class:`PrecisionPolicy`
-sets the target relative error.
+appear solely in the special functions, which are the double-precision ones
+of ``math`` and ``mpmath.fp`` behind domain checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, PrecisionError
+import mpmath
+
+from .errors import DomainError
 
 __all__ = [
     "PrecisionPolicy", "DEFAULT_POLICY",
@@ -37,11 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Targets that govern every series, product and quadrature.
+    """Targets for the truncated series and products.
 
-    rel_tol   -- target relative error of returned floats
-    work_bits -- minimum working precision for extended-precision paths
+    rel_tol   -- target relative error of the Z and eta products and of G2
+    work_bits -- minimum working precision of the exact p(n) series
     max_terms -- hard cap on series/product length before PrecisionError
+                 (also the term budget of the per-mode Bose sum for N)
     """
 
     rel_tol: float = 1e-12
@@ -353,85 +356,35 @@ def selberg_A(q: int, n: int) -> float:
 # Scalar special functions
 # ---------------------------------------------------------------------------
 
-# Bernoulli numbers B_2, B_4, ..., B_30 (exact).
+# Bernoulli numbers B_2, B_4, ..., B_42 (exact), for the Debye function's
+# Bernoulli series in phonon.
 _BERNOULLI_2K = (
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
     Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
     Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
     Fraction(-23749461029, 870), Fraction(8615841276005, 14322),
+    Fraction(-7709321041217, 510), Fraction(2577687858367, 6),
+    Fraction(-26315271553053477373, 1919190), Fraction(2929993913841559, 6),
+    Fraction(-261082718496449122051, 13530),
+    Fraction(1520097643918070802691, 1806),
 )
 
 
-def riemann_zeta(s: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """zeta(s) for real s > 1 via Euler-Maclaurin acceleration.
-
-    Partial sum to N, then the integral, half-term and Bernoulli corrections;
-    N doubles until the first omitted correction is below rel_tol.
-    """
+def riemann_zeta(s: float) -> float:
+    """zeta(s) for finite real s > 1, from mpmath's double-precision context."""
     if not (s > 1.0 and math.isfinite(s)):
         raise DomainError(f"riemann_zeta needs finite s > 1, got {s}")
-    n_cut = 16
-    while n_cut <= (1 << 22):
-        acc = sum(k ** -s for k in range(1, n_cut))
-        acc += n_cut ** (1.0 - s) / (s - 1.0) + 0.5 * n_cut ** -s
-        bound = math.inf
-        prev = math.inf
-        for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-            rising = 1.0
-            for j in range(2 * k - 1):
-                rising *= s + j
-            term = float(b2k) / math.factorial(2 * k) * rising \
-                * n_cut ** (1.0 - s - 2 * k)
-            if abs(term) >= prev:
-                break  # asymptotic part started diverging
-            acc += term
-            prev = abs(term)
-            bound = abs(term)
-            if bound <= policy.rel_tol * abs(acc):
-                return acc
-        if bound <= policy.rel_tol * abs(acc):
-            return acc
-        n_cut *= 2
-    raise PrecisionError("zeta Euler-Maclaurin did not reach rel_tol", n_cut)
+    return mpmath.fp.zeta(s)
 
 
-# Lanczos g=7, n=9 coefficients (double precision standard set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-    771.32342877765313, -176.61502916214059, 12.507343278686905,
-    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7,
-)
+def gamma_fn(s: float) -> float:
+    """Gamma(s) for finite real s > 0 (math.gamma)."""
+    if not (s > 0.0 and math.isfinite(s)):
+        raise DomainError(f"gamma_fn needs finite s > 0, got {s}")
+    return math.gamma(s)
 
 
-def gamma_fn(s: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Gamma(s) for real s > 0 via a fixed-coefficient Lanczos approximation.
-
-    Coefficients are validated by the test suite against Gamma(1),
-    Gamma(1/2) = sqrt(pi) and Gamma(n) = (n-1)!.
-    """
-    if s <= 0.0:
-        raise DomainError(f"gamma_fn needs s > 0, got {s}")
-    if s < 0.5:
-        # reflection keeps the Lanczos kernel in its accurate range
-        return math.pi / (math.sin(math.pi * s) * gamma_fn(1.0 - s, policy))
-    z = s - 1.0
-    x = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        x += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
-
-
-def euler_gamma(policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Euler's constant via H_N - ln N with Euler-Maclaurin corrections."""
-    n_cut = 32
-    acc = sum(1.0 / k for k in range(1, n_cut + 1))
-    acc -= math.log(n_cut) + 0.5 / n_cut
-    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
-        term = float(b2k) / (2 * k) * n_cut ** (-2 * k)
-        acc += term
-        if abs(term) <= policy.rel_tol * abs(acc):
-            return acc
-    return acc
+def euler_gamma() -> float:
+    """Euler's constant gamma = 0.5772156649015329 to double precision."""
+    return 0.5772156649015329

@@ -27,11 +27,22 @@ _CONVENTIONS = {"classical": DedekindConvention.CLASSICAL_SAWTOOTH,
 # Output formatting
 # ---------------------------------------------------------------------------
 
+def _int_str(v: int) -> str:
+    """Decimal digits of v, lifting Python's int-to-str digit limit (4300 by
+    default, passed by p(n) near n = 1.5e7) for this conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fmt_num(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return _int_str(v)
     return format(float(v), ".17g")
 
 
@@ -263,7 +274,6 @@ def _cmd_blackbody(args) -> dict:
 
 
 def _cmd_phonon(args) -> dict:
-    policy = _policy_from(args)
     constants = _constants_from(args)
     solid = phonon.SolidSpec(n_atoms=args.n_atoms, volume=args.volume,
                              temperature=args.temperature, c_ph=args.c_ph,
@@ -275,11 +285,11 @@ def _cmd_phonon(args) -> dict:
             "note: below theta_D/50 the electronic specific heat (linear in T) "
             "dominates the lattice term and is not modeled here\n")
     x_m = theta / solid.temperature
-    cv_conv = phonon.specific_heat(solid, constants, phonon.DebyeModel.CONVENTIONAL, policy)
-    cv_gen = phonon.specific_heat(solid, constants, phonon.DebyeModel.GENERAL, policy)
-    eps_sq, rel_fluct = phonon.energy_fluctuation(solid, constants, policy)
+    cv_conv = phonon.specific_heat(solid, constants, phonon.DebyeModel.CONVENTIONAL)
+    cv_gen = phonon.specific_heat(solid, constants, phonon.DebyeModel.GENERAL)
+    eps_sq, rel_fluct = phonon.energy_fluctuation(solid, constants)
     row = {"nu_m": phonon.debye_frequency(solid), "theta_d": theta, "x_m": x_m,
-           "debye_function": phonon.debye_function(x_m, policy),
+           "debye_function": phonon.debye_function(x_m),
            "cv_conventional": cv_conv, "cv_general": cv_gen,
            "cv_over_dulong_petit": cv_conv / (3.0 * solid.n_atoms * constants.k),
            "epsilon_sq": eps_sq, "relative_fluctuation": rel_fluct}
@@ -408,7 +418,7 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
                   "general-lf": radiation.NoiseModel.GENERAL_LOW_FREQ,
                   "einstein": radiation.NoiseModel.EINSTEIN_FULL}[model]
         return lambda nu: radiation.fluctuation_spectrum(nu, cavity, constants,
-                                                         nmodel, policy)
+                                                         nmodel)
     if quantity == "partition":
         convention = _CONVENTIONS[args.convention]
         if model == "rademacher":

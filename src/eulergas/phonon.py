@@ -1,7 +1,8 @@
 """Debye phonon gas and the quartz-resonator flicker-floor prediction.
 
-Average sound velocity, Debye frequency/temperature, the Debye integral with
-a series cross-check, lattice specific heat in both models (the
+Average sound velocity, Debye frequency/temperature, the Debye function D
+(a Bernoulli series below x_m = 2.5 and the exponential series from there
+up, no quadrature), lattice specific heat in both models (the
 divisor-series model carries a zeta(3) factor), canonical energy
 fluctuations, and the 1/nu frequency-noise floor
 
@@ -22,10 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-from scipy import integrate
-
-from .arith import DEFAULT_POLICY, PrecisionPolicy, riemann_zeta
+from .arith import _BERNOULLI_2K, riemann_zeta
 from .errors import DomainError
 from .radiation import PhysicalConstants, load_key_value_file
 
@@ -99,54 +97,60 @@ def debye_temperature(solid: SolidSpec, constants: PhysicalConstants) -> float:
     return constants.h * debye_frequency(solid) / constants.k
 
 
-def debye_function(x_m: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """D(x_m) = (3/x_m^3) * integral_0^{x_m} x^3/(e^x - 1) dx by quadrature.
+# Coefficient of a^{2k} in D(a) = 1 - 3a/8 + sum_k 3 B_2k a^{2k}/((2k)! (2k+3))
+_DEBYE_TAYLOR = tuple(float(3 * b / (math.factorial(2 * k) * (2 * k + 3)))
+                      for k, b in enumerate(_BERNOULLI_2K, start=1))
+DEBYE_SWITCH = 2.5          # Bernoulli series below, exponential series above
+_PI4_OVER_15 = 6.493939402266829  # Gamma(4) zeta(4) correctly rounded;
+                                  # math.pi ** 4 / 15 is 1.3 ulp low
 
-    The integrand is continued through its removable zero at 0 as
-    x^2 * (x/(e^x - 1)).
+
+def debye_function(x_m: float) -> float:
+    """D(x_m) = (3/x_m^3) * integral_0^{x_m} x^3/(e^x - 1) dx.
+
+    Below DEBYE_SWITCH it is the Bernoulli series of the integrand,
+
+        integral_0^{a} x^3/(e^x - 1) dx = sum_k B_k a^{k+3} / (k! (k+3)),
+
+    which converges for a < 2 pi; 21 even terms reach double precision at
+    the switch.  At and above the switch it is debye_function_series.
     """
     if not x_m > 0.0:
         raise DomainError(f"need x_m > 0, got {x_m}")
-
-    def integrand(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        if x > 700.0:
-            return 0.0
-        return x ** 3 / math.expm1(x)
-
-    upper = min(x_m, 720.0)
-    rel = max(policy.rel_tol, 1e-12)
-    value, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-300,
-                              epsrel=rel, limit=200)
-    return 3.0 * value / x_m ** 3
+    if x_m >= DEBYE_SWITCH:
+        return debye_function_series(x_m)
+    a2 = x_m * x_m
+    acc = 0.0
+    for c in reversed(_DEBYE_TAYLOR):
+        acc = acc * a2 + c
+    return 1.0 - 0.375 * x_m + acc * a2
 
 
-def debye_function_series(x_m: float,
-                          policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Independent route for D(x_m) via termwise e^{-nx} integration:
+def debye_function_series(x_m: float) -> float:
+    """D(x_m) via termwise e^{-nx} integration:
 
         integral_0^{a} x^3/(e^x-1) dx
           = pi^4/15 - sum_n e^{-na}(a^3/n + 3a^2/n^2 + 6a/n^3 + 6/n^4),
 
     where pi^4/15 = Gamma(4) zeta(4) is the complete integral, so only the
-    exponentially decaying part needs truncation.
-
-    Cancellation against pi^4/15 limits this route to absolute accuracy
-    ~1 ulp of pi^4/15, so it is a cross-check for x_m of order 0.1 and up;
-    use the quadrature route at small x_m.
+    exponentially decaying part needs truncation, after int(45/a) + 1
+    terms.  The terms are summed exactly (math.fsum); what is left is the
+    cancellation against pi^4/15, which limits the route to absolute
+    accuracy ~1 ulp of pi^4/15, so it serves from x_m of order 1 up.  At
+    large x_m the result tends to pi^4/(5 x_m^3) and underflows to 0
+    without overflowing.
     """
     if not x_m > 0.0:
         raise DomainError(f"need x_m > 0, got {x_m}")
     a = x_m
-    n_terms = max(32, min(int(47.0 / a) + 8, policy.max_terms))
-    ns = np.arange(1.0, n_terms + 1.0)
-    with np.errstate(under="ignore"):
-        decay = np.exp(-np.minimum(a * ns, 745.0))
-    total = math.pi ** 4 / 15.0 - float(
-        np.sum(decay * (a ** 3 / ns + 3.0 * a ** 2 / ns ** 2
-                        + 6.0 * a / ns ** 3 + 6.0 / ns ** 4)))
-    return 3.0 * total / a ** 3
+    terms = [_PI4_OVER_15]
+    for n in range(1, int(45.0 / a) + 2):
+        decay = math.exp(-n * a)
+        if decay == 0.0:
+            break
+        t = 1.0 / n
+        terms.append(-decay * t * (a * a * a + t * (3.0 * a * a + 6.0 * t * (a + t))))
+    return 3.0 * math.fsum(terms) / a / (a * a)
 
 
 class DebyeModel(Enum):
@@ -155,34 +159,38 @@ class DebyeModel(Enum):
 
 
 def specific_heat(solid: SolidSpec, constants: PhysicalConstants,
-                  model: DebyeModel,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+                  model: DebyeModel) -> float:
     """Constant-volume lattice specific heat in J/K for the solid's N0 atoms.
 
     From E(T) = 3 N0 k T D(x_m) by analytic differentiation:
 
-        C_v = 3 N0 k [ 4 D(x_m) - 3 x_m/(e^{x_m} - 1) ],  x_m = theta_D/T.
+        C_v = 3 N0 k [ 4 D(x_m) - 3 x_m/(e^{x_m} - 1) ],  x_m = theta_D/T,
+
+    with the Bose term taken as x_m e^{-x_m}/(1 - e^{-x_m}), so it vanishes
+    instead of overflowing at large x_m.
 
     The GENERAL model multiplies by zeta(3).  Divide by 3*N0*k for the
     Dulong-Petit ratio.
     """
     x_m = debye_temperature(solid, constants) / solid.temperature
-    bose = x_m / math.expm1(x_m) if x_m < 700.0 else 0.0
-    ratio = 4.0 * debye_function(x_m, policy) - 3.0 * bose
+    r = math.exp(-x_m)
+    # 0 once e^{-x_m} underflows, also at x_m = inf (T subnormal)
+    bose = x_m * r / -math.expm1(-x_m) if r else 0.0
+    ratio = 4.0 * debye_function(x_m) - 3.0 * bose
     cv = 3.0 * solid.n_atoms * constants.k * ratio
     if model is DebyeModel.CONVENTIONAL:
         return cv
     if model is DebyeModel.GENERAL:
-        return cv * riemann_zeta(3.0, policy)
+        return cv * riemann_zeta(3.0)
     raise DomainError(f"unknown Debye model {model!r}")
 
 
-def energy_fluctuation(solid: SolidSpec, constants: PhysicalConstants,
-                       policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def energy_fluctuation(solid: SolidSpec,
+                       constants: PhysicalConstants) -> tuple[float, float]:
     """(epsilon^2, relative): canonical variance k T^2 C_v in J^2, and the
     relative fluctuation scale (2/(3 N0))^{1/2}, which is independent of T
     in the Dulong-Petit regime."""
-    cv = specific_heat(solid, constants, DebyeModel.CONVENTIONAL, policy)
+    cv = specific_heat(solid, constants, DebyeModel.CONVENTIONAL)
     eps_sq = constants.k * solid.temperature ** 2 * cv
     relative = math.sqrt(2.0 / (3.0 * solid.n_atoms))
     return eps_sq, relative

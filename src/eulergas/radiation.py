@@ -108,8 +108,7 @@ def density_of_states(nu: float, volume: float, constants: PhysicalConstants) ->
     return 8.0 * math.pi * volume * nu * nu / constants.c ** 3
 
 
-def stefan_boltzmann(constants: PhysicalConstants,
-                     policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def stefan_boltzmann(constants: PhysicalConstants) -> tuple[float, float]:
     """(sigma_SB, excess) with sigma_SB = 2 pi^5 k^4 / (15 c^2 h^3).
 
     excess is the multiplicative correction zeta(3) the divisor-series model
@@ -117,7 +116,7 @@ def stefan_boltzmann(constants: PhysicalConstants,
     """
     sigma = (2.0 * math.pi ** 5 * constants.k ** 4
              / (15.0 * constants.c ** 2 * constants.h ** 3))
-    return sigma, riemann_zeta(3.0, policy)
+    return sigma, riemann_zeta(3.0)
 
 
 class PhotonModel(Enum):
@@ -126,13 +125,12 @@ class PhotonModel(Enum):
 
 
 def photon_density(cavity: CavitySpec, constants: PhysicalConstants,
-                   model: PhotonModel,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+                   model: PhotonModel) -> float:
     """Photons per unit volume: 8 pi (kT/ch)^3 * 2 zeta(3), times zeta(3)
     again in the general model."""
     scale = 8.0 * math.pi * (constants.k * cavity.temperature
                              / (constants.c * constants.h)) ** 3
-    z3 = riemann_zeta(3.0, policy)
+    z3 = riemann_zeta(3.0)
     if model is PhotonModel.CONVENTIONAL:
         return scale * 2.0 * z3
     if model is PhotonModel.GENERAL:
@@ -143,10 +141,10 @@ def photon_density(cavity: CavitySpec, constants: PhysicalConstants,
 def planck_spectral_density(nu: float, cavity: CavitySpec,
                             constants: PhysicalConstants) -> float:
     """Conventional spectral energy density u(nu, T) in J/Hz:
-    (8 pi h V / c^3) nu^3 / (e^x - 1)."""
+    (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x})."""
     x = mode_x(nu, cavity.temperature, constants)
     return (8.0 * math.pi * constants.h * cavity.volume / constants.c ** 3
-            * nu ** 3 / math.expm1(x))
+            * nu ** 3 * math.exp(-x) / -math.expm1(-x))
 
 
 class EmissivityModel(Enum):
@@ -166,13 +164,16 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     GENERAL:         (2 pi h / c^2) nu^3 sum sigma_1(n) e^{-nx}
     GENERAL_LOW_FREQ:(pi^3/3) (k^2/(c^2 h)) nu T^2
 
-    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).
+    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).  The Planck factor
+    1/(e^x - 1) is taken as e^{-x}/(1 - e^{-x}), which vanishes instead of
+    overflowing at large x.
     """
     t = cavity.temperature
     x = mode_x(nu, t, constants)
     c2 = constants.c ** 2
     if model is EmissivityModel.PLANCK:
-        return 2.0 * math.pi * constants.h / c2 * nu ** 3 / math.expm1(x)
+        return (2.0 * math.pi * constants.h / c2 * nu ** 3
+                * math.exp(-x) / -math.expm1(-x))
     if model is EmissivityModel.RAYLEIGH_JEANS:
         return 2.0 * math.pi * constants.k / c2 * nu ** 2 * t
     if model is EmissivityModel.GENERAL:
@@ -235,8 +236,7 @@ def einstein_fluctuation_from_u(nu: float, u: float, cavity: CavitySpec,
 
 
 def fluctuation_spectrum(nu: float, cavity: CavitySpec,
-                         constants: PhysicalConstants, model: NoiseModel,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+                         constants: PhysicalConstants, model: NoiseModel) -> float:
     """Fractional energy-noise spectral density S_u/u^2.
 
     RAYLEIGH_JEANS:   c^3/(8 pi V) * 1/nu^2        (random-walk 1/nu^2)
@@ -286,8 +286,7 @@ def spectral_point(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
         e_b_planck=emissivity(nu, cavity, constants, EmissivityModel.PLANCK, policy),
         e_b_general=e_general,
         frac_noise_rj=fluctuation_spectrum(nu, cavity, constants,
-                                           NoiseModel.RAYLEIGH_JEANS, policy),
+                                           NoiseModel.RAYLEIGH_JEANS),
         frac_noise_general_lf=fluctuation_spectrum(nu, cavity, constants,
-                                                   NoiseModel.GENERAL_LOW_FREQ,
-                                                   policy),
+                                                   NoiseModel.GENERAL_LOW_FREQ),
     )

@@ -2,12 +2,14 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulergas.arith import (DedekindConvention, PrecisionPolicy, dedekind_sum,
-                            divisor_sigma, divisors, euler_gamma,
+from eulergas.arith import (_BERNOULLI_2K, DedekindConvention,
+                            PrecisionPolicy, dedekind_sum, divisor_sigma,
+                            divisors, euler_gamma,
                             farey_sequence, ford_circle, ford_tangency,
                             gamma_fn, kloosterman_A, kloosterman_phases,
                             partition_count_oracle, reduced_fraction,
@@ -363,6 +365,13 @@ def test_zeta_inside_partial_sum_bracket(s):
     assert lower <= riemann_zeta(s) <= upper
 
 
+@pytest.mark.parametrize("s", [1.5, 2.37, 3.0, 4.5, 11.0])
+def test_zeta_against_40_digit_mpmath(s):
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(s)
+    assert abs(riemann_zeta(s) - ref) <= 5e-16 * ref
+
+
 def test_zeta_domain():
     with pytest.raises(DomainError):
         riemann_zeta(1.0)
@@ -389,6 +398,14 @@ def test_gamma_domain():
         gamma_fn(0.0)
     with pytest.raises(DomainError):
         gamma_fn(-1.5)
+    for s in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gamma_fn(s)
+
+
+def test_bernoulli_table_is_exact():
+    for k, b in enumerate(_BERNOULLI_2K, start=1):
+        assert b == Fraction(*mpmath.bernfrac(2 * k))
 
 
 def test_euler_gamma_value():

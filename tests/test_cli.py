@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eulergas.cli import main
+import eulergas
+from eulergas.cli import _json_value, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +284,65 @@ def test_non_finite_input_is_refused(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("phonon", "--n-atoms", "6e23", "--volume", "1e-5",
+     "--temperature", "1e-300", "--c-ph", "3500"),
+    ("blackbody", "--nu", "1e20", "--temperature", "300"),
+])
+def test_extreme_inputs_exit_cleanly(capsys, argv):
+    # an escaping exception would fail the call itself
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+
+
+def test_json_value_round_trips_a_5000_digit_int():
+    value = 10 ** 4999 + 12345
+    limit = sys.get_int_max_str_digits()
+    text = _json_value(value)
+    assert sys.get_int_max_str_digits() == limit
+    assert json.loads(text, parse_int=Decimal) == value
+
+
+_SUBCOMMAND_ARGVS = [
+    ["partition", "--n", "50"],
+    ["farey", "--order", "3"],
+    ["ford", "--fraction", "1/2"],
+    ["dedekind", "--p", "1", "--q", "3"],
+    ["eta", "--tau", "0.1,0.9"],
+    ["thermo", "--x", "1"],
+    ["blackbody", "--nu", "1e12", "--temperature", "300"],
+    ["phonon", "--n-atoms", "6e23", "--volume", "1e-5", "--temperature", "77",
+     "--c-ph", "3500"],
+    ["quartz", "--preset", "p5-5mhz"],
+    ["mellin-check", "--s", "3", "--kind", "energy"],
+    ["sweep", "--quantity", "energy", "--start", "0.1", "--stop", "1",
+     "--points", "3"],
+]
+
+
+def test_cli_runs_without_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count;
+    # running every subcommand also catches an import made lazily
+    commands = next(a.choices for a in build_parser()._actions
+                    if a.dest == "command")
+    assert {argv[0] for argv in _SUBCOMMAND_ARGVS} == set(commands)
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from eulergas.cli import main\n"
+        f"for argv in {_SUBCOMMAND_ARGVS!r}:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(eulergas.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

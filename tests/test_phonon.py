@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from eulergas.arith import riemann_zeta
 from eulergas.errors import DomainError
-from eulergas.phonon import (DebyeModel, ResonatorSpec, SolidSpec,
-                             debye_frequency, debye_function,
+from eulergas.phonon import (DEBYE_SWITCH, DebyeModel, ResonatorSpec,
+                             SolidSpec, debye_frequency, debye_function,
                              debye_function_series, debye_temperature,
                              debye_velocity, energy_fluctuation,
                              flicker_floor, load_resonator_preset,
@@ -97,6 +98,42 @@ def test_debye_function_monotone_and_bounded():
 def test_debye_function_domain():
     with pytest.raises(DomainError):
         debye_function(0.0)
+
+
+def _debye_reference(a: float) -> mpmath.mpf:
+    """40-digit quadrature of (3/a^3) integral_0^a x^3/(e^x - 1) dx."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        return 3 / a ** 3 * mpmath.quad(lambda x: x ** 3 / mpmath.expm1(x),
+                                        [0, min(a, 2), a])
+
+
+@pytest.mark.parametrize("a", [
+    *(float(a) for a in np.geomspace(1e-6, 720.0, 36)),
+    *(DEBYE_SWITCH * (1.0 + e) for e in (-1e-3, -2.0 ** -52, 0.0, 2.0 ** -52,
+                                         1e-3)),
+    2.8, 3.4,  # where the exponential series cancels most against pi^4/15
+])
+def test_debye_function_against_40_digit_quadrature(a):
+    ref = _debye_reference(a)
+    assert abs(debye_function(a) - ref) <= 2e-15 * ref
+
+
+def test_debye_function_huge_argument_underflows():
+    # the pi^4/(5 a^3) limit, taken without forming a^3
+    assert debye_function(1e103) == pytest.approx(math.pi ** 4 / 5.0 * 1e-309,
+                                                  rel=1e-12)
+    assert debye_function(3e302) == 0.0
+    assert debye_function(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 1e-310])
+def test_specific_heat_near_zero_temperature_is_zero(si, temperature):
+    # x_m ~ 4e302, and inf at a subnormal T: the Bose term is written in
+    # e^{-x} form and cannot overflow
+    cold = make_solid(temperature)
+    assert specific_heat(cold, si, DebyeModel.CONVENTIONAL) == 0.0
+    assert energy_fluctuation(cold, si)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
