@@ -15,7 +15,6 @@ of ``math`` and ``mpmath.fp`` behind domain checks.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +43,8 @@ class PrecisionPolicy:
     rel_tol   -- target relative error of the Z and eta products and of G2
     work_bits -- minimum working precision of the exact p(n) series
     max_terms -- hard cap on series/product length before PrecisionError
-                 (also the term budget of the per-mode Bose sum for N)
+                 (the per-mode small-x guard charges it with the
+                 int(47/x) + 8 terms of N's Bose sum)
     """
 
     rel_tol: float = 1e-12
@@ -114,7 +114,8 @@ def sigma_table(n_max: int) -> tuple[list[int], list[int]]:
 # Partition counts (ground-truth oracle)
 # ---------------------------------------------------------------------------
 
-_partition_lock = threading.Lock()
+# p(0), p(1), ...: the recurrence's working table, kept between calls and
+# grown in place to the largest n asked (about 13 MB of ints at n = 10^5)
 _partition_cache: list[int] = [1]
 
 
@@ -124,33 +125,33 @@ def partition_count_oracle(n: int) -> int:
         p(m) = sum_{k>=1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)],
 
     O(sqrt(m)) exact big-integer additions per entry, independent of the
-    Rademacher series.  The table is cached and grows to the largest n
-    asked, so sweeps over a range of n pay the cost once.
+    Rademacher series.  The table is the recurrence's working memory: it is
+    kept and grows to the largest n asked, so sweeps over a range of n pay
+    the cost once.
     """
     if n < 0:
         raise DomainError(f"partition count needs n >= 0, got {n}")
-    if n < len(_partition_cache):
-        return _partition_cache[n]
-    with _partition_lock:
-        table = _partition_cache
-        # generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ... up to n;
-        # their signs run +, +, -, -, +, +, ...
-        pent = []
-        k = 1
-        while k * (3 * k - 1) // 2 <= n:
-            pent += [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
-            k += 1
-        for m in range(len(table), n + 1):
-            acc = 0
-            for i, g in enumerate(pent):
-                if g > m:
-                    break
-                if i & 2:
-                    acc -= table[m - g]
-                else:
-                    acc += table[m - g]
-            table.append(acc)
-    return _partition_cache[n]
+    table = _partition_cache
+    if n < len(table):
+        return table[n]
+    # generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ... up to n; their
+    # signs run +, +, -, -, +, +, ...
+    pent = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        pent += [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
+        k += 1
+    for m in range(len(table), n + 1):
+        acc = 0
+        for i, g in enumerate(pent):
+            if g > m:
+                break
+            if i & 2:
+                acc -= table[m - g]
+            else:
+                acc += table[m - g]
+        table.append(acc)
+    return table[n]
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +286,6 @@ def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValu
     return DedekindValue(value, convention)
 
 
-_phase_lock = threading.Lock()
-_phase_cache: dict[tuple[int, int, DedekindConvention], tuple[Fraction, ...]] = {}
-
-
 def kloosterman_phases(q: int, n: int,
                        convention: DedekindConvention) -> tuple[Fraction, ...]:
     """Exact phases t (mod 2) such that A_q(n) = sum exp(i*pi*t).
@@ -299,22 +296,11 @@ def kloosterman_phases(q: int, n: int,
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    key = (q, n % q, convention)
-    hit = _phase_cache.get(key)
-    if hit is not None:
-        return hit
     if q == 1:
-        phases: tuple[Fraction, ...] = (Fraction(0),)
-    else:
-        items = []
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                s = dedekind_sum(p, q, convention).value
-                items.append((s - Fraction(2 * (n % q) * p, q)) % 2)
-        phases = tuple(items)
-    with _phase_lock:
-        _phase_cache[key] = phases
-    return phases
+        return (Fraction(0),)
+    return tuple((dedekind_sum(p, q, convention).value
+                  - Fraction(2 * (n % q) * p, q)) % 2
+                 for p in range(1, q) if math.gcd(p, q) == 1)
 
 
 def kloosterman_A(q: int, n: int, convention: DedekindConvention) -> complex:
@@ -357,7 +343,7 @@ def selberg_A(q: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 # Bernoulli numbers B_2, B_4, ..., B_42 (exact), for the Debye function's
-# Bernoulli series in phonon.
+# Bernoulli series in phonon and Wigert's expansion of N in thermo.
 _BERNOULLI_2K = (
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),

@@ -4,7 +4,9 @@ One subcommand per subsystem plus a generic sweep.  Data goes to stdout in
 table, CSV or JSON form (JSON carries ``schema: 1`` and floats with 17
 significant digits, so parsing the output recovers every value bit for
 bit); diagnostics go to stderr.  Exit codes: 0 success, 1 computation error
-(the error's fields are serialized to stderr as JSON), 2 usage error.
+(the error's fields are serialized to stderr as JSON), 2 usage error.  A
+non-finite float (overflow, or an undefined value) is a computation error,
+never an `inf` or `nan` in the output.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ def _int_str(v: int) -> str:
         return str(v)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _check_finite(key: str, v):
+    """v itself, or ArithmeticError if v is an inf or nan float."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ArithmeticError(f"{key} is not finite ({v})")
+    return v
 
 
 def _fmt_num(v) -> str:
@@ -457,7 +466,7 @@ def _cmd_sweep(args) -> dict:
         errors = []
         for m in models:
             try:
-                row[m] = evaluators[m](v)
+                row[m] = _check_finite(m, evaluators[m](v))
             except (PrecisionError, ConvergenceError, DomainError,
                     ArithmeticError) as exc:
                 row[m] = None
@@ -591,11 +600,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         doc = args.handler(args)
+        for fields in (doc["params"], *doc["rows"]):
+            for key, v in fields.items():
+                _check_finite(key, v)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (PrecisionError, ConvergenceError) as exc:
         sys.stderr.write(_json_value({"schema": 1, "error": exc.fields()}) + "\n")
+        return 1
+    except ArithmeticError as exc:  # overflow, division by zero, inf or nan
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(_json_value({"schema": 1, "error": error}) + "\n")
         return 1
     _emit(doc, args.format)
     return 0

@@ -255,6 +255,10 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
                 / (math.pi ** 3 * v * constants.k * cavity.temperature * nu))
     if model is NoiseModel.EINSTEIN_FULL:
         u = planck_spectral_density(nu, cavity, constants)
+        if u == 0.0:
+            # e^{-x} underflowed, so the shot term h nu/u exceeds every double
+            raise OverflowError(f"shot term h*nu/u overflows: u underflows "
+                                f"to 0 at nu={nu:g}")
         return einstein_fluctuation_from_u(nu, u, cavity, constants)
     raise DomainError(f"unknown noise model {model!r}")
 

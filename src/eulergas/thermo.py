@@ -9,18 +9,20 @@ two conventional per-mode comparators, and the Mellin-transform cross-checks
     integral (E/kTx) x^{s-1} dx      = Gamma(s) zeta(s) zeta(s-1)
 
 The divisor series are evaluated in Lambert form, sum d^k r^d/(1 - r^d)
-with r = e^{-x}.  At x >= 2 at most 23 terms reach double precision.  Below
-x = 2, F, E and the fluctuation follow from the dual-scale functional
-equation of ln Z with the Lambert sums taken at 4 pi^2/x, which needs at most
-three terms; N is the Bose sum 1/(e^{nx} - 1) over int(47/x) + 8 terms.
-Every recorded tail bound is a geometric bound on the dropped terms.  Below
-x = 1e-6, or where N's term count would exceed max_terms, the exact values
-are refused; the low-frequency forms are the supported path there.
+with r = e^{-x}, which at x >= 0.9 reaches double precision in at most 53
+terms.  Below x = 0.9, F, E and the fluctuation follow from the dual-scale
+functional equation of ln Z with the Lambert sums taken at 4 pi^2/x, which
+needs one term, and N from Wigert's expansion (the residues of
+Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19.  Every recorded tail
+bound is a true bound: geometric on the dropped Lambert terms, and a
+contour bound on Wigert's remainder.  Below x = 1e-6, or where the Bose sum
+for N would need more than max_terms terms, the exact values are refused;
+the low-frequency forms are the supported path there.
 
-The Mellin checks integrate [0, 1e-3] in closed low-frequency form and the
-rest by mpmath's double-precision tanh-sinh rule, and compare with
-Gamma(s) zeta zeta from math.gamma and mpmath.fp.zeta.  The Planck factor
-is written in e^{-x} form, so it vanishes instead of overflowing.
+The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
+by mpmath's double-precision tanh-sinh rule, and compare with Gamma(s) zeta
+zeta from math.gamma and mpmath.fp.zeta.  The Planck factor is written in
+e^{-x} form, so it vanishes instead of overflowing.
 """
 
 from __future__ import annotations
@@ -31,17 +33,16 @@ from enum import Enum
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 
-from .arith import (DEFAULT_POLICY, PrecisionPolicy, euler_gamma, gamma_fn,
-                    riemann_zeta)
+from .arith import (_BERNOULLI_2K, DEFAULT_POLICY, PrecisionPolicy,
+                    euler_gamma, gamma_fn, riemann_zeta)
 from .errors import DomainError, PrecisionError
 
 __all__ = [
     "ThermoPerMode", "thermo_per_mode",
-    "free_energy", "free_energy_log_form", "free_energy_lowfreq",
-    "occupation", "occupation_bose", "occupation_lowfreq",
-    "internal_energy", "internal_energy_bose", "internal_energy_lowfreq",
+    "free_energy", "free_energy_lowfreq",
+    "occupation", "occupation_lowfreq",
+    "internal_energy", "internal_energy_lowfreq",
     "entropy", "entropy_lowfreq",
     "per_mode_energy_fluctuation",
     "PlanckVariant", "planck_factor",
@@ -51,9 +52,11 @@ __all__ = [
 
 SERIES_X_FLOOR = 1e-6    # exact series refused below this x
 LOWFREQ_SWITCH = 1e-3    # integrands switch to closed forms below this x
-DUAL_SWITCH = 2.0        # F, E and the fluctuation use the dual scale below this x
+DUAL_SWITCH = 0.9        # below this x: the dual scale for F, E and the
+                         # fluctuation, Wigert's expansion for N
 TAIL_EPS = 2.0 ** -56    # Lambert sums stop once the d^2 tail is below this
-                         # fraction of the first term
+                         # fraction of the first term, Wigert's once its
+                         # remainder bound is below it times the leading term
 # Tail bounds are rounded up by this factor, which covers the relative error
 # of evaluating them in floating point (below 1e-14 for every x)
 _BOUND_ROUNDING = 1.0 + 1e-12
@@ -67,7 +70,8 @@ def _require_x(x: float) -> float:
 
 
 def _bose_terms(x: float) -> int:
-    """Terms of the Bose sum for N at x: the dropped tail is below e^{-47}/x."""
+    """Term count of the Bose sum for N at x (its tail below e^{-47}/x); the
+    small-x guard charges it against max_terms, though no route sums it."""
     return int(47.0 / x) + 8
 
 
@@ -90,8 +94,8 @@ class ThermoPerMode:
     """All four per-mode quantities from one evaluation.
 
     s_over_k equals e_over_kT - f_over_kT exactly by construction;
-    terms_used counts the Lambert terms summed and tail_bound bounds every
-    dropped tail.
+    terms_used counts the Lambert and Wigert terms summed and tail_bound
+    bounds every dropped tail.
     """
 
     f_over_kT: float
@@ -108,7 +112,7 @@ class _ModeSums:
     n_occ: float      # N
     e: float          # E/kT
     fluct: float      # energy variance in (kT)^2 units
-    terms: int        # Lambert terms summed
+    terms: int        # Lambert and Wigert terms summed
     tail: float       # bound on every dropped tail
 
 
@@ -120,7 +124,7 @@ def _power_tail(d: int, r: float, k: int) -> float:
 
 def _lambert(x: float) -> tuple[float, float, float, float, int,
                                 float, float, float]:
-    """Direct Lambert forms at x >= DUAL_SWITCH, with r = e^{-x}:
+    """Lambert forms at x >= DUAL_SWITCH (or at the dual argument), r = e^{-x}:
 
         ln Z = -sum ln(1 - r^d)          N     = sum r^d/(1 - r^d)
         E/kT = x sum d r^d/(1 - r^d)     fluct = x^2 sum d^2 r^d/(1 - r^d)^2
@@ -151,18 +155,58 @@ def _lambert(x: float) -> tuple[float, float, float, float, int,
             x * x * _power_tail(d, r, 2) * inv * inv)
 
 
+# Wigert's coefficients (B_2k/2k)^2/(2k-1)! for k = 1..21, and the
+# constants zeta(3)^2 (K+1) (2K)!/(2 pi) of the bound on the remainder after
+# K of them
+_WIGERT = tuple(float((b / (2 * k)) ** 2 / math.factorial(2 * k - 1))
+                for k, b in enumerate(_BERNOULLI_2K, 1))
+_WIGERT_BOUND = tuple(riemann_zeta(3.0) ** 2 * (k + 1) * math.factorial(2 * k)
+                      / (2.0 * math.pi) for k in range(1, len(_WIGERT) + 1))
+
+
+def _wigert(x: float) -> tuple[float, int, float]:
+    """N at 0 < x < DUAL_SWITCH by Wigert's expansion, from the residues of
+    Gamma(s) zeta(s)^2 x^{-s} at s = 1, 0, -1, -3, ...:
+
+        N = (gamma - ln x)/x + 1/4 - sum_{k=1}^{K} (B_2k/2k)^2 x^{2k-1}/(2k-1)! + R_K.
+
+    R_K is the integral over Re s = -2K, where the functional equation gives
+    Gamma(s) zeta(s)^2 = (2 pi)^{2s-1} tan(pi s/2) Gamma(1-s) zeta(1-s)^2
+    with |tan(pi s/2)| <= 1 and |zeta(1-s)| <= zeta(3).  Since
+    |Gamma(a+it)| <= Gamma(a)/(1 + t^2/(a(a+1))), int |Gamma(a+it)| dt is at
+    most pi (a+1) Gamma(a), and so
+
+        |R_K| <= zeta(3)^2 (K+1) (2K)! (x/4 pi^2)^{2K} / (2 pi).
+
+    K is the first count at which the bound is below TAIL_EPS of the leading
+    term; below DUAL_SWITCH that is at most 19 of the 21 tabled terms.
+    Returns (N, K, bound on |R_K|).
+    """
+    lead = (euler_gamma() - math.log(x)) / x
+    x2 = x * x
+    z2 = x2 / (4.0 * math.pi ** 2) ** 2
+    xp, zp, total = x, 1.0, 0.0
+    for k, (c, a) in enumerate(zip(_WIGERT, _WIGERT_BOUND), 1):
+        total += c * xp
+        xp *= x2
+        zp *= z2
+        if a * zp <= TAIL_EPS * lead:
+            break
+    return lead + 0.25 - total, k, a * zp
+
+
 @lru_cache(maxsize=4096)
 def _mode_sums(x: float, policy: PrecisionPolicy) -> _ModeSums:
-    """F, N, E and the fluctuation at x from Lambert sums.
+    """F, N, E and the fluctuation at x.
 
-    At x >= DUAL_SWITCH the direct Lambert forms converge fast.  Below it,
-    F, E and the fluctuation come from the functional equation
+    At x >= DUAL_SWITCH all four are direct Lambert sums.  Below it, F, E
+    and the fluctuation come from the functional equation
 
         ln Z(x) = -x/24 + (1/2) ln(x/2pi) + pi^2/(6x) + ln Z(4 pi^2/x)
 
     and its first two x-derivatives, with the Lambert forms evaluated at the
-    dual argument y = 4 pi^2/x > 2 pi^2.  N has no such law and is summed as
-    the Bose series at x.
+    dual argument y = 4 pi^2/x > 43; N has no such law and comes from
+    Wigert's expansion.
     """
     x = _require_series_x(x, policy)
     if x >= DUAL_SWITCH:
@@ -174,13 +218,8 @@ def _mode_sums(x: float, policy: PrecisionPolicy) -> _ModeSums:
     f = -pi2_6x - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0 - ln_zy
     e = pi2_6x - 0.5 + x / 24.0 - e_y
     fluct = 2.0 * pi2_6x - 0.5 - 2.0 * e_y + fl_y
-    n_bose = _bose_terms(x)
-    ns = np.arange(1, n_bose + 1, dtype=np.float64)
-    n_occ = float(np.sum(1.0 / np.expm1(x * ns)))
-    # sum_{d>D} 1/(e^{dx} - 1) <= r^{D+1} / ((1 - r)(1 - r^{D+1}))
-    t_n = (math.exp(-x * (n_bose + 1))
-           / (math.expm1(-x) * math.expm1(-x * (n_bose + 1))))
-    return _ModeSums(f, n_occ, e, fluct, terms + n_bose,
+    n_occ, k, t_n = _wigert(x)
+    return _ModeSums(f, n_occ, e, fluct, terms + k,
                      _BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n))
 
 
@@ -196,24 +235,6 @@ def free_energy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     return _mode_sums(x, policy).f
 
 
-def free_energy_log_form(x: float,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Independent route: F/kT = sum ln(1 - e^{-nx})."""
-    x = _require_series_x(x, policy)
-    n_terms = max(16, min(int(47.0 / x) + 8, policy.max_terms))
-    while True:
-        ns = np.arange(1, n_terms + 1, dtype=np.float64)
-        total = float(np.sum(np.log1p(-np.exp(-x * ns))))
-        nxt = math.exp(-x * (n_terms + 1))
-        if nxt <= policy.rel_tol * max(abs(total), 1e-300) * (1.0 - math.exp(-x)):
-            return total
-        if n_terms >= policy.max_terms:
-            raise PrecisionError(
-                f"log-form series at x={x:g} unconverged after {n_terms} terms",
-                n_terms)
-        n_terms = min(2 * n_terms, policy.max_terms)
-
-
 def free_energy_lowfreq(x: float) -> float:
     """Low-frequency closed form -pi^2/(6x) - (1/2) ln(x/2pi) + x/24."""
     x = _require_x(x)
@@ -225,14 +246,6 @@ def occupation(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     return _mode_sums(x, policy).n_occ
 
 
-def occupation_bose(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Independent route: N = sum 1/(e^{nx} - 1)."""
-    x = _require_series_x(x, policy)
-    n_terms = max(16, min(int(47.0 / x) + 8, policy.max_terms))
-    ns = np.arange(1, n_terms + 1, dtype=np.float64)
-    return float(np.sum(1.0 / np.expm1(x * ns)))
-
-
 def occupation_lowfreq(x: float) -> float:
     """Low-frequency closed form (-ln x + gamma)/x."""
     x = _require_x(x)
@@ -242,15 +255,6 @@ def occupation_lowfreq(x: float) -> float:
 def internal_energy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     """E/kT = x * sum sigma_1(n) e^{-nx}."""
     return _mode_sums(x, policy).e
-
-
-def internal_energy_bose(x: float,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """Independent route: E/kT = x * sum n/(e^{nx} - 1)."""
-    x = _require_series_x(x, policy)
-    n_terms = max(16, min(int(47.0 / x) + 8, policy.max_terms))
-    ns = np.arange(1, n_terms + 1, dtype=np.float64)
-    return x * float(np.sum(ns / np.expm1(x * ns)))
 
 
 def internal_energy_lowfreq(x: float) -> float:
@@ -344,11 +348,11 @@ class MellinKind(Enum):
 
 
 def _mellin_head(kind: MellinKind, s: float, c: float) -> float:
-    """Closed-form integral of the low-frequency integrand over [0, c].
+    """Closed-form integral of the small-x integrand over [0, c].
 
     The free-energy and energy forms are exact up to e^{-4 pi^2 / c}; the
-    occupation form drops a bounded O(1) correction whose head contribution
-    is O(c^s), below 1e-6 relative at c = 1e-3.
+    occupation form integrates Wigert's expansion termwise, with as many
+    terms as it takes at x = c, so its remainder is as small.
     """
     pi2_6 = math.pi ** 2 / 6.0
     if kind is MellinKind.FREE_ENERGY:
@@ -357,8 +361,12 @@ def _mellin_head(kind: MellinKind, s: float, c: float) -> float:
                 - c ** (s + 1.0) / (24.0 * (s + 1.0)))
     if kind is MellinKind.OCCUPATION:
         g = euler_gamma()
-        return c ** (s - 1.0) * ((g - math.log(c)) / (s - 1.0)
-                                 + 1.0 / (s - 1.0) ** 2)
+        _, k_terms, _ = _wigert(c)
+        return (c ** (s - 1.0) * ((g - math.log(c)) / (s - 1.0)
+                                  + 1.0 / (s - 1.0) ** 2)
+                + c ** s / (4.0 * s)
+                - sum(w * c ** (2 * k - 1 + s) / (2 * k - 1 + s)
+                      for k, w in enumerate(_WIGERT[:k_terms], 1)))
     if kind is MellinKind.ENERGY:
         return (pi2_6 * c ** (s - 2.0) / (s - 2.0)
                 - 0.5 * c ** (s - 1.0) / (s - 1.0)
@@ -372,7 +380,7 @@ def mellin_check(s: float, kind: MellinKind,
 
     Returns (integral, closed_form) for the caller to compare.  The integral
     is split at x = c and x = 1: the head on [0, c] is integrated in closed
-    low-frequency form, and [c, 1] and the tail, mapped through u = 1/x onto
+    small-x form, and [c, 1] and the tail, mapped through u = 1/x onto
     [0, 1], by mpmath's double-precision tanh-sinh rule (mpmath.fp.quad).
     The tail is split once more at u = 1/4, near the integrand's peak; in
     one piece the rule's rounding leaves ~1e-15 relative error.  policy

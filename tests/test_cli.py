@@ -300,6 +300,46 @@ def test_extreme_inputs_exit_cleanly(capsys, argv):
         json.loads(out)
 
 
+_QUARTZ = ("quartz", "--carrier", "5e6", "--volume", "1e-6",
+           "--temperature", "300", "--c-ph", "3500")
+
+
+@pytest.mark.parametrize("argv", [
+    ("blackbody", "--nu", "1e-300", "--temperature", "1e300"),
+    ("blackbody", "--nu", "1e300", "--temperature", "300"),
+    (*_QUARTZ, "--q-factor", "1e-300"),
+    (*_QUARTZ, "--q-factor", "1e200"),
+    ("mellin-check", "--s", "200", "--kind", "free-energy"),
+])
+def test_arithmetic_errors_are_computation_errors(capsys, argv):
+    # overflow and division by zero end in one line on stderr, no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_finite_result_is_a_computation_error(capsys):
+    # x_m = theta_D/T overflows at T = 1e-310; JSON has no inf to print
+    code, out, err = run_cli(capsys, "phonon", "--n-atoms", "6e23",
+                             "--volume", "1e-5", "--temperature", "1e-310",
+                             "--c-ph", "3500", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "x_m" in json.loads(err.splitlines()[-1])["error"]["message"]
+
+
+def test_underflowed_planck_density_is_a_computation_error(capsys):
+    # at x ~ 1.6e7 the Planck density underflows to 0, so the shot term of
+    # the Einstein noise overflows: a computation error, not a usage error
+    code, out, err = run_cli(capsys, "blackbody", "--nu", "1e20",
+                             "--temperature", "300", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "OverflowError"
+
+
 def test_json_value_round_trips_a_5000_digit_int():
     value = 10 ** 4999 + 12345
     limit = sys.get_int_max_str_digits()
@@ -326,8 +366,9 @@ _SUBCOMMAND_ARGVS = [
 
 
 def test_cli_runs_without_scipy():
-    # a fresh interpreter, so modules imported by other tests do not count;
-    # running every subcommand also catches an import made lazily
+    # the runtime needs mpmath alone: a fresh interpreter, so modules
+    # imported by other tests do not count, and running every subcommand
+    # also catches an import made lazily
     commands = next(a.choices for a in build_parser()._actions
                     if a.dest == "command")
     assert {argv[0] for argv in _SUBCOMMAND_ARGVS} == set(commands)
@@ -338,7 +379,8 @@ def test_cli_runs_without_scipy():
         f"for argv in {_SUBCOMMAND_ARGVS!r}:\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     src = str(Path(eulergas.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

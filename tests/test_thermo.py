@@ -7,14 +7,15 @@ import pytest
 
 from eulergas.arith import sigma_table
 from eulergas.errors import DomainError, PrecisionError
-from eulergas.thermo import (MellinKind, PlanckVariant, entropy,
-                             entropy_lowfreq, free_energy,
-                             free_energy_log_form, free_energy_lowfreq,
-                             internal_energy, internal_energy_bose,
-                             internal_energy_lowfreq, mellin_check,
-                             occupation, occupation_bose, occupation_lowfreq,
+from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
+                             _lambert, _wigert, entropy, entropy_lowfreq,
+                             free_energy, free_energy_lowfreq,
+                             internal_energy, internal_energy_lowfreq,
+                             mellin_check, occupation, occupation_lowfreq,
                              per_mode_energy_fluctuation, planck_factor,
                              thermo_per_mode)
+from oracles import (free_energy_log_form, internal_energy_bose,
+                     occupation_bose, occupation_mp, wigert_partial_mp)
 
 X_GRID = np.geomspace(1e-3, 20.0, 50)
 
@@ -305,10 +306,12 @@ def test_routes_match_divisor_series():
 
 
 def test_routes_join_at_the_split():
-    # both sides of x = 2 agree with the divisor series to 1e-14, so the
-    # dual-scale and direct routes meet without a jump
+    # both sides of the switch (and of x = 2, the switch before Wigert's
+    # route) agree with the divisor series to 1e-14, so the dual-scale and
+    # Wigert routes meet the direct one without a jump
     s0, s1 = sigma_table(200)
-    for x in (2.0 * (1.0 - 1e-12), 2.0 * (1.0 + 1e-12)):
+    for x in (2.0 * (1.0 - 1e-12), 2.0 * (1.0 + 1e-12),
+              math.nextafter(DUAL_SWITCH, 0.0), DUAL_SWITCH):
         for got, want in zip(_fields(x), _divisor_series(x, s0, s1)):
             assert abs(got - want) <= 1e-14 * abs(want), x
 
@@ -339,19 +342,21 @@ def test_tail_bound_covers_dropped_terms():
         ln_z, n, e, fl = _mp_lambert(x, d + 1, d + 200)
         dropped = (ln_z, n, x * e, x * x * fl)
         assert all(tm.tail_bound >= t > 0 for t in dropped)
-    # dual route: N sums int(47/x) + 8 terms at x; ln Z, E and the
-    # fluctuation are taken at y = 4 pi^2/x with the remaining terms
+    # dual route: ln Z, E and the fluctuation are Lambert sums at
+    # y = 4 pi^2/x that drop d > d_y; N is Wigert's expansion through the
+    # remaining k_terms terms, whose remainder is the 40-digit N minus them
     x = 0.5
     tm = thermo_per_mode(x)
-    d_n = int(47.0 / x) + 8
-    d_y = tm.terms_used - d_n
-    assert d_y >= 1
     y = 4.0 * math.pi ** 2 / x
+    d_y = _lambert(y)[4]
+    k_terms = tm.terms_used - d_y
+    assert d_y >= 1 and k_terms >= 1
     with mpmath.workdps(40):
         ln_z, _, e, fl = _mp_lambert(y, d_y + 1, d_y + 50)
-        _, n, _, _ = _mp_lambert(x, d_n + 1, d_n + 400)
-        dropped = (ln_z, y * e, 2 * y * e + y * y * fl, n)
+        dropped = (ln_z, y * e, 2 * y * e + y * y * fl)
         assert all(tm.tail_bound >= t > 0 for t in dropped)
+        remainder = abs(occupation_mp(x) - wigert_partial_mp(x, k_terms))
+        assert tm.tail_bound >= remainder > 0
 
 
 def test_values_match_high_precision_lambert_sums():
@@ -376,3 +381,43 @@ def test_mellin_refuses_non_finite_s(kind):
     for s in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
             mellin_check(s, kind)
+
+
+# ---------------------------------------------------------------------------
+# Wigert's expansion of N below the switch
+# ---------------------------------------------------------------------------
+
+WIGERT_GRID = [*np.geomspace(1e-5, 0.8, 6), math.nextafter(DUAL_SWITCH, 0.0)]
+
+
+@pytest.mark.parametrize("x", WIGERT_GRID)
+def test_wigert_bound_covers_remainder(x):
+    # the remainder after K terms is the 40-digit N minus the 40-digit
+    # partial sum; tail_bound must cover it, and the stop rule must have met
+    # its target within the tabled terms
+    x = float(x)
+    tm = thermo_per_mode(x)
+    n_occ, k_terms, bound = _wigert(x)
+    assert n_occ == tm.n_occ
+    assert bound <= TAIL_EPS * (0.5772156649015329 - math.log(x)) / x
+    with mpmath.workdps(40):
+        exact = occupation_mp(x)
+        remainder = abs(exact - wigert_partial_mp(x, k_terms))
+        assert tm.tail_bound >= bound >= remainder
+        assert abs(tm.n_occ - exact) <= 1e-15 * exact
+
+
+def test_occupation_matches_exact_bose_sum():
+    # the correctly rounded sum of the Bose terms, on both routes
+    for x in [*np.geomspace(1e-4, 20.0, 25), math.nextafter(DUAL_SWITCH, 0.0)]:
+        x = float(x)
+        want = occupation_bose(x)
+        assert abs(occupation(x) - want) <= 1e-15 * want, x
+
+
+@pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 3.0, 4.5])
+def test_occupation_mellin_head_is_exact(s):
+    # the head on [0, 1e-3] integrates Wigert's expansion termwise, so the
+    # occupation check agrees to rounding, like the other two kinds
+    integral, closed = mellin_check(s, MellinKind.OCCUPATION)
+    assert abs(integral - closed) <= 2e-15 * abs(closed)
