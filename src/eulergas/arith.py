@@ -9,7 +9,8 @@ evaluators.
 
 All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
 appear solely in the special functions, which are the double-precision ones
-of ``math`` and ``mpmath.fp`` behind domain checks.
+of ``math`` and ``mpmath.fp`` behind domain checks; mpmath is imported only
+when ``riemann_zeta`` is called, so the arithmetic alone does not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .errors import DomainError
 
@@ -32,7 +31,7 @@ __all__ = [
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
     "DedekindConvention", "DedekindValue", "dedekind_sum", "kloosterman_A",
     "selberg_residues", "selberg_A",
-    "riemann_zeta", "gamma_fn", "euler_gamma",
+    "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
 
 
@@ -357,10 +356,15 @@ _BERNOULLI_2K = (
 )
 
 
+# Apery's constant zeta(3), correctly rounded; equal to mpmath.fp.zeta(3.0)
+ZETA3 = 1.2020569031595942
+
+
 def riemann_zeta(s: float) -> float:
     """zeta(s) for finite real s > 1, from mpmath's double-precision context."""
     if not (s > 1.0 and math.isfinite(s)):
         raise DomainError(f"riemann_zeta needs finite s > 1, got {s}")
+    import mpmath
     return mpmath.fp.zeta(s)
 
 

@@ -7,6 +7,9 @@ bit); diagnostics go to stderr.  Exit codes: 0 success, 1 computation error
 (the error's fields are serialized to stderr as JSON), 2 usage error.  A
 non-finite float (overflow, or an undefined value) is a computation error,
 never an `inf` or `nan` in the output.
+
+Only `arith` and `errors` are imported up front; each handler imports the
+subsystem it calls, so a call loads no module its subcommand does not use.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, modular, phonon, radiation, thermo
+from . import arith
 from .arith import DedekindConvention, PrecisionPolicy
 from .errors import ConvergenceError, DomainError, PrecisionError
 
@@ -143,10 +146,12 @@ def _policy_from(args) -> PrecisionPolicy:
     return PrecisionPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
 
 
-def _constants_from(args) -> radiation.PhysicalConstants:
+def _constants_from(args):
+    """PhysicalConstants from --constants, or the SI values."""
+    from .radiation import PhysicalConstants
     if args.constants:
-        return radiation.PhysicalConstants.from_file(args.constants)
-    return radiation.PhysicalConstants.si()
+        return PhysicalConstants.from_file(args.constants)
+    return PhysicalConstants.si()
 
 
 def _frac_str(f: Fraction) -> str:
@@ -158,6 +163,7 @@ def _frac_str(f: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_partition(args) -> dict:
+    from . import modular
     policy = _policy_from(args)
     convention = _CONVENTIONS[args.convention]
     row: dict = {"n": args.n, "method": args.method}
@@ -227,6 +233,7 @@ def _cmd_dedekind(args) -> dict:
 
 
 def _cmd_eta(args) -> dict:
+    from . import modular
     policy = _policy_from(args)
     try:
         re_s, im_s = args.tau.split(",")
@@ -250,6 +257,7 @@ def _cmd_eta(args) -> dict:
 
 
 def _cmd_thermo(args) -> dict:
+    from . import thermo
     policy = _policy_from(args)
     tm = thermo.thermo_per_mode(args.x, policy)
     row = {"x": args.x, "f_over_kT": tm.f_over_kT, "n_occ": tm.n_occ,
@@ -259,6 +267,7 @@ def _cmd_thermo(args) -> dict:
 
 
 def _cmd_blackbody(args) -> dict:
+    from . import radiation
     policy = _policy_from(args)
     constants = _constants_from(args)
     cavity = radiation.CavitySpec(volume=args.volume, temperature=args.temperature)
@@ -283,6 +292,7 @@ def _cmd_blackbody(args) -> dict:
 
 
 def _cmd_phonon(args) -> dict:
+    from . import phonon
     constants = _constants_from(args)
     solid = phonon.SolidSpec(n_atoms=args.n_atoms, volume=args.volume,
                              temperature=args.temperature, c_ph=args.c_ph,
@@ -309,6 +319,7 @@ def _cmd_phonon(args) -> dict:
 
 
 def _cmd_quartz(args) -> dict:
+    from . import phonon
     constants = _constants_from(args)
     references: dict[str, float] = {}
     if args.preset:
@@ -338,6 +349,7 @@ def _cmd_quartz(args) -> dict:
 
 
 def _cmd_mellin(args) -> dict:
+    from . import thermo
     policy = _policy_from(args)
     kind = {"free-energy": thermo.MellinKind.FREE_ENERGY,
             "occupation": thermo.MellinKind.OCCUPATION,
@@ -394,6 +406,12 @@ _SWEEP_MODELS = {
 
 def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
     """Return f(value) -> float for one quantity/model column."""
+    if quantity in ("emissivity", "frac-noise"):
+        from . import radiation
+    elif quantity == "partition":
+        from . import modular
+    else:
+        from . import thermo
     if quantity == "energy":
         return {"exact": lambda x: thermo.internal_energy(x, policy),
                 "lowfreq": thermo.internal_energy_lowfreq,
@@ -438,8 +456,10 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
 
 def _cmd_sweep(args) -> dict:
     policy = _policy_from(args)
-    constants = _constants_from(args)
     quantity = args.quantity
+    # only the radiation quantities use h, k and c
+    constants = (_constants_from(args) if quantity in ("emissivity", "frac-noise")
+                 else None)
     models = (tuple(args.models.split(",")) if args.models
               else _SWEEP_MODELS[quantity])
     for m in models:
@@ -450,6 +470,8 @@ def _cmd_sweep(args) -> dict:
     var = "n" if quantity == "partition" else ("nu" if quantity in
                                                ("emissivity", "frac-noise") else "x")
     if quantity == "partition":
+        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+            raise DomainError("partition sweep needs finite --start and --stop")
         start, stop = int(args.start), int(args.stop)
         if start >= stop:
             raise DomainError("need start < stop")
@@ -467,7 +489,9 @@ def _cmd_sweep(args) -> dict:
         for m in models:
             try:
                 row[m] = _check_finite(m, evaluators[m](v))
-            except (PrecisionError, ConvergenceError, DomainError,
+            # ValueError: DomainError, or the math domain error of a
+            # conventional comparator outside x > 0
+            except (PrecisionError, ConvergenceError, ValueError,
                     ArithmeticError) as exc:
                 row[m] = None
                 errors.append(f"{m}={exc}")

@@ -38,7 +38,17 @@ Z_OVERFLOW_X = 2.3047e-3
 
 def _product_length(abs_y: float, policy: PrecisionPolicy) -> int:
     """Smallest N with |y|^N below rel_tol*(1-|y|), so the dropped tail of
-    log(product) is below rel_tol."""
+    log(product) is below rel_tol; 0 when |y| is 0, where the product is
+    exactly 1.  Raises PrecisionError when |y| is within the guard band of
+    the unit circle (also when it rounds to 1), DomainError when it is nan.
+    """
+    if math.isnan(abs_y):
+        raise DomainError("need finite y, got |y| = nan")
+    if abs_y >= 1.0 - _GUARD_BAND:
+        raise PrecisionError(
+            f"|y| = {abs_y} is within {_GUARD_BAND} of the unit circle", 0)
+    if abs_y == 0.0:
+        return 0
     cut = policy.rel_tol * (1.0 - abs_y)
     n = int(math.log(cut) / math.log(abs_y)) + 1
     return max(n, 1)
@@ -52,13 +62,7 @@ def partition_generating(y: complex | float,
     is within the guard band of the circle or the product would exceed the
     term budget, and DomainError when the product overflows a double.
     """
-    abs_y = abs(y)
-    if abs_y >= 1.0 - _GUARD_BAND:
-        raise PrecisionError(
-            f"|y| = {abs_y} is within {_GUARD_BAND} of the unit circle", 0)
-    if abs_y == 0.0:
-        return 1.0
-    n_terms = _product_length(abs_y, policy)
+    n_terms = _product_length(abs(y), policy)
     if n_terms > policy.max_terms:
         raise PrecisionError(
             f"product needs {n_terms} terms, budget is {policy.max_terms}",
@@ -84,14 +88,22 @@ def partition_generating(y: complex | float,
 
 def _require_upper_half(tau: complex) -> complex:
     tau = complex(tau)
-    if not tau.imag > 0.0:
-        raise DomainError(f"need Im(tau) > 0, got {tau}")
+    if not (cmath.isfinite(tau) and tau.imag > 0.0):
+        raise DomainError(f"need finite tau with Im(tau) > 0, got {tau}")
     return tau
 
 
 def eta(tau: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau)."""
+    """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau).
+
+    Raises PrecisionError when |y| rounds to within the guard band of 1
+    (Im tau below about 1.6e-10).  Once |y| underflows (Im tau above about
+    119) the product is exactly 1.
+    """
     tau = _require_upper_half(tau)
+    # eta(tau + 24) = eta(tau): reduce Re(tau) exactly, so that a huge real
+    # part cannot overflow 2*pi*tau
+    tau = complex(math.fmod(tau.real, 24.0), tau.imag)
     y = cmath.exp(2j * math.pi * tau)
     n_terms = _product_length(abs(y), policy)
     if n_terms > policy.max_terms:

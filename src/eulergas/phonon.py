@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import _BERNOULLI_2K, riemann_zeta
+from .arith import _BERNOULLI_2K, ZETA3
 from .errors import DomainError
 from .radiation import PhysicalConstants, load_key_value_file
 
@@ -181,7 +181,7 @@ def specific_heat(solid: SolidSpec, constants: PhysicalConstants,
     if model is DebyeModel.CONVENTIONAL:
         return cv
     if model is DebyeModel.GENERAL:
-        return cv * riemann_zeta(3.0)
+        return cv * ZETA3
     raise DomainError(f"unknown Debye model {model!r}")
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .arith import DEFAULT_POLICY, PrecisionPolicy, riemann_zeta
+from .arith import DEFAULT_POLICY, ZETA3, PrecisionPolicy
 from .errors import DomainError, PrecisionError
 from .thermo import internal_energy
 
@@ -34,9 +34,15 @@ __all__ = [
 
 
 def load_key_value_file(path: str | Path) -> dict[str, float]:
-    """Parse a `key = value` file with '#' comments into floats."""
+    """Parse a `key = value` file with '#' comments into floats; a file that
+    cannot be read as text is a DomainError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"cannot read {path}: {reason}") from exc
     out: dict[str, float] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -60,8 +66,10 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("h", "k", "c"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"constant {name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"constant {name} must be finite and > 0, "
+                                  f"got {value}")
 
     @classmethod
     def si(cls) -> "PhysicalConstants":
@@ -116,7 +124,7 @@ def stefan_boltzmann(constants: PhysicalConstants) -> tuple[float, float]:
     """
     sigma = (2.0 * math.pi ** 5 * constants.k ** 4
              / (15.0 * constants.c ** 2 * constants.h ** 3))
-    return sigma, riemann_zeta(3.0)
+    return sigma, ZETA3
 
 
 class PhotonModel(Enum):
@@ -130,11 +138,10 @@ def photon_density(cavity: CavitySpec, constants: PhysicalConstants,
     again in the general model."""
     scale = 8.0 * math.pi * (constants.k * cavity.temperature
                              / (constants.c * constants.h)) ** 3
-    z3 = riemann_zeta(3.0)
     if model is PhotonModel.CONVENTIONAL:
-        return scale * 2.0 * z3
+        return scale * 2.0 * ZETA3
     if model is PhotonModel.GENERAL:
-        return scale * 2.0 * z3 * z3
+        return scale * 2.0 * ZETA3 * ZETA3
     raise DomainError(f"unknown photon model {model!r}")
 
 

@@ -21,8 +21,9 @@ the low-frequency forms are the supported path there.
 
 The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
 by mpmath's double-precision tanh-sinh rule, and compare with Gamma(s) zeta
-zeta from math.gamma and mpmath.fp.zeta.  The Planck factor is written in
-e^{-x} form, so it vanishes instead of overflowing.
+zeta from math.gamma and mpmath.fp.zeta; only they import mpmath.  The
+Planck factor is written in e^{-x} form, so it vanishes instead of
+overflowing.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import mpmath
-
-from .arith import (_BERNOULLI_2K, DEFAULT_POLICY, PrecisionPolicy,
+from .arith import (_BERNOULLI_2K, DEFAULT_POLICY, ZETA3, PrecisionPolicy,
                     euler_gamma, gamma_fn, riemann_zeta)
 from .errors import DomainError, PrecisionError
 
@@ -160,7 +159,7 @@ def _lambert(x: float) -> tuple[float, float, float, float, int,
 # K of them
 _WIGERT = tuple(float((b / (2 * k)) ** 2 / math.factorial(2 * k - 1))
                 for k, b in enumerate(_BERNOULLI_2K, 1))
-_WIGERT_BOUND = tuple(riemann_zeta(3.0) ** 2 * (k + 1) * math.factorial(2 * k)
+_WIGERT_BOUND = tuple(ZETA3 ** 2 * (k + 1) * math.factorial(2 * k)
                       / (2.0 * math.pi) for k in range(1, len(_WIGERT) + 1))
 
 
@@ -396,6 +395,7 @@ def mellin_check(s: float, kind: MellinKind,
             raise DomainError(f"energy Mellin check needs s > 2, got {s}")
     else:
         raise DomainError(f"unknown Mellin kind {kind!r}")
+    import mpmath
 
     base = {MellinKind.FREE_ENERGY: neg_log_partition,
             MellinKind.OCCUPATION: occupation_integrand,

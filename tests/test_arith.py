@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulergas.arith import (_BERNOULLI_2K, DedekindConvention,
+from eulergas.arith import (_BERNOULLI_2K, ZETA3, DedekindConvention,
                             PrecisionPolicy, dedekind_sum, divisor_sigma,
                             divisors, euler_gamma,
                             farey_sequence, ford_circle, ford_tangency,
@@ -370,6 +370,12 @@ def test_zeta_against_40_digit_mpmath(s):
     with mpmath.workdps(40):
         ref = mpmath.zeta(s)
     assert abs(riemann_zeta(s) - ref) <= 5e-16 * ref
+
+
+def test_zeta3_constant_is_correctly_rounded():
+    assert ZETA3 == mpmath.fp.zeta(3.0)
+    with mpmath.workdps(50):
+        assert ZETA3 == float(mpmath.zeta(3))
 
 
 def test_zeta_domain():

@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eulergas
 from eulergas.cli import _json_value, build_parser, main
@@ -290,6 +294,14 @@ def test_non_finite_input_is_refused(capsys, argv):
     ("phonon", "--n-atoms", "6e23", "--volume", "1e-5",
      "--temperature", "1e-300", "--c-ph", "3500"),
     ("blackbody", "--nu", "1e20", "--temperature", "300"),
+    ("eta", "--tau", "0,1e300"),
+    ("eta", "--tau", "0,1e-300"),
+    ("eta", "--tau", "0,inf"),
+    ("eta", "--tau", "nan,1"),
+    ("eta", "--tau", "1e308,1", "--check", "shift"),
+    ("sweep", "--quantity", "partition", "--start=nan", "--stop", "5"),
+    ("sweep", "--quantity", "free-energy", "--start", "0", "--stop", "1",
+     "--points", "3"),
 ])
 def test_extreme_inputs_exit_cleanly(capsys, argv):
     # an escaping exception would fail the call itself
@@ -298,6 +310,53 @@ def test_extreme_inputs_exit_cleanly(capsys, argv):
     assert "Traceback" not in err
     if code == 0:
         json.loads(out)
+
+
+@pytest.mark.parametrize("tau, code", [
+    ("0,inf", 2),       # non-finite tau is refused
+    ("nan,1", 2),
+    ("0,1e-300", 1),    # |y| rounds to 1: within the guard band
+    ("0,1e300", 0),     # |y| underflows: the product is exactly 1
+])
+def test_eta_at_the_edges_of_the_half_plane(capsys, tau, code):
+    got, out, err = run_cli(capsys, "eta", "--tau", tau, "--format", "json")
+    assert got == code
+    if code == 2:
+        assert err.startswith("error: ") and "finite" in err
+    elif code == 1:
+        assert "unit circle" in json.loads(err)["error"]["message"]
+    else:
+        assert json.loads(out)["rows"][0]["eta_abs"] == 0.0
+
+
+_CONSTANTS_ARGVS = [
+    ("blackbody", "--nu", "1e12", "--temperature", "300"),
+    ("phonon", "--n-atoms", "6e23", "--volume", "1e-5", "--temperature", "77",
+     "--c-ph", "3500"),
+    ("quartz", "--preset", "p5-5mhz"),
+    ("sweep", "--quantity", "emissivity", "--start", "1e12", "--stop", "2e12",
+     "--points", "2", "--temperature", "300"),
+]
+
+
+@pytest.mark.parametrize("argv", _CONSTANTS_ARGVS)
+def test_bad_constants_file_is_a_usage_error(capsys, tmp_path, argv):
+    # a missing file, a directory and h = inf: one line on stderr, exit 2
+    inf_h = tmp_path / "inf.cfg"
+    inf_h.write_text("h = inf\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, inf_h):
+        code, out, err = run_cli(capsys, *argv, "--constants", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_constants_read_only_where_used(capsys, tmp_path):
+    # thermo quantities take no h, k or c, so a sweep of one ignores the file
+    code, _, _ = run_cli(capsys, "sweep", "--quantity", "energy", "--start", "1",
+                         "--stop", "2", "--points", "2",
+                         "--constants", str(tmp_path / "missing.cfg"))
+    assert code == 0
 
 
 _QUARTZ = ("quartz", "--carrier", "5e6", "--volume", "1e-6",
@@ -348,6 +407,130 @@ def test_json_value_round_trips_a_5000_digit_int():
     assert json.loads(text, parse_int=Decimal) == value
 
 
+# ---------------------------------------------------------------------------
+# property test over every subcommand
+# ---------------------------------------------------------------------------
+
+# Caps that keep each example within milliseconds: partition --n <= 2000
+# (the Rademacher series and the recurrence table stay small), farey
+# --order <= 60, partition sweeps of at most 30 values, sweeps of at most
+# 12 points, and --max-terms <= 100000 (the eta product near |y| = 1 is a
+# Python loop of up to that many terms).
+_MAX_N = 2000
+_MAX_ORDER = 60
+_MAX_SPAN = 30
+_MAX_POINTS = 12
+_MAX_TERMS = 100_000
+
+_COMMANDS = next(a.choices for a in build_parser()._actions
+                 if a.dest == "command")
+
+_SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                   1e300, -1e300, 1e-300, -1e-300, 1e-310, -1e-310,
+                   5e-324, -5e-324, sys.float_info.max)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+# --constants: a missing file, a directory, or none
+_CONSTANTS = (None, str(Path(__file__).with_name("no-such-constants.cfg")),
+              str(Path(__file__).parent))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def _cli_argv(draw):
+    def num(flag):
+        return f"--{flag}={draw(_FLOATS)!r}"
+
+    def integer(flag, lo, hi):
+        return f"--{flag}={draw(st.integers(lo, hi))}"
+
+    def choice(flag, options):
+        return f"--{flag}={draw(st.sampled_from(options))}"
+
+    def fraction():
+        return f"{draw(st.integers(-3, 13))}/{draw(st.integers(-3, 13))}"
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    if command == "partition":
+        argv = [integer("n", -3, _MAX_N),
+                choice("method", ("rademacher", "oracle", "leading", "asymptotic")),
+                choice("convention", ("classical", "paper"))]
+        if draw(st.booleans()):
+            argv.append("--oracle-check")
+    elif command == "farey":
+        argv = [integer("order", -2, _MAX_ORDER)]
+    elif command == "ford":
+        argv = ([f"--fraction={fraction()}"] if draw(st.booleans())
+                else [f"--triple={fraction()},{fraction()},{fraction()}"])
+    elif command == "dedekind":
+        argv = [integer("p", -3, 300), integer("q", -3, 300),
+                choice("convention", ("classical", "paper", "both"))]
+    elif command == "eta":
+        argv = [f"--tau={draw(_FLOATS)!r},{draw(_FLOATS)!r}",
+                choice("check", ("none", "shift", "inversion"))]
+    elif command == "thermo":
+        argv = [num("x")]
+    elif command == "blackbody":
+        argv = [num("nu"), num("temperature"), num("volume")]
+    elif command == "phonon":
+        argv = [num("n-atoms"), num("volume"), num("temperature")]
+        argv += ([num("c-ph")] if draw(st.booleans())
+                 else [num("c-transverse"), num("c-longitudinal")])
+    elif command == "quartz":
+        argv = (["--preset=p5-5mhz"] if draw(st.booleans())
+                else [num(f) for f in ("q-factor", "carrier", "volume",
+                                       "temperature", "c-ph")])
+    elif command == "mellin-check":
+        argv = [num("s"), choice("kind", ("free-energy", "occupation", "energy"))]
+    else:
+        quantity = draw(st.sampled_from(("energy", "free-energy", "entropy",
+                                         "occupation", "emissivity",
+                                         "frac-noise", "partition")))
+        argv = [f"--quantity={quantity}"]
+        if quantity == "partition":
+            start = draw(st.integers(-3, _MAX_N))
+            stop = start + draw(st.integers(-2, _MAX_SPAN))
+            argv += [f"--start={start}", f"--stop={stop}",
+                     draw(st.sampled_from(("--start=nan", "--stop=inf", "")))]
+        else:
+            argv += [num("start"), num("stop"), integer("points", -1, _MAX_POINTS),
+                     choice("scale", ("linear", "log")), num("temperature"),
+                     num("volume")]
+    if draw(st.booleans()):
+        argv.append(num("rel-tol"))
+    if draw(st.booleans()):
+        argv.append(integer("max-terms", -1, _MAX_TERMS))
+    else:
+        argv.append(f"--max-terms={_MAX_TERMS}")
+    constants = draw(st.sampled_from(_CONSTANTS))
+    if constants is not None:
+        argv.append(f"--constants={constants}")
+    return [command, *[a for a in argv if a], "--format=json"]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_argv())
+def test_cli_never_raises_and_emits_valid_json(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+    assert _run_in_process(argv)[1] == out, argv
+
+
 _SUBCOMMAND_ARGVS = [
     ["partition", "--n", "50"],
     ["farey", "--order", "3"],
@@ -365,22 +548,75 @@ _SUBCOMMAND_ARGVS = [
 ]
 
 
+# What each call loads besides eulergas.arith, .errors and .cli: the other
+# eulergas submodules, and whether mpmath is loaded.  A sweep loads what its
+# quantity uses.
+_LOADS = {
+    "farey": ((), False),
+    "ford": ((), False),
+    "dedekind": ((), False),
+    "thermo": (("thermo",), False),
+    "sweep energy": (("thermo",), False),
+    "blackbody": (("radiation", "thermo"), False),
+    "sweep frac-noise": (("radiation", "thermo"), False),
+    "phonon": (("phonon", "radiation", "thermo"), False),
+    "quartz": (("phonon", "radiation", "thermo"), False),
+    "mellin-check": (("thermo",), True),
+    "eta": (("modular",), True),
+    "partition": (("modular",), True),
+    "sweep partition": (("modular",), True),
+}
+_SWEEP_ARGVS = [
+    ["sweep", "--quantity", "frac-noise", "--start", "1e4", "--stop", "1e6",
+     "--points", "3", "--temperature", "300"],
+    ["sweep", "--quantity", "partition", "--start", "1", "--stop", "5"],
+]
+
+
 def test_cli_runs_without_scipy():
-    # the runtime needs mpmath alone: a fresh interpreter, so modules
-    # imported by other tests do not count, and running every subcommand
-    # also catches an import made lazily
-    commands = next(a.choices for a in build_parser()._actions
-                    if a.dest == "command")
-    assert {argv[0] for argv in _SUBCOMMAND_ARGVS} == set(commands)
-    script = (
-        "import io, sys\n"
-        "from contextlib import redirect_stdout\n"
-        "from eulergas.cli import main\n"
-        f"for argv in {_SUBCOMMAND_ARGVS!r}:\n"
-        "    with redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    # the runtime needs mpmath alone, and each call imports only what its
+    # subcommand uses: a fresh interpreter, so modules imported by other
+    # tests do not count, in which eulergas and mpmath are imported afresh
+    # for every call
+    assert {argv[0] for argv in _SUBCOMMAND_ARGVS} == set(_COMMANDS)
+    cases = []
+    for argv in _SUBCOMMAND_ARGVS + _SWEEP_ARGVS:
+        key = f"sweep {argv[2]}" if argv[0] == "sweep" else argv[0]
+        extra, mpmath = _LOADS[key]
+        modules = sorted(f"eulergas.{m}" for m in ("arith", "cli", "errors", *extra))
+        cases.append((argv, modules, mpmath))
+    script = f"""
+import io, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return (sorted(m for m in sys.modules if m.startswith("eulergas.")),
+            "mpmath" in sys.modules)
+
+def forget():
+    for name in [m for m in sys.modules
+                 if m.partition(".")[0] in ("eulergas", "mpmath")]:
+        del sys.modules[name]
+
+import eulergas
+assert loaded() == ([], False), ("import eulergas", loaded())
+for argv, modules, mpmath in {cases!r}:
+    forget()
+    from eulergas.cli import main
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert loaded() == (modules, mpmath), (argv, loaded())
+assert "scipy" not in sys.modules, "scipy was imported"
+assert "numpy" not in sys.modules, "numpy was imported"
+
+forget()
+import eulergas
+assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 69
+for name in eulergas.__all__:
+    value = getattr(eulergas, name)
+    home = sys.modules[value.__module__]
+    assert home is not eulergas and getattr(home, name) is value, name
+"""
     src = str(Path(eulergas.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

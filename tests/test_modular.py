@@ -60,6 +60,11 @@ def test_generating_guard_band():
         partition_generating(0.8 + 0.7j)  # |y| > 1
 
 
+def test_generating_rejects_nan():
+    with pytest.raises(DomainError):
+        partition_generating(math.nan)
+
+
 # ---------------------------------------------------------------------------
 # eta and its transforms
 # ---------------------------------------------------------------------------
@@ -69,6 +74,36 @@ def test_eta_rejects_lower_half_plane():
         eta(0.5 - 0.1j)
     with pytest.raises(DomainError):
         eta(0.5 + 0.0j)
+
+
+@pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(0.0, math.inf),
+                                 complex(math.inf, 1.0), complex(0.5, math.nan)])
+def test_eta_rejects_non_finite_tau(tau):
+    with pytest.raises(DomainError, match="finite"):
+        eta(tau)
+
+
+def test_eta_product_is_one_once_y_underflows():
+    # |y| = e^{-400 pi} underflows to 0, leaving the prefactor exactly
+    tau = 0.25 + 200j
+    assert eta(tau) == cmath.exp(1j * math.pi * tau / 12.0)
+    assert partition_generating(cmath.exp(2j * math.pi * tau)) == 1.0
+
+
+@pytest.mark.parametrize("im", [1e-300, 5e-324, 1e-11])
+def test_eta_refuses_y_on_the_unit_circle(im):
+    # |y| rounds to within the guard band of 1
+    with pytest.raises(PrecisionError, match="unit circle"):
+        eta(complex(0.0, im))
+
+
+def test_eta_period_24_in_the_real_part():
+    # eta(tau + 24) = eta(tau); a huge real part is reduced exactly instead
+    # of overflowing 2*pi*tau
+    assert eta(48.25 + 0.8j) == eta(0.25 + 0.8j)
+    huge = eta(complex(1e308, 1.0))
+    assert huge == eta(complex(math.fmod(1e308, 24.0), 1.0))
+    assert abs(huge) == pytest.approx(abs(eta(1j)), rel=1e-14)
 
 
 def test_eta_inversion_fixed_point_at_i():

@@ -54,6 +54,25 @@ def test_constants_must_be_positive():
         PhysicalConstants(h=-1.0, k=1.0, c=1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_constants_must_be_finite(tmp_path, value):
+    with pytest.raises(DomainError, match="finite"):
+        PhysicalConstants(h=1.0, k=value, c=1.0)
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"h = {value}\n")
+    with pytest.raises(DomainError, match="constant h"):
+        PhysicalConstants.from_file(cfg)
+
+
+def test_unreadable_constants_file_is_a_domain_error(tmp_path):
+    # a missing file, a directory and bytes that are not text
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"h = \xff\xfe\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        with pytest.raises(DomainError, match="cannot read"):
+            PhysicalConstants.from_file(path)
+
+
 # ---------------------------------------------------------------------------
 # Stefan-Boltzmann
 # ---------------------------------------------------------------------------
