@@ -25,7 +25,7 @@ from .errors import DomainError
 
 __all__ = [
     "PrecisionPolicy", "DEFAULT_POLICY",
-    "divisors", "divisor_sigma", "sigma_table",
+    "divisors", "divisor_sigma",
     "partition_count_oracle",
     "farey_sequence", "reduced_fraction",
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
@@ -41,9 +41,11 @@ class PrecisionPolicy:
 
     rel_tol   -- target relative error of the Z and eta products and of G2
     work_bits -- minimum working precision of the exact p(n) series
-    max_terms -- hard cap on series/product length before PrecisionError
-                 (the per-mode small-x guard charges it with the
-                 int(47/x) + 8 terms of N's Bose sum)
+    max_terms -- hard cap on the length of the Z and eta products, the G2
+                 series and the exact p(n) series before PrecisionError
+
+    The per-mode thermodynamics takes no policy: it sums at most 53 terms
+    at any x.
     """
 
     rel_tol: float = 1e-12
@@ -94,19 +96,6 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
     if k >= 0:
         return sum(d ** k for d in divisors(n))
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))
-
-
-def sigma_table(n_max: int) -> tuple[list[int], list[int]]:
-    """Sieved (sigma_0, sigma_1) tables for 0..n_max; index 0 is unused."""
-    if n_max < 1:
-        raise DomainError(f"sigma_table needs n_max >= 1, got {n_max}")
-    s0 = [0] * (n_max + 1)
-    s1 = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for m in range(d, n_max + 1, d):
-            s0[m] += 1
-            s1[m] += d
-    return s0, s1
 
 
 # ---------------------------------------------------------------------------

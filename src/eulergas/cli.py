@@ -258,8 +258,7 @@ def _cmd_eta(args) -> dict:
 
 def _cmd_thermo(args) -> dict:
     from . import thermo
-    policy = _policy_from(args)
-    tm = thermo.thermo_per_mode(args.x, policy)
+    tm = thermo.thermo_per_mode(args.x)
     row = {"x": args.x, "f_over_kT": tm.f_over_kT, "n_occ": tm.n_occ,
            "e_over_kT": tm.e_over_kT, "s_over_k": tm.s_over_k,
            "terms_used": tm.terms_used, "tail_bound": tm.tail_bound}
@@ -268,10 +267,9 @@ def _cmd_thermo(args) -> dict:
 
 def _cmd_blackbody(args) -> dict:
     from . import radiation
-    policy = _policy_from(args)
     constants = _constants_from(args)
     cavity = radiation.CavitySpec(volume=args.volume, temperature=args.temperature)
-    pt = radiation.spectral_point(args.nu, cavity, constants, policy)
+    pt = radiation.spectral_point(args.nu, cavity, constants)
     x = radiation.mode_x(args.nu, args.temperature, constants)
     row = {"nu": pt.nu, "x": x,
            "u_conventional": pt.u_conventional, "u_general": pt.u_general,
@@ -350,11 +348,10 @@ def _cmd_quartz(args) -> dict:
 
 def _cmd_mellin(args) -> dict:
     from . import thermo
-    policy = _policy_from(args)
     kind = {"free-energy": thermo.MellinKind.FREE_ENERGY,
             "occupation": thermo.MellinKind.OCCUPATION,
             "energy": thermo.MellinKind.ENERGY}[args.kind]
-    integral, closed = thermo.mellin_check(args.s, kind, policy)
+    integral, closed = thermo.mellin_check(args.s, kind)
     row = {"s": args.s, "kind": args.kind, "integral": integral,
            "closed_form": closed,
            "rel_diff": abs(integral - closed) / abs(closed)}
@@ -375,6 +372,9 @@ class SweepGrid:
     scale: str  # linear | log
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise DomainError(f"need finite start and stop, got "
+                              f"{self.start}, {self.stop}")
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got {self.start} >= {self.stop}")
         if self.points < 2:
@@ -404,7 +404,7 @@ _SWEEP_MODELS = {
 }
 
 
-def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
+def _sweep_evaluator(quantity: str, model: str, args, constants):
     """Return f(value) -> float for one quantity/model column."""
     if quantity in ("emissivity", "frac-noise"):
         from . import radiation
@@ -413,21 +413,21 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
     else:
         from . import thermo
     if quantity == "energy":
-        return {"exact": lambda x: thermo.internal_energy(x, policy),
+        return {"exact": thermo.internal_energy,
                 "lowfreq": thermo.internal_energy_lowfreq,
                 "planck": lambda x: thermo.planck_factor(x, thermo.PlanckVariant.PLANCK),
                 "zeropoint": lambda x: thermo.planck_factor(x, thermo.PlanckVariant.ZERO_POINT),
                 }[model]
     if quantity == "free-energy":
-        return {"exact": lambda x: thermo.free_energy(x, policy),
+        return {"exact": thermo.free_energy,
                 "lowfreq": thermo.free_energy_lowfreq,
                 "conventional": lambda x: math.log1p(-math.exp(-x)),
                 }[model]
     if quantity == "entropy":
-        return {"exact": lambda x: thermo.entropy(x, policy),
+        return {"exact": thermo.entropy,
                 "lowfreq": thermo.entropy_lowfreq}[model]
     if quantity == "occupation":
-        return {"exact": lambda x: thermo.occupation(x, policy),
+        return {"exact": thermo.occupation,
                 "lowfreq": thermo.occupation_lowfreq,
                 "conventional": lambda x: 1.0 / math.expm1(x)}[model]
     if quantity in ("emissivity", "frac-noise"):
@@ -440,7 +440,7 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
                       "rayleigh-jeans": radiation.EmissivityModel.RAYLEIGH_JEANS,
                       "general": radiation.EmissivityModel.GENERAL,
                       "general-lf": radiation.EmissivityModel.GENERAL_LOW_FREQ}[model]
-            return lambda nu: radiation.emissivity(nu, cavity, constants, emodel, policy)
+            return lambda nu: radiation.emissivity(nu, cavity, constants, emodel)
         nmodel = {"rj": radiation.NoiseModel.RAYLEIGH_JEANS,
                   "general-lf": radiation.NoiseModel.GENERAL_LOW_FREQ,
                   "einstein": radiation.NoiseModel.EINSTEIN_FULL}[model]
@@ -448,6 +448,7 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
                                                          nmodel)
     if quantity == "partition":
         convention = _CONVENTIONS[args.convention]
+        policy = _policy_from(args)
         if model == "rademacher":
             return lambda n: modular.rademacher_p(int(n), convention, policy).value
         return lambda n: arith.partition_count_oracle(int(n))
@@ -455,7 +456,6 @@ def _sweep_evaluator(quantity: str, model: str, args, policy, constants):
 
 
 def _cmd_sweep(args) -> dict:
-    policy = _policy_from(args)
     quantity = args.quantity
     # only the radiation quantities use h, k and c
     constants = (_constants_from(args) if quantity in ("emissivity", "frac-noise")
@@ -480,7 +480,7 @@ def _cmd_sweep(args) -> dict:
         grid = SweepGrid(var, args.start, args.stop, args.points, args.scale)
         grid_values = grid.values()
 
-    evaluators = {m: _sweep_evaluator(quantity, m, args, policy, constants)
+    evaluators = {m: _sweep_evaluator(quantity, m, args, constants)
                   for m in models}
     rows = []
     for v in grid_values:

@@ -3,14 +3,23 @@
 Three failure classes cover every contract in the library: bad inputs
 (DomainError), series/quadrature precision exhaustion (PrecisionError), and
 non-stabilizing sums (ConvergenceError).  Computation errors carry their
-diagnostic fields so front ends can serialize them.
+diagnostic fields so front ends can serialize them.  require_positive is the
+one check of a physical input: finite and > 0.
 """
 
 from __future__ import annotations
 
+import math
+
 
 class DomainError(ValueError):
     """Input outside an operation's stated domain."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """DomainError unless value is a finite number > 0 (nan fails too)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 class PrecisionError(RuntimeError):

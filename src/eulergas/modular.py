@@ -36,17 +36,22 @@ _GUARD_BAND = 1e-9  # |y| must stay this far inside the unit circle
 Z_OVERFLOW_X = 2.3047e-3
 
 
-def _product_length(abs_y: float, policy: PrecisionPolicy) -> int:
-    """Smallest N with |y|^N below rel_tol*(1-|y|), so the dropped tail of
-    log(product) is below rel_tol; 0 when |y| is 0, where the product is
-    exactly 1.  Raises PrecisionError when |y| is within the guard band of
-    the unit circle (also when it rounds to 1), DomainError when it is nan.
-    """
+def _require_inside(abs_y: float) -> None:
+    """PrecisionError when |y| is within the guard band of the unit circle
+    (also when it rounds to 1), DomainError when it is nan."""
     if math.isnan(abs_y):
         raise DomainError("need finite y, got |y| = nan")
     if abs_y >= 1.0 - _GUARD_BAND:
         raise PrecisionError(
             f"|y| = {abs_y} is within {_GUARD_BAND} of the unit circle", 0)
+
+
+def _product_length(abs_y: float, policy: PrecisionPolicy) -> int:
+    """Smallest N with |y|^N below rel_tol*(1-|y|), so the dropped tail of
+    log(product) is below rel_tol; 0 when |y| is 0, where the product is
+    exactly 1.  Refuses |y| as _require_inside does.
+    """
+    _require_inside(abs_y)
     if abs_y == 0.0:
         return 0
     cut = policy.rel_tol * (1.0 - abs_y)
@@ -170,10 +175,16 @@ def eisenstein_g2(tau: complex,
 
     with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
     Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}).
+    Like eta, raises PrecisionError when |y| rounds to within the guard
+    band of 1.
     """
     tau = _require_upper_half(tau)
+    # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
+    # part cannot overflow 2*pi*tau
+    tau = complex(math.fmod(tau.real, 1.0), tau.imag)
     y = cmath.exp(2j * math.pi * tau)
     r = abs(y)
+    _require_inside(r)
     const = math.pi ** 2 / 3.0  # 2*zeta(2)
     if r == 0.0:
         return complex(const, 0.0)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arith import _BERNOULLI_2K, ZETA3
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .radiation import PhysicalConstants, load_key_value_file
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
 
 def debye_velocity(c_transverse: float, c_longitudinal: float) -> float:
     """Average wave velocity from 3/c_ph^3 = 2/c_t^3 + 1/c_l^3."""
-    if not (c_transverse > 0.0 and c_longitudinal > 0.0):
-        raise DomainError("sound velocities must be > 0")
+    require_positive("c_transverse", c_transverse)
+    require_positive("c_longitudinal", c_longitudinal)
     return (3.0 / (2.0 / c_transverse ** 3 + 1.0 / c_longitudinal ** 3)) ** (1.0 / 3.0)
 
 
@@ -61,15 +61,13 @@ class SolidSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_atoms", "volume", "temperature"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be > 0")
+            require_positive(name, getattr(self, name))
         if self.c_ph is None:
             if self.c_transverse is None or self.c_longitudinal is None:
                 raise DomainError("give c_ph or both c_transverse and c_longitudinal")
             object.__setattr__(self, "c_ph",
                                debye_velocity(self.c_transverse, self.c_longitudinal))
-        if not self.c_ph > 0.0:
-            raise DomainError("c_ph must be > 0")
+        require_positive("c_ph", self.c_ph)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class ResonatorSpec:
 
     def __post_init__(self) -> None:
         for name in ("q_factor", "carrier", "active_volume", "temperature", "c_ph"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be > 0")
+            require_positive(name, getattr(self, name))
 
 
 def debye_frequency(solid: SolidSpec) -> float:

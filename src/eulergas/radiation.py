@@ -18,8 +18,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .arith import DEFAULT_POLICY, ZETA3, PrecisionPolicy
-from .errors import DomainError, PrecisionError
+from .arith import ZETA3
+from .errors import DomainError, require_positive
 from .thermo import internal_energy
 
 __all__ = [
@@ -66,10 +66,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("h", "k", "c"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"constant {name} must be finite and > 0, "
-                                  f"got {value}")
+            require_positive(f"constant {name}", getattr(self, name))
 
     @classmethod
     def si(cls) -> "PhysicalConstants":
@@ -96,18 +93,14 @@ class CavitySpec:
     temperature: float  # K
 
     def __post_init__(self) -> None:
-        if not self.volume > 0.0:
-            raise DomainError(f"volume must be > 0, got {self.volume}")
-        if not self.temperature > 0.0:
-            raise DomainError(f"temperature must be > 0, got {self.temperature}")
+        require_positive("volume", self.volume)
+        require_positive("temperature", self.temperature)
 
 
 def mode_x(nu: float, temperature: float, constants: PhysicalConstants) -> float:
     """Dimensionless mode variable x = h*nu/kT."""
-    if not nu > 0.0:
-        raise DomainError(f"need nu > 0, got {nu}")
-    if not temperature > 0.0:
-        raise DomainError(f"need T > 0, got {temperature}")
+    require_positive("nu", nu)
+    require_positive("T", temperature)
     return constants.h * nu / (constants.k * temperature)
 
 
@@ -162,8 +155,7 @@ class EmissivityModel(Enum):
 
 
 def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
-               model: EmissivityModel,
-               policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+               model: EmissivityModel) -> float:
     """Spectral emissivity e_b(nu, T) in W m^-2 Hz^-1.
 
     PLANCK:          (2 pi h / c^2) nu^3 / (e^x - 1)
@@ -184,14 +176,8 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     if model is EmissivityModel.RAYLEIGH_JEANS:
         return 2.0 * math.pi * constants.k / c2 * nu ** 2 * t
     if model is EmissivityModel.GENERAL:
-        try:
-            series = internal_energy(x, policy) / x
-        except PrecisionError as exc:
-            raise PrecisionError(
-                f"general emissivity series unavailable at x={x:g}; "
-                "use GENERAL_LOW_FREQ in the small-x regime",
-                exc.terms_attempted) from exc
-        return 2.0 * math.pi * constants.h / c2 * nu ** 3 * series
+        return (2.0 * math.pi * constants.h / c2 * nu ** 3
+                * (internal_energy(x) / x))
     if model is EmissivityModel.GENERAL_LOW_FREQ:
         return (math.pi ** 3 / 3.0) * constants.k ** 2 / (c2 * constants.h) * nu * t * t
     raise DomainError(f"unknown emissivity model {model!r}")
@@ -210,10 +196,8 @@ def einstein_AB(nu: float, constants: PhysicalConstants, temperature: float,
     GENERAL_LOW_FREQ: 4 pi^3 k T / (3 c lambda^2); the two differ by the
     factor pi^2/(6x) exactly.
     """
-    if not nu > 0.0:
-        raise DomainError(f"need nu > 0, got {nu}")
-    if not temperature > 0.0:
-        raise DomainError(f"need T > 0, got {temperature}")
+    require_positive("nu", nu)
+    require_positive("T", temperature)
     lam = constants.c / nu
     if model is EinsteinModel.CONVENTIONAL:
         return 8.0 * math.pi * constants.h / lam ** 3
@@ -252,8 +236,7 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
 
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.
     """
-    if not nu > 0.0:
-        raise DomainError(f"need nu > 0, got {nu}")
+    require_positive("nu", nu)
     v = cavity.volume
     if model is NoiseModel.RAYLEIGH_JEANS:
         return constants.c ** 3 / (8.0 * math.pi * v * nu ** 2)
@@ -283,18 +266,18 @@ class SpectralPoint:
     frac_noise_general_lf: float
 
 
-def spectral_point(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> SpectralPoint:
+def spectral_point(nu: float, cavity: CavitySpec,
+                   constants: PhysicalConstants) -> SpectralPoint:
     """Assemble the standard comparison row at one frequency."""
     u_conv = planck_spectral_density(nu, cavity, constants)
-    e_general = emissivity(nu, cavity, constants, EmissivityModel.GENERAL, policy)
+    e_general = emissivity(nu, cavity, constants, EmissivityModel.GENERAL)
     # u_general = (4V/c) e_b by the emissivity definition e_b = (c/4V) u
     u_general = 4.0 * cavity.volume / constants.c * e_general
     return SpectralPoint(
         nu=nu,
         u_conventional=u_conv,
         u_general=u_general,
-        e_b_planck=emissivity(nu, cavity, constants, EmissivityModel.PLANCK, policy),
+        e_b_planck=emissivity(nu, cavity, constants, EmissivityModel.PLANCK),
         e_b_general=e_general,
         frac_noise_rj=fluctuation_spectrum(nu, cavity, constants,
                                            NoiseModel.RAYLEIGH_JEANS),

@@ -15,9 +15,9 @@ functional equation of ln Z with the Lambert sums taken at 4 pi^2/x, which
 needs one term, and N from Wigert's expansion (the residues of
 Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19.  Every recorded tail
 bound is a true bound: geometric on the dropped Lambert terms, and a
-contour bound on Wigert's remainder.  Below x = 1e-6, or where the Bose sum
-for N would need more than max_terms terms, the exact values are refused;
-the low-frequency forms are the supported path there.
+contour bound on Wigert's remainder.  There is no term budget: every finite
+x > 0 gives finite values, except below x ~ 3.9e-306, where N exceeds the
+largest double and OverflowError is raised.
 
 The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
 by mpmath's double-precision tanh-sinh rule, and compare with Gamma(s) zeta
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .arith import (_BERNOULLI_2K, DEFAULT_POLICY, ZETA3, PrecisionPolicy,
-                    euler_gamma, gamma_fn, riemann_zeta)
-from .errors import DomainError, PrecisionError
+from .arith import _BERNOULLI_2K, ZETA3, euler_gamma, gamma_fn, riemann_zeta
+from .errors import DomainError
 
 __all__ = [
     "ThermoPerMode", "thermo_per_mode",
@@ -46,11 +45,10 @@ __all__ = [
     "per_mode_energy_fluctuation",
     "PlanckVariant", "planck_factor",
     "MellinKind", "mellin_check",
-    "neg_log_partition", "occupation_integrand", "energy_series_integrand",
 ]
 
-SERIES_X_FLOOR = 1e-6    # exact series refused below this x
-LOWFREQ_SWITCH = 1e-3    # integrands switch to closed forms below this x
+LOWFREQ_SWITCH = 1e-3    # Mellin integrands are integrated in closed
+                         # small-x form below this x
 DUAL_SWITCH = 0.9        # below this x: the dual scale for F, E and the
                          # fluctuation, Wigert's expansion for N
 TAIL_EPS = 2.0 ** -56    # Lambert sums stop once the d^2 tail is below this
@@ -65,26 +63,6 @@ def _require_x(x: float) -> float:
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"need finite x > 0, got {x}")
-    return x
-
-
-def _bose_terms(x: float) -> int:
-    """Term count of the Bose sum for N at x (its tail below e^{-47}/x); the
-    small-x guard charges it against max_terms, though no route sums it."""
-    return int(47.0 / x) + 8
-
-
-def _require_series_x(x: float, policy: PrecisionPolicy) -> float:
-    x = _require_x(x)
-    if x < SERIES_X_FLOOR:
-        raise PrecisionError(
-            f"exact series refused for x < {SERIES_X_FLOOR:g} (got {x:g}); "
-            "use the low-frequency forms there", 0)
-    estimate = _bose_terms(x)
-    if estimate > policy.max_terms:
-        raise PrecisionError(
-            f"series at x={x:g} needs about {estimate} terms, "
-            f"budget is {policy.max_terms}", estimate)
     return x
 
 
@@ -132,9 +110,13 @@ def _lambert(x: float) -> tuple[float, float, float, float, int,
     tail of fluct).  After D terms every dropped term is at most
     d^k r^d/(1 - r^{D+1}), with the denominator squared for fluct, so each
     tail is bounded by a geometric sum.  The loop stops once the d^2 tail is
-    below TAIL_EPS of the first term, which every sum exceeds.
+    below TAIL_EPS of the first term, which every sum exceeds.  Once r
+    underflows every sum is 0 after one term; that is returned before x * x
+    can overflow and turn 0 into nan.
     """
     r = math.exp(-x)
+    if r == 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0, 0.0
     ln_z = n_occ = e_sum = fl_sum = 0.0
     rd = 1.0
     d = 0
@@ -195,7 +177,7 @@ def _wigert(x: float) -> tuple[float, int, float]:
 
 
 @lru_cache(maxsize=4096)
-def _mode_sums(x: float, policy: PrecisionPolicy) -> _ModeSums:
+def _mode_sums(x: float) -> _ModeSums:
     """F, N, E and the fluctuation at x.
 
     At x >= DUAL_SWITCH all four are direct Lambert sums.  Below it, F, E
@@ -205,33 +187,37 @@ def _mode_sums(x: float, policy: PrecisionPolicy) -> _ModeSums:
 
     and its first two x-derivatives, with the Lambert forms evaluated at the
     dual argument y = 4 pi^2/x > 43; N has no such law and comes from
-    Wigert's expansion.
+    Wigert's expansion.  N, of order ln(1/x)/x, is the first to exceed the
+    largest double (below x ~ 3.9e-306; F, E and the fluctuation only below
+    ~1.8e-308), so OverflowError is raised there, before ln(x/2pi) can
+    underflow.
     """
-    x = _require_series_x(x, policy)
+    x = _require_x(x)
     if x >= DUAL_SWITCH:
         ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
         return _ModeSums(-ln_z, n_occ, e, fluct, terms,
                          _BOUND_ROUNDING * max(t_z, t_e, t_fl))
+    n_occ, k, t_n = _wigert(x)
+    if n_occ == math.inf:
+        raise OverflowError(f"per-mode values at x={x:g} overflow a double")
     ln_zy, _, e_y, fl_y, terms, t_z, t_e, t_fl = _lambert(4.0 * math.pi ** 2 / x)
     pi2_6x = math.pi ** 2 / (6.0 * x)
     f = -pi2_6x - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0 - ln_zy
     e = pi2_6x - 0.5 + x / 24.0 - e_y
     fluct = 2.0 * pi2_6x - 0.5 - 2.0 * e_y + fl_y
-    n_occ, k, t_n = _wigert(x)
     return _ModeSums(f, n_occ, e, fluct, terms + k,
                      _BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n))
 
 
-def thermo_per_mode(x: float,
-                    policy: PrecisionPolicy = DEFAULT_POLICY) -> ThermoPerMode:
+def thermo_per_mode(x: float) -> ThermoPerMode:
     """F/kT, N, E/kT and S/k at one x from a single evaluation."""
-    ms = _mode_sums(x, policy)
+    ms = _mode_sums(x)
     return ThermoPerMode(ms.f, ms.n_occ, ms.e, ms.e - ms.f, ms.terms, ms.tail)
 
 
-def free_energy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def free_energy(x: float) -> float:
     """F/kT = -sum sigma_{-1}(n) e^{-nx}  (negative for all x > 0)."""
-    return _mode_sums(x, policy).f
+    return _mode_sums(x).f
 
 
 def free_energy_lowfreq(x: float) -> float:
@@ -240,9 +226,9 @@ def free_energy_lowfreq(x: float) -> float:
     return -math.pi ** 2 / (6.0 * x) - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0
 
 
-def occupation(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def occupation(x: float) -> float:
     """N = sum sigma_0(n) e^{-nx}."""
-    return _mode_sums(x, policy).n_occ
+    return _mode_sums(x).n_occ
 
 
 def occupation_lowfreq(x: float) -> float:
@@ -251,9 +237,9 @@ def occupation_lowfreq(x: float) -> float:
     return (-math.log(x) + euler_gamma()) / x
 
 
-def internal_energy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def internal_energy(x: float) -> float:
     """E/kT = x * sum sigma_1(n) e^{-nx}."""
-    return _mode_sums(x, policy).e
+    return _mode_sums(x).e
 
 
 def internal_energy_lowfreq(x: float) -> float:
@@ -262,9 +248,9 @@ def internal_energy_lowfreq(x: float) -> float:
     return math.pi ** 2 / (6.0 * x) - 0.5 + x / 24.0
 
 
-def entropy(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def entropy(x: float) -> float:
     """S/k = sum sigma_1(n)(x + 1/n) e^{-nx}, taken as (E - F)/kT."""
-    ms = _mode_sums(x, policy)
+    ms = _mode_sums(x)
     return ms.e - ms.f
 
 
@@ -274,14 +260,13 @@ def entropy_lowfreq(x: float) -> float:
     return math.pi ** 2 / (3.0 * x) + 0.5 * math.log(x / (2.0 * math.pi)) - 0.5
 
 
-def per_mode_energy_fluctuation(x: float,
-                                policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def per_mode_energy_fluctuation(x: float) -> float:
     """Energy variance per mode in (kT)^2 units: x^2 sum n sigma_1(n) e^{-nx}.
 
     Equals kT^2 dE/dT at fixed h*nu; the test suite checks that against a
     central finite difference.
     """
-    return _mode_sums(x, policy).fluct
+    return _mode_sums(x).fluct
 
 
 class PlanckVariant(Enum):
@@ -303,42 +288,6 @@ def planck_factor(x: float, variant: PlanckVariant) -> float:
 # ---------------------------------------------------------------------------
 # Mellin-transform checks
 # ---------------------------------------------------------------------------
-
-def neg_log_partition(x: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """-ln Z(x) = -F/kT on all of x > 0.
-
-    Below the switch point the closed form is used; its error there is of
-    order e^{-4 pi^2 / x}, far below double rounding.
-    """
-    x = _require_x(x)
-    if x < LOWFREQ_SWITCH:
-        return -free_energy_lowfreq(x)
-    if x > 745.0:
-        return 0.0  # e^{-x} underflows; the sum is zero to double precision
-    return -free_energy(x, policy)
-
-
-def occupation_integrand(x: float,
-                         policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """N(x) on all of x > 0, switching to the closed form at small x."""
-    x = _require_x(x)
-    if x < LOWFREQ_SWITCH:
-        return occupation_lowfreq(x)
-    if x > 745.0:
-        return 0.0
-    return occupation(x, policy)
-
-
-def energy_series_integrand(x: float,
-                            policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """sum sigma_1(n) e^{-nx} = (E/kT)/x on all of x > 0."""
-    x = _require_x(x)
-    if x < LOWFREQ_SWITCH:
-        return internal_energy_lowfreq(x) / x
-    if x > 745.0:
-        return 0.0
-    return internal_energy(x, policy) / x
-
 
 class MellinKind(Enum):
     FREE_ENERGY = "free-energy"
@@ -373,8 +322,7 @@ def _mellin_head(kind: MellinKind, s: float, c: float) -> float:
     raise DomainError(f"unknown Mellin kind {kind!r}")
 
 
-def mellin_check(s: float, kind: MellinKind,
-                 policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     """Quadrature of the Mellin integral against its Gamma*zeta closed form.
 
     Returns (integral, closed_form) for the caller to compare.  The integral
@@ -382,8 +330,7 @@ def mellin_check(s: float, kind: MellinKind,
     small-x form, and [c, 1] and the tail, mapped through u = 1/x onto
     [0, 1], by mpmath's double-precision tanh-sinh rule (mpmath.fp.quad).
     The tail is split once more at u = 1/4, near the integrand's peak; in
-    one piece the rule's rounding leaves ~1e-15 relative error.  policy
-    governs only the per-mode values inside the integrands.
+    one piece the rule's rounding leaves ~1e-15 relative error.
     """
     if not math.isfinite(s):
         raise DomainError(f"Mellin check needs finite s, got {s}")
@@ -397,19 +344,20 @@ def mellin_check(s: float, kind: MellinKind,
         raise DomainError(f"unknown Mellin kind {kind!r}")
     import mpmath
 
-    base = {MellinKind.FREE_ENERGY: neg_log_partition,
-            MellinKind.OCCUPATION: occupation_integrand,
-            MellinKind.ENERGY: energy_series_integrand}[kind]
+    # -ln Z, N and sum sigma_1(n) e^{-nx} = (E/kT)/x
+    base = {MellinKind.FREE_ENERGY: lambda x: -free_energy(x),
+            MellinKind.OCCUPATION: occupation,
+            MellinKind.ENERGY: lambda x: internal_energy(x) / x}[kind]
 
     def fx(x: float) -> float:
-        return base(x, policy) * x ** (s - 1.0)
+        return base(x) * x ** (s - 1.0)
 
     def tail(u: float) -> float:
         # the integrand vanishes once e^{-1/u} underflows; stop before u^{-s-1}
         # can overflow at the rule's nodes next to u = 0
         if u * 745.0 < 1.0:
             return 0.0
-        return base(1.0 / u, policy) * u ** (-s - 1.0)
+        return base(1.0 / u) * u ** (-s - 1.0)
 
     c = LOWFREQ_SWITCH
     head = _mellin_head(kind, s, c)

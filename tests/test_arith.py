@@ -13,8 +13,9 @@ from eulergas.arith import (_BERNOULLI_2K, ZETA3, DedekindConvention,
                             farey_sequence, ford_circle, ford_tangency,
                             gamma_fn, kloosterman_A, kloosterman_phases,
                             partition_count_oracle, reduced_fraction,
-                            riemann_zeta, sigma_table)
+                            riemann_zeta)
 from eulergas.errors import DomainError
+from oracles import sigma_table
 
 CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH
 PAPER = DedekindConvention.PAPER_LITERAL

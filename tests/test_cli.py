@@ -173,9 +173,9 @@ def test_noise_sweep_slopes(capsys):
     assert abs(np.polyfit(np.log(nus), np.log(glf), 1)[0] + 1.0) < 1e-6
 
 
-def test_sweep_annotates_failed_cells(capsys):
-    # general emissivity is refused at tiny x (guard band or term budget);
-    # those cells go null with a note and the sweep keeps going
+def test_sweep_fills_general_emissivity_at_small_x(capsys):
+    # general emissivity has a value at every x > 0 (here x from 1.6e-7),
+    # so every cell is filled and no row carries an error note
     code, out, _ = run_cli(capsys, "sweep", "--quantity", "emissivity",
                            "--start", "1e6", "--stop", "1e13", "--points", "5",
                            "--scale", "log", "--temperature", "300",
@@ -183,11 +183,10 @@ def test_sweep_annotates_failed_cells(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 5
-    failed = [r for r in rows if r["general"] is None]
-    filled = [r for r in rows if r["general"] is not None]
-    assert failed and filled
-    assert all("errors" in r for r in failed)
-    assert all(r["general-lf"] is not None for r in rows)
+    for row in rows:
+        assert "errors" not in row
+        assert 0.0 < row["general"] < row["general-lf"]
+    assert rows[0]["general"] == pytest.approx(rows[0]["general-lf"], rel=1e-6)
 
 
 def test_sweep_annotates_arithmetic_errors(capsys):
@@ -257,11 +256,13 @@ def test_unreduced_fraction_is_usage_error(capsys):
 
 
 def test_computation_error_serialized(capsys):
-    code, _, err = run_cli(capsys, "thermo", "--x", "1e-8")
+    code, _, err = run_cli(capsys, "partition", "--n", "100",
+                           "--max-terms", "10")
     assert code == 1
     payload = json.loads(err)
     assert payload["error"]["type"] == "PrecisionError"
-    assert "1e-06" in payload["error"]["message"]
+    assert payload["error"]["terms_attempted"] == 41
+    assert "budget is 10" in payload["error"]["message"]
 
 
 def test_partition_row_carries_its_certificate(capsys):
@@ -280,6 +281,16 @@ def test_partition_row_carries_its_certificate(capsys):
     ("thermo", "--x", "nan"),
     ("mellin-check", "--s", "nan", "--kind", "free-energy"),
     ("mellin-check", "--s", "inf", "--kind", "energy"),
+    ("blackbody", "--nu", "1e12", "--temperature", "inf"),
+    ("blackbody", "--nu", "1e12", "--temperature", "300", "--volume", "inf"),
+    ("phonon", "--n-atoms", "inf", "--volume", "1e-5", "--temperature", "77",
+     "--c-ph", "3500"),
+    ("quartz", "--q-factor", "inf", "--carrier", "5e6", "--volume", "1e-6",
+     "--temperature", "300", "--c-ph", "3500"),
+    ("sweep", "--quantity", "energy", "--start", "0.1", "--stop", "inf",
+     "--points", "3"),
+    ("sweep", "--quantity", "emissivity", "--start", "nan", "--stop", "1e9",
+     "--points", "3", "--scale", "log", "--temperature", "300"),
 ])
 def test_non_finite_input_is_refused(capsys, argv):
     # DomainError is the usage-error exit code, with the message on stderr

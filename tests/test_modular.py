@@ -207,6 +207,22 @@ def test_g2_rejects_lower_half_plane():
         eisenstein_g2(1.0 - 2j)
 
 
+def test_g2_reduces_a_huge_real_part_exactly():
+    # G2(tau + 1) = G2(tau), and 1e308 is an integer; G2(i) = pi
+    assert eisenstein_g2(complex(1e308, 1.0)) == eisenstein_g2(1j)
+    assert eisenstein_g2(1j) == pytest.approx(math.pi, rel=1e-13)
+    assert eisenstein_g2(complex(-7.25, 0.5)) == eisenstein_g2(-0.25 + 0.5j)
+    assert eisenstein_g2(-0.25 + 0.5j) == pytest.approx(
+        eisenstein_g2(0.75 + 0.5j), rel=1e-13)
+
+
+@pytest.mark.parametrize("im", [1e-300, 1e-12])
+def test_g2_refuses_the_guard_band_like_eta(im):
+    # |y| rounds to 1 at 1e-300 and lies within 1e-9 of it at 1e-12
+    with pytest.raises(PrecisionError, match="unit circle"):
+        eisenstein_g2(complex(0.0, im))
+
+
 # ---------------------------------------------------------------------------
 # coefficient recovery through the circle integral
 # ---------------------------------------------------------------------------

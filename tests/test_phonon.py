@@ -47,6 +47,24 @@ def test_solid_spec_derives_velocity():
         SolidSpec(n_atoms=1e23, volume=1e-6, temperature=300.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_physical_inputs_are_refused(value):
+    solid = dict(n_atoms=1e23, volume=1e-6, temperature=300.0, c_ph=3500.0)
+    resonator = dict(q_factor=1e6, carrier=5e6, active_volume=1e-6,
+                     temperature=300.0, c_ph=3500.0)
+    calls = [lambda: debye_velocity(value, 6000.0),
+             lambda: debye_velocity(3000.0, value),
+             lambda: SolidSpec(n_atoms=1e23, volume=1e-6, temperature=300.0,
+                               c_transverse=value, c_longitudinal=6000.0)]
+    calls += [lambda key=key: SolidSpec(**{**solid, key: value})
+              for key in solid]
+    calls += [lambda key=key: ResonatorSpec(**{**resonator, key: value})
+              for key in resonator]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
 def test_debye_frequency_scaling_and_value():
     base = make_solid(300.0)
     doubled = make_solid(300.0, n_atoms=2 * 6.022e23)

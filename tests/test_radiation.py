@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from eulergas.errors import DomainError, PrecisionError
+from eulergas.errors import DomainError
 from eulergas.radiation import (CavitySpec, EinsteinModel, EmissivityModel,
                                 NoiseModel, PhotonModel, PhysicalConstants,
                                 density_of_states, einstein_AB,
@@ -15,7 +15,7 @@ from eulergas.radiation import (CavitySpec, EinsteinModel, EmissivityModel,
                                 planck_spectral_density, spectral_point,
                                 stefan_boltzmann)
 from eulergas.arith import riemann_zeta
-from eulergas.thermo import neg_log_partition, occupation_integrand
+from eulergas.thermo import free_energy, occupation
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,24 @@ def test_constants_must_be_finite(tmp_path, value):
     cfg.write_text(f"h = {value}\n")
     with pytest.raises(DomainError, match="constant h"):
         PhysicalConstants.from_file(cfg)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_physical_inputs_are_refused(si, value):
+    calls = [
+        lambda: CavitySpec(volume=value, temperature=300.0),
+        lambda: CavitySpec(volume=1.0, temperature=value),
+        lambda: mode_x(value, 300.0, si),
+        lambda: mode_x(1e9, value, si),
+        lambda: einstein_AB(value, si, 300.0, EinsteinModel.CONVENTIONAL),
+        lambda: einstein_AB(1e9, si, value, EinsteinModel.GENERAL_LOW_FREQ),
+    ]
+    cavity = CavitySpec(volume=1.0, temperature=300.0)
+    calls += [lambda model=model: fluctuation_spectrum(value, cavity, si, model)
+              for model in NoiseModel]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 def test_unreadable_constants_file_is_a_domain_error(tmp_path):
@@ -118,7 +136,7 @@ def test_photon_integrals_by_quadrature():
                              0.0, 60.0, epsabs=1e-14, epsrel=1e-12, limit=200)
     z3 = riemann_zeta(3.0)
     assert conv == pytest.approx(2.0 * z3, rel=1e-9)
-    gen, _ = integrate.quad(lambda x: x * x * occupation_integrand(x),
+    gen, _ = integrate.quad(lambda x: x * x * occupation(x),
                             0.0, 60.0, epsabs=1e-12, epsrel=1e-10, limit=200)
     assert gen == pytest.approx(2.0 * z3 * z3, rel=1e-6)
 
@@ -136,7 +154,7 @@ def test_log_z_integral_conventional(si):
 
 def test_integrated_free_energy_ratio_is_zeta3():
     # both sides by independent quadrature of the s = 3 moment
-    gen, _ = integrate.quad(lambda x: x * x * neg_log_partition(x),
+    gen, _ = integrate.quad(lambda x: -x * x * free_energy(x),
                             0.0, 60.0, epsabs=1e-13, epsrel=1e-11, limit=300)
     conv, _ = integrate.quad(
         lambda x: -x * x * math.log1p(-math.exp(-x)) if x > 0 else 0.0,
@@ -191,11 +209,16 @@ def test_emissivity_slopes_by_regression(si):
     assert abs(slope_glf - 1.0) < 1e-6
 
 
-def test_emissivity_general_refuses_tiny_x(si):
+def test_emissivity_general_at_tiny_x(si):
+    # E/kT = pi^2/(6x) - 1/2 + x/24 up to e^{-4 pi^2/x}, so the ratio to the
+    # low-frequency form is 1 - 3x/pi^2 + x^2/(4 pi^2) to rounding
     cavity = CavitySpec(volume=1.0, temperature=300.0)
     nu = 1.0  # x ~ 1.6e-13
-    with pytest.raises(PrecisionError, match="GENERAL_LOW_FREQ"):
-        emissivity(nu, cavity, si, EmissivityModel.GENERAL)
+    x = mode_x(nu, cavity.temperature, si)
+    ratio = (emissivity(nu, cavity, si, EmissivityModel.GENERAL)
+             / emissivity(nu, cavity, si, EmissivityModel.GENERAL_LOW_FREQ))
+    want = 1.0 - 3.0 * x / math.pi ** 2 + x * x / (4.0 * math.pi ** 2)
+    assert abs(ratio - want) <= 4 * 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from eulergas.arith import sigma_table
-from eulergas.errors import DomainError, PrecisionError
+from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
                              _lambert, _wigert, entropy, entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
@@ -15,7 +14,8 @@ from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
                              per_mode_energy_fluctuation, planck_factor,
                              thermo_per_mode)
 from oracles import (free_energy_log_form, internal_energy_bose,
-                     occupation_bose, occupation_mp, wigert_partial_mp)
+                     level_sums_mp, occupation_bose, occupation_mp,
+                     sigma_table, wigert_partial_mp)
 
 X_GRID = np.geomspace(1e-3, 20.0, 50)
 
@@ -65,7 +65,6 @@ def dual_scale_f_error(x):
 def dual_scale_e_error(x):
     # exact gap from x * d/dx of the free-energy error term:
     # E_exact - E_lowfreq = -(4 pi^2 / x) sum sigma_1(m) e^{-4pi^2 m/x}
-    from eulergas.arith import sigma_table
     _, s1 = sigma_table(64)
     q = math.exp(-4.0 * math.pi ** 2 / x)
     return -(4.0 * math.pi ** 2 / x) * math.fsum(s1[m] * q ** m for m in range(1, 40))
@@ -261,9 +260,45 @@ def test_mellin_domain_errors():
 # guards
 # ---------------------------------------------------------------------------
 
-def test_small_x_guard_names_threshold():
-    with pytest.raises(PrecisionError, match="1e-06"):
-        free_energy(1e-7)
+def test_small_x_values_match_euler_maclaurin_sums():
+    # down to x = 1e-12 every quantity agrees with level sums to 50 digits;
+    # N's tail_bound covers Wigert's remainder, which at x = 1e-12 is
+    # ~1e-41 next to N ~ 3e13, so 40 digits would not resolve it
+    for x in (1e-12, 1e-9, 1e-7, 3e-6):
+        tm = thermo_per_mode(x)
+        got = (tm.f_over_kT, tm.n_occ, tm.e_over_kT, tm.s_over_k,
+               per_mode_energy_fluctuation(x))
+        k_terms = tm.terms_used - _lambert(4.0 * math.pi ** 2 / x)[4]
+        with mpmath.workdps(50):
+            want = level_sums_mp(x)
+            remainder = abs(want[1] - wigert_partial_mp(x, k_terms))
+            assert tm.tail_bound >= remainder, x
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 2e-15 * abs(w), x
+
+
+@pytest.mark.parametrize("x", [1e-306, 1e-310, 5e-324])
+def test_overflow_below_the_double_range(x):
+    # N ~ ln(1/x)/x exceeds the largest double below x ~ 3.9e-306
+    with pytest.raises(OverflowError):
+        thermo_per_mode(x)
+    with pytest.raises(OverflowError):
+        per_mode_energy_fluctuation(x)
+
+
+@pytest.mark.parametrize("x", [1e-200, 1e-160, 1e200])
+def test_finite_where_the_lambert_argument_squared_overflows(x):
+    # the Lambert sums at 4 pi^2/x (small x) or at x (large x) vanish; the
+    # fluctuation's x^2 factor there overflows, and must not make 0 a nan
+    tm = thermo_per_mode(x)
+    fields = (tm.f_over_kT, tm.n_occ, tm.e_over_kT, tm.s_over_k,
+              per_mode_energy_fluctuation(x), tm.tail_bound)
+    assert all(math.isfinite(v) for v in fields)
+    if x < 1.0:
+        assert per_mode_energy_fluctuation(x) == pytest.approx(
+            math.pi ** 2 / (3.0 * x), rel=1e-15)
+    else:
+        assert fields == (0.0,) * 6
 
 
 def test_domain_errors():
