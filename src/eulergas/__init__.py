@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 # Each exported name under the submodule that defines it
 _EXPORTS = {
-    "arith": ("DEFAULT_POLICY", "DedekindConvention", "DedekindValue",
-              "FordCircle", "PrecisionPolicy", "TangencyPoint", "dedekind_sum",
-              "divisor_sigma", "divisors", "euler_gamma", "farey_sequence",
-              "ford_circle", "ford_tangency", "gamma_fn", "kloosterman_A",
-              "partition_count_oracle", "reduced_fraction", "riemann_zeta"),
+    "arith": ("DedekindConvention", "DedekindValue", "FordCircle",
+              "TangencyPoint", "dedekind_sum", "divisor_sigma", "divisors",
+              "euler_gamma", "farey_sequence", "ford_circle", "ford_tangency",
+              "gamma_fn", "partition_count_oracle", "reduced_fraction",
+              "riemann_zeta"),
     "errors": ("ConvergenceError", "DomainError", "PrecisionError"),
     "modular": ("EtaTransform", "RademacherResult", "asymptotic_p", "eta",
                 "eta_transform", "eisenstein_g2", "functional_equation_rhs",

@@ -2,10 +2,9 @@
 
 Divisor power sums, a partition-count table built by Euler's pentagonal
 number recurrence, Farey sequences, Ford circles with their tangency
-geometry, Dedekind sums in two conventions, the root-of-unity sums A_q(n)
-entering the exact partition series (from Dedekind-sum phases, and by
-Selberg's formula), and float-valued zeta / gamma / Euler-constant
-evaluators.
+geometry, Dedekind sums in two conventions, the residues that index
+Selberg's formula for the root-of-unity sums A_q(n) of the exact partition
+series, and float-valued zeta / gamma / Euler-constant evaluators.
 
 All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
 appear solely in the special functions, which are the double-precision ones
@@ -24,44 +23,14 @@ from typing import NamedTuple
 from .errors import DomainError
 
 __all__ = [
-    "PrecisionPolicy", "DEFAULT_POLICY",
     "divisors", "divisor_sigma",
     "partition_count_oracle",
     "farey_sequence", "reduced_fraction",
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
-    "DedekindConvention", "DedekindValue", "dedekind_sum", "kloosterman_A",
-    "selberg_residues", "selberg_A",
+    "DedekindConvention", "DedekindValue", "dedekind_sum",
+    "selberg_residues",
     "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Targets for the truncated series and products.
-
-    rel_tol   -- target relative error of the Z and eta products and of G2
-    work_bits -- minimum working precision of the exact p(n) series
-    max_terms -- hard cap on the length of the Z and eta products, the G2
-                 series and the exact p(n) series before PrecisionError
-
-    The per-mode thermodynamics takes no policy: it sums at most 53 terms
-    at any x.
-    """
-
-    rel_tol: float = 1e-12
-    work_bits: int = 64
-    max_terms: int = 5_000_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.work_bits < 53:
-            raise DomainError(f"work_bits must be >= 53, got {self.work_bits}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +202,7 @@ def ford_tangency(left: Fraction, mid: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Dedekind sums and the root-of-unity sums A_q(n)
+# Dedekind sums and the residues of Selberg's formula
 # ---------------------------------------------------------------------------
 
 class DedekindConvention(Enum):
@@ -274,37 +243,6 @@ def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValu
     return DedekindValue(value, convention)
 
 
-def kloosterman_phases(q: int, n: int,
-                       convention: DedekindConvention) -> tuple[Fraction, ...]:
-    """Exact phases t (mod 2) such that A_q(n) = sum exp(i*pi*t).
-
-    One entry per residue p mod q with gcd(p, q) = 1; for q = 1 the single
-    residue is taken as p = 0 with unit weight, so A_1(n) = 1 and the q = 1
-    term of the exact series reproduces the dominant closed form.
-    """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return (Fraction(0),)
-    return tuple((dedekind_sum(p, q, convention).value
-                  - Fraction(2 * (n % q) * p, q)) % 2
-                 for p in range(1, q) if math.gcd(p, q) == 1)
-
-
-def kloosterman_A(q: int, n: int, convention: DedekindConvention) -> complex:
-    """A_q(n) = sum over coprime residues of exp(i*pi*s(p,q) - 2*i*pi*n*p/q).
-
-    Returned as a complex number; in the convention validated by the integer
-    test the imaginary part vanishes to rounding.
-    """
-    re = im = 0.0
-    for t in kloosterman_phases(q, n, convention):
-        ft = float(t)
-        re += math.cos(math.pi * ft)
-        im += math.sin(math.pi * ft)
-    return complex(re, im)
-
-
 def selberg_residues(q: int, n: int) -> list[int]:
     """The residues l mod 2q with (3l^2 + l)/2 = -n (mod q), ascending.
 
@@ -317,13 +255,6 @@ def selberg_residues(q: int, n: int) -> list[int]:
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return [l for l in range(2 * q) if (l * (3 * l + 1) // 2 + n) % q == 0]
-
-
-def selberg_A(q: int, n: int) -> float:
-    """A_q(n) in the classical convention by Selberg's formula, in doubles."""
-    return math.sqrt(q / 3.0) * sum(
-        (-1) ** l * math.cos(math.pi * (6 * l + 1) / (6 * q))
-        for l in selberg_residues(q, n))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .arith import DedekindConvention, PrecisionPolicy
+from .arith import DedekindConvention
 from .errors import ConvergenceError, DomainError, PrecisionError
-
-_CONVENTIONS = {"classical": DedekindConvention.CLASSICAL_SAWTOOTH,
-                "paper": DedekindConvention.PAPER_LITERAL}
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +139,6 @@ def _parse_fraction(text: str) -> Fraction:
     return arith.reduced_fraction(num, den)
 
 
-def _policy_from(args) -> PrecisionPolicy:
-    return PrecisionPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
-
-
 def _constants_from(args):
     """PhysicalConstants from --constants, or the SI values."""
     from .radiation import PhysicalConstants
@@ -164,14 +157,11 @@ def _frac_str(f: Fraction) -> str:
 
 def _cmd_partition(args) -> dict:
     from . import modular
-    policy = _policy_from(args)
-    convention = _CONVENTIONS[args.convention]
     row: dict = {"n": args.n, "method": args.method}
     if args.method == "rademacher":
-        res = modular.rademacher_p(args.n, convention, policy)
+        res = modular.rademacher_p(args.n)
         row.update(value=res.value, terms_used=res.terms_used,
-                   residual=res.residual, error_bound=res.error_bound,
-                   convention=convention.value)
+                   residual=res.residual, error_bound=res.error_bound)
     elif args.method == "oracle":
         row["value"] = arith.partition_count_oracle(args.n)
     elif args.method == "leading":
@@ -221,11 +211,12 @@ def _cmd_ford(args) -> dict:
 
 
 def _cmd_dedekind(args) -> dict:
-    which = (list(_CONVENTIONS) if args.convention == "both"
-             else [args.convention])
+    # "classical" and "paper": the first words of the conventions' values
+    conventions = {c.value.partition("-")[0]: c for c in DedekindConvention}
+    which = sorted(conventions) if args.convention == "both" else [args.convention]
     rows = []
     for name in which:
-        val = arith.dedekind_sum(args.p, args.q, _CONVENTIONS[name])
+        val = arith.dedekind_sum(args.p, args.q, conventions[name])
         rows.append({"p": args.p, "q": args.q, "convention": name,
                      "value": _frac_str(val.value), "value_float": float(val.value)})
     return {"command": "dedekind", "params": {"p": args.p, "q": args.q},
@@ -234,22 +225,21 @@ def _cmd_dedekind(args) -> dict:
 
 def _cmd_eta(args) -> dict:
     from . import modular
-    policy = _policy_from(args)
     try:
         re_s, im_s = args.tau.split(",")
         tau = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise DomainError(f"expected --tau RE,IM, got {args.tau!r}") from exc
-    value = modular.eta(tau, policy)
+    value = modular.eta(tau)
     row = {"tau_re": tau.real, "tau_im": tau.imag,
            "eta_re": value.real, "eta_im": value.imag, "eta_abs": abs(value)}
     if args.check != "none":
         if args.check == "shift":
-            predicted = modular.eta_transform(tau, modular.EtaTransform.SHIFT, policy)
-            direct = modular.eta(tau + 1.0, policy)
+            predicted = modular.eta_transform(tau, modular.EtaTransform.SHIFT)
+            direct = modular.eta(tau + 1.0)
         else:
-            predicted = modular.eta_transform(tau, modular.EtaTransform.INVERSION, policy)
-            direct = modular.eta(-1.0 / tau, policy)
+            predicted = modular.eta_transform(tau, modular.EtaTransform.INVERSION)
+            direct = modular.eta(-1.0 / tau)
         row["check"] = args.check
         row["check_residual"] = abs(direct - predicted) / abs(direct)
     return {"command": "eta", "params": {"tau": args.tau, "check": args.check},
@@ -365,7 +355,6 @@ def _cmd_mellin(args) -> dict:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    variable: str
     start: float
     stop: float
     points: int
@@ -447,10 +436,8 @@ def _sweep_evaluator(quantity: str, model: str, args, constants):
         return lambda nu: radiation.fluctuation_spectrum(nu, cavity, constants,
                                                          nmodel)
     if quantity == "partition":
-        convention = _CONVENTIONS[args.convention]
-        policy = _policy_from(args)
         if model == "rademacher":
-            return lambda n: modular.rademacher_p(int(n), convention, policy).value
+            return lambda n: modular.rademacher_p(int(n)).value
         return lambda n: arith.partition_count_oracle(int(n))
     raise DomainError(f"unknown sweep quantity {quantity!r}")
 
@@ -477,7 +464,7 @@ def _cmd_sweep(args) -> dict:
             raise DomainError("need start < stop")
         grid_values: list = list(range(start, stop + 1))
     else:
-        grid = SweepGrid(var, args.start, args.stop, args.points, args.scale)
+        grid = SweepGrid(args.start, args.stop, args.points, args.scale)
         grid_values = grid.values()
 
     evaluators = {m: _sweep_evaluator(quantity, m, args, constants)
@@ -523,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table")
     common.add_argument("--constants", default=None, metavar="FILE",
                         help="key = value file overriding h, k, c")
-    common.add_argument("--rel-tol", type=float, default=1e-12)
-    common.add_argument("--max-terms", type=int, default=5_000_000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", parents=[common],
@@ -532,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("rademacher", "oracle", "leading",
                                         "asymptotic"), default="rademacher")
-    p.add_argument("--convention", choices=tuple(_CONVENTIONS), default="classical")
     p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(handler=_cmd_partition)
 
@@ -610,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of the quantity's models")
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--volume", type=float, default=1.0)
-    p.add_argument("--convention", choices=tuple(_CONVENTIONS),
-                   default="classical")
     p.set_defaults(handler=_cmd_sweep)
     return parser
 

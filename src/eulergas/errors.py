@@ -2,8 +2,8 @@
 
 Three failure classes cover every contract in the library: bad inputs
 (DomainError), series/quadrature precision exhaustion (PrecisionError), and
-non-stabilizing sums (ConvergenceError).  Computation errors carry their
-diagnostic fields so front ends can serialize them.  require_positive is the
+sums that fail their certificate (ConvergenceError).  Computation errors
+carry their diagnostic fields so front ends can serialize them.  require_positive is the
 one check of a physical input: finite and > 0.
 """
 
@@ -35,16 +35,15 @@ class PrecisionError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated sum failed to stabilize near an acceptable value."""
+    """A truncated sum is not certified: its residual plus its error bound
+    does not leave it within 1/2 of an integer."""
 
     def __init__(self, message: str, terms_used: int = 0,
-                 residual: float = float("nan"), convention: str = ""):
+                 residual: float = float("nan")):
         super().__init__(message)
         self.terms_used = terms_used
         self.residual = residual
-        self.convention = convention
 
     def fields(self) -> dict:
         return {"type": "ConvergenceError", "message": str(self),
-                "terms_used": self.terms_used, "residual": self.residual,
-                "convention": self.convention}
+                "terms_used": self.terms_used, "residual": self.residual}

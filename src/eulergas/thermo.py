@@ -57,6 +57,9 @@ TAIL_EPS = 2.0 ** -56    # Lambert sums stop once the d^2 tail is below this
 # Tail bounds are rounded up by this factor, which covers the relative error
 # of evaluating them in floating point (below 1e-14 for every x)
 _BOUND_ROUNDING = 1.0 + 1e-12
+# and raised to at least the smallest positive double, since a bound that
+# underflows to 0 does not bound the positive remainder it stands for
+_BOUND_FLOOR = math.ulp(0.0)
 
 
 def _require_x(x: float) -> float:
@@ -196,7 +199,7 @@ def _mode_sums(x: float) -> _ModeSums:
     if x >= DUAL_SWITCH:
         ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
         return _ModeSums(-ln_z, n_occ, e, fluct, terms,
-                         _BOUND_ROUNDING * max(t_z, t_e, t_fl))
+                         max(_BOUND_ROUNDING * max(t_z, t_e, t_fl), _BOUND_FLOOR))
     n_occ, k, t_n = _wigert(x)
     if n_occ == math.inf:
         raise OverflowError(f"per-mode values at x={x:g} overflow a double")
@@ -206,7 +209,8 @@ def _mode_sums(x: float) -> _ModeSums:
     e = pi2_6x - 0.5 + x / 24.0 - e_y
     fluct = 2.0 * pi2_6x - 0.5 - 2.0 * e_y + fl_y
     return _ModeSums(f, n_occ, e, fluct, terms + k,
-                     _BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n))
+                     max(_BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n),
+                         _BOUND_FLOOR))
 
 
 def thermo_per_mode(x: float) -> ThermoPerMode:

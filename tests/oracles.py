@@ -1,15 +1,25 @@
-"""Independent routes for the per-mode quantities, used only by the tests.
+"""Independent routes, used only by the tests.
 
 The production routes in ``eulergas.thermo`` are Lambert sums, the
 dual-scale law and Wigert's expansion.  These sum over the levels
 n = 1, 2, ... instead: in doubles with numpy, or at high precision with
 mpmath.  sigma_table sieves the divisor sums that literal series need.
+
+The production exact p(n) takes A_q(n) from Selberg's formula.  Here
+A_q(n) comes from the exact Dedekind-sum phases in either convention, and
+the series is summed at a fixed precision; with the paper-literal phases
+it is the negative control that selects the classical convention.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from eulergas.arith import (DedekindConvention, dedekind_sum,
+                            selberg_residues)
+from eulergas.modular import _remainder_bound, rademacher_p
 
 
 def sigma_table(n_max):
@@ -127,3 +137,71 @@ def level_sums_mp(x, head=60, order=60):
                                     integral=integrals[key]))
     e = x * sums["e"]
     return -sums["ln_z"], sums["n"], e, e + sums["ln_z"], sums["fl"]
+
+
+def kloosterman_phases(q, n, convention):
+    """Exact phases t (mod 2) such that A_q(n) = sum exp(i*pi*t).
+
+    One entry per residue p mod q with gcd(p, q) = 1; for q = 1 the single
+    residue is taken as p = 0 with unit weight, so A_1(n) = 1 and the q = 1
+    term of the exact series reproduces the dominant closed form.
+    """
+    if q == 1:
+        return (Fraction(0),)
+    return tuple((dedekind_sum(p, q, convention).value
+                  - Fraction(2 * (n % q) * p, q)) % 2
+                 for p in range(1, q) if math.gcd(p, q) == 1)
+
+
+def kloosterman_A(q, n, convention):
+    """A_q(n) = sum over coprime residues of exp(i*pi*s(p,q) - 2*i*pi*n*p/q),
+    in doubles; in the classical convention the imaginary part vanishes to
+    rounding."""
+    re = im = 0.0
+    for t in kloosterman_phases(q, n, convention):
+        ft = float(t)
+        re += math.cos(math.pi * ft)
+        im += math.sin(math.pi * ft)
+    return complex(re, im)
+
+
+def selberg_A(q, n):
+    """A_q(n) in the classical convention by Selberg's formula, in doubles:
+    sqrt(q/3) * sum (-1)^l cos((6l + 1) pi / (6q)) over selberg_residues."""
+    return math.sqrt(q / 3.0) * sum(
+        (-1) ** l * math.cos(math.pi * (6 * l + 1) / (6 * q))
+        for l in selberg_residues(q, n))
+
+
+def rademacher_partial_sum(n, terms, convention, bits=200):
+    """The first `terms` terms of the exact series for p(n), n >= 1, at
+    `bits` bits, with A_q(n) from the exact Dedekind-sum phases: an mpc,
+    real in the classical convention."""
+    with mpmath.workprec(bits):
+        lam = mpmath.sqrt(mpmath.mpf(24 * n - 1) / 24)
+        total = mpmath.mpc(0)
+        for q in range(1, terms + 1):
+            kq = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3) / q
+            deriv = (kq * mpmath.cosh(kq * lam)
+                     - mpmath.sinh(kq * lam) / lam) / (2 * lam * lam)
+            a_q = mpmath.fsum(
+                mpmath.expjpi(mpmath.mpf(t.numerator) / t.denominator)
+                for t in kloosterman_phases(q, n, convention))
+            total += mpmath.sqrt(q) * a_q * deriv / (mpmath.pi * mpmath.sqrt(2))
+        return total
+
+
+def rademacher_paper_literal(n):
+    """p(n) as the paper-literal convention reads it, under the production
+    certificate: the series at 200 bits with the production's number of
+    terms N, and the integer m nearest its real part, returned only when
+    |sum - m| plus Rademacher's remainder bound after N terms is below 1/2;
+    None otherwise.  p(0) = p(1) = 1."""
+    if n <= 1:
+        return 1
+    terms = rademacher_p(n).terms_used
+    total = rademacher_partial_sum(n, terms, DedekindConvention.PAPER_LITERAL)
+    m = mpmath.nint(total.real)
+    if abs(total - m) + _remainder_bound(n, terms) < 0.5:
+        return int(m)
+    return None

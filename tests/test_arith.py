@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergas.arith import (_BERNOULLI_2K, ZETA3, DedekindConvention,
-                            PrecisionPolicy, dedekind_sum, divisor_sigma,
-                            divisors, euler_gamma,
-                            farey_sequence, ford_circle, ford_tangency,
-                            gamma_fn, kloosterman_A, kloosterman_phases,
-                            partition_count_oracle, reduced_fraction,
-                            riemann_zeta)
+                            dedekind_sum, divisor_sigma, divisors,
+                            euler_gamma, farey_sequence, ford_circle,
+                            ford_tangency, gamma_fn, partition_count_oracle,
+                            reduced_fraction, riemann_zeta)
 from eulergas.errors import DomainError
-from oracles import sigma_table
+from oracles import kloosterman_A, kloosterman_phases, sigma_table
 
 CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH
 PAPER = DedekindConvention.PAPER_LITERAL
@@ -417,15 +415,6 @@ def test_bernoulli_table_is_exact():
 
 def test_euler_gamma_value():
     assert abs(euler_gamma() - 0.5772156649015329) < 1e-13
-
-
-def test_precision_policy_validation():
-    with pytest.raises(DomainError):
-        PrecisionPolicy(rel_tol=2.0)
-    with pytest.raises(DomainError):
-        PrecisionPolicy(work_bits=32)
-    with pytest.raises(DomainError):
-        PrecisionPolicy(max_terms=0)
 
 
 def test_zeta_refuses_non_finite_s():

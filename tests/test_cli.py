@@ -256,13 +256,30 @@ def test_unreduced_fraction_is_usage_error(capsys):
 
 
 def test_computation_error_serialized(capsys):
-    code, _, err = run_cli(capsys, "partition", "--n", "100",
-                           "--max-terms", "10")
+    code, _, err = run_cli(capsys, "eta", "--tau", "0,1e-6")
     assert code == 1
     payload = json.loads(err)
     assert payload["error"]["type"] == "PrecisionError"
-    assert payload["error"]["terms_attempted"] == 41
-    assert "budget is 10" in payload["error"]["message"]
+    assert payload["error"]["terms_attempted"] == 6303914
+    assert "budget is 5000000" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("thermo", "--x", "1", "--rel-tol", "2"),
+    ("farey", "--order", "2", "--rel-tol", "2"),
+    ("eta", "--tau", "0.1,0.9", "--rel-tol", "1e-6"),
+    ("partition", "--n", "100", "--max-terms", "10"),
+    ("partition", "--n", "100", "--convention", "classical"),
+    ("sweep", "--quantity", "partition", "--start", "1", "--stop", "5",
+     "--convention", "paper"),
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    # the precision targets are fixed and p(n) has one convention, so
+    # --rel-tol, --max-terms and partition's --convention are unknown flags
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_partition_row_carries_its_certificate(capsys):
@@ -424,14 +441,12 @@ def test_json_value_round_trips_a_5000_digit_int():
 
 # Caps that keep each example within milliseconds: partition --n <= 2000
 # (the Rademacher series and the recurrence table stay small), farey
-# --order <= 60, partition sweeps of at most 30 values, sweeps of at most
-# 12 points, and --max-terms <= 100000 (the eta product near |y| = 1 is a
-# Python loop of up to that many terms).
+# --order <= 60, partition sweeps of at most 30 values and sweeps of at
+# most 12 points.
 _MAX_N = 2000
 _MAX_ORDER = 60
 _MAX_SPAN = 30
 _MAX_POINTS = 12
-_MAX_TERMS = 100_000
 
 _COMMANDS = next(a.choices for a in build_parser()._actions
                  if a.dest == "command")
@@ -466,8 +481,7 @@ def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     if command == "partition":
         argv = [integer("n", -3, _MAX_N),
-                choice("method", ("rademacher", "oracle", "leading", "asymptotic")),
-                choice("convention", ("classical", "paper"))]
+                choice("method", ("rademacher", "oracle", "leading", "asymptotic"))]
         if draw(st.booleans()):
             argv.append("--oracle-check")
     elif command == "farey":
@@ -509,12 +523,6 @@ def _cli_argv(draw):
             argv += [num("start"), num("stop"), integer("points", -1, _MAX_POINTS),
                      choice("scale", ("linear", "log")), num("temperature"),
                      num("volume")]
-    if draw(st.booleans()):
-        argv.append(num("rel-tol"))
-    if draw(st.booleans()):
-        argv.append(integer("max-terms", -1, _MAX_TERMS))
-    else:
-        argv.append(f"--max-terms={_MAX_TERMS}")
     constants = draw(st.sampled_from(_CONSTANTS))
     if constants is not None:
         argv.append(f"--constants={constants}")
@@ -622,7 +630,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
 
 forget()
 import eulergas
-assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 69
+assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 66
 for name in eulergas.__all__:
     value = getattr(eulergas, name)
     home = sys.modules[value.__module__]

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulergas.arith import DedekindConvention, partition_count_oracle
+from eulergas.arith import partition_count_oracle
 from eulergas.errors import DomainError, PrecisionError
 from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
                               leading_term_p, partition_generating,
                               rademacher_p)
-
-CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH
-PAPER = DedekindConvention.PAPER_LITERAL
+from oracles import rademacher_paper_literal
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +275,7 @@ def test_rademacher_paper_convention_fails_integer_test():
     misses = 0
     for n in range(1, 31):
         try:
-            if rademacher_p(n, convention=PAPER).value != partition_count_oracle(n):
+            if rademacher_paper_literal(n) != partition_count_oracle(n):
                 misses += 1
         except Exception:
             misses += 1

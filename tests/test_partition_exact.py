@@ -3,20 +3,26 @@
 The pentagonal-recurrence oracle checks every n up to 3000; Selberg's
 A_q(n) is checked against the Dedekind-phase sums; Rademacher's remainder
 bound against 200-bit partial sums; and p(n) beyond the oracle's reach
-against the recurrence mod 2^64 and Ramanujan's congruences.
+against the recurrence mod 2^64 and Ramanujan's congruences.  Past the
+term budget the series is refused at once, and a sum that misses its
+certificate raises ConvergenceError.
 """
 
+import io
+import json
 import math
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from eulergas.arith import (DedekindConvention, kloosterman_A,
-                            kloosterman_phases, partition_count_oracle,
-                            selberg_A)
+from eulergas import cli, modular
+from eulergas.arith import DedekindConvention, partition_count_oracle
+from eulergas.errors import ConvergenceError, PrecisionError
 from eulergas.modular import _remainder_bound, rademacher_p
+from oracles import kloosterman_A, rademacher_partial_sum, selberg_A
 
 CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH
 
@@ -65,22 +71,6 @@ def test_selberg_matches_dedekind_phase_sums():
             assert abs(selberg_A(q, n) - want.real) < 1e-12
 
 
-def partial_sum_200_bits(n, terms):
-    """First `terms` terms of the series at 200 bits, with A_q(n) from the
-    exact Dedekind-sum phases."""
-    with mp.workprec(200):
-        lam = mp.sqrt(mp.mpf(24 * n - 1) / 24)
-        total = mp.mpf(0)
-        for q in range(1, terms + 1):
-            kq = mp.pi * mp.sqrt(mp.mpf(2) / 3) / q
-            deriv = (kq * mp.cosh(kq * lam) - mp.sinh(kq * lam) / lam) \
-                / (2 * lam * lam)
-            a_q = mp.fsum(mp.cospi(mp.mpf(t.numerator) / t.denominator)
-                          for t in kloosterman_phases(q, n, CLASSICAL))
-            total += mp.sqrt(q) * a_q * deriv / (mp.pi * mp.sqrt(2))
-        return total
-
-
 @pytest.mark.parametrize("n,terms", [(2, 1), (2, 6), (30, 4), (100, 10),
                                      (100, 41), (1000, 15), (1000, 47),
                                      (2000, 30)])
@@ -88,7 +78,8 @@ def test_remainder_bound_dominates_the_tail(n, terms):
     bound = _remainder_bound(n, terms)
     assert math.isfinite(bound)
     with mp.workprec(200):
-        tail = abs(partition_count_oracle(n) - partial_sum_200_bits(n, terms))
+        tail = abs(partition_count_oracle(n)
+                   - rademacher_partial_sum(n, terms, CLASSICAL))
     assert tail < bound
 
 
@@ -108,3 +99,74 @@ def test_ramanujan_congruence_far_beyond_the_oracle():
         assert time.monotonic() - start < 5.0
         assert res.residual + res.error_bound < 0.5
         assert res.value % 5 == 0
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_json_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("n", [2, 100, 10 ** 6, 10 ** 14])
+def test_remainder_bound_falls_with_the_term_count(n):
+    # the premise of refusing up front: sqrt(N) sinh(K sqrt(n)/N) falls
+    # strictly as N grows (where it overflows the bound reads inf)
+    counts = [1, 2, 3, 5, 10, 31, 100, 10 ** 3, 10 ** 4, 10 ** 5,
+              10 ** 6, 5 * 10 ** 6, 10 ** 7]
+    bounds = [_remainder_bound(n, c) for c in counts]
+    assert math.isfinite(bounds[-1])
+    assert all(a > b for a, b in zip(bounds, bounds[1:]) if a < math.inf), bounds
+
+
+def test_series_past_the_term_budget_is_refused_at_once():
+    # the bound at the 5e6-term budget decides, so there is no search
+    last = 466_735_713_430_801  # the largest n whose bound there is < 1/5
+    assert _remainder_bound(last, modular._MAX_TERMS) < modular._REM_TARGET
+    # 10^400 is past the range of a double, where the bound reads inf
+    for n in (last + 1, 10 ** 16, 10 ** 30, 10 ** 400):
+        start = time.monotonic()
+        with pytest.raises(PrecisionError, match="budget is 5000000") as info:
+            rademacher_p(n)
+        assert time.monotonic() - start < 1.0
+        assert info.value.terms_attempted == modular._MAX_TERMS + 1
+
+
+def test_cli_refuses_past_the_term_budget_at_once():
+    start = time.monotonic()
+    code, out, err = _run_cli(["partition", "--n", str(10 ** 30)])
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    error = _one_json_error(err)
+    assert error["type"] == "PrecisionError"
+    assert error["terms_attempted"] == modular._MAX_TERMS + 1
+    assert "needs more than 5000000 terms" in error["message"]
+
+
+def test_uncertified_sum_raises_convergence_error(monkeypatch):
+    # With the target at 0.6 and every remainder bound 0.55, the search
+    # stops at its first N, ceil((_REM_A/0.6)^2) = 4, and residual +
+    # error_bound cannot fall below 1/2
+    monkeypatch.setattr(modular, "_REM_TARGET", 0.6)
+    monkeypatch.setattr(modular, "_remainder_bound", lambda n, terms: 0.55)
+    with pytest.raises(ConvergenceError, match="not certified") as info:
+        rademacher_p(100)
+    exc = info.value
+    assert exc.terms_used == 4
+    with mp.workprec(200):
+        partial = rademacher_partial_sum(100, 4, CLASSICAL).real
+        want = float(abs(partial - mp.nint(partial)))
+    assert 0.0 <= exc.residual <= 0.5
+    assert abs(exc.residual - want) < 1e-9
+
+    code, out, err = _run_cli(["partition", "--n", "100"])
+    assert code == 1 and out == ""
+    assert _one_json_error(err) == {
+        "type": "ConvergenceError", "message": str(exc), "terms_used": 4,
+        "residual": exc.residual}

@@ -298,7 +298,8 @@ def test_finite_where_the_lambert_argument_squared_overflows(x):
         assert per_mode_energy_fluctuation(x) == pytest.approx(
             math.pi ** 2 / (3.0 * x), rel=1e-15)
     else:
-        assert fields == (0.0,) * 6
+        assert fields[:5] == (0.0,) * 5
+        assert tm.tail_bound == math.ulp(0.0)
 
 
 def test_domain_errors():
@@ -392,6 +393,30 @@ def test_tail_bound_covers_dropped_terms():
         assert all(tm.tail_bound >= t > 0 for t in dropped)
         remainder = abs(occupation_mp(x) - wigert_partial_mp(x, k_terms))
         assert tm.tail_bound >= remainder > 0
+
+
+@pytest.mark.parametrize("x", [1000.0, 1e200, 1e-200])
+def test_tail_bound_is_positive_where_the_dropped_terms_underflow(x):
+    # every dropped term is positive but below the smallest positive
+    # double, so the bound is that double, not 0
+    tm = thermo_per_mode(x)
+    assert tm.tail_bound == math.ulp(0.0)
+    y = x if x >= DUAL_SWITCH else 4.0 * math.pi ** 2 / x
+    d = _lambert(y)[4]
+    with mpmath.workdps(40):
+        ln_z, n, e, fl = _mp_lambert(y, d + 1, d + 50)
+        y = mpmath.mpf(y)
+        if x >= DUAL_SWITCH:
+            dropped = [ln_z, n, y * e, y * y * fl]
+        else:
+            # Wigert's remainder after the k terms summed, by its contour
+            # bound zeta(3)^2 (k+1) (2k)! (x/4pi^2)^{2k}/(2pi)
+            k = tm.terms_used - d
+            wigert = (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
+                      * (mpmath.mpf(x) / (4 * mpmath.pi ** 2)) ** (2 * k)
+                      / (2 * mpmath.pi))
+            dropped = [ln_z, y * e, 2 * y * e + y * y * fl, wigert]
+        assert all(0 < t < tm.tail_bound for t in dropped), dropped
 
 
 def test_values_match_high_precision_lambert_sums():
