@@ -2,9 +2,9 @@
 
 Divisor power sums, a partition-count table built by Euler's pentagonal
 number recurrence, Farey sequences, Ford circles with their tangency
-geometry, Dedekind sums in two conventions, the residues that index
-Selberg's formula for the root-of-unity sums A_q(n) of the exact partition
-series, and float-valued zeta / gamma / Euler-constant evaluators.
+geometry, Dedekind sums in two conventions, the root-of-unity sums A_q(n)
+of the exact partition series factored over the prime powers of q, and
+float-valued zeta / gamma / Euler-constant evaluators.
 
 All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
 appear solely in the special functions, which are the double-precision ones
@@ -28,7 +28,7 @@ __all__ = [
     "farey_sequence", "reduced_fraction",
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
     "DedekindConvention", "DedekindValue", "dedekind_sum",
-    "selberg_residues",
+    "FactoredA", "factored_a",
     "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
 
@@ -71,8 +71,11 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
 # Partition counts (ground-truth oracle)
 # ---------------------------------------------------------------------------
 
+# The largest n the oracle takes: its table then holds about 13 MB of ints
+# and the cold fill takes seconds
+_ORACLE_MAX_N = 100_000
 # p(0), p(1), ...: the recurrence's working table, kept between calls and
-# grown in place to the largest n asked (about 13 MB of ints at n = 10^5)
+# grown in place to the largest n asked, at most _ORACLE_MAX_N
 _partition_cache: list[int] = [1]
 
 
@@ -84,30 +87,33 @@ def partition_count_oracle(n: int) -> int:
     O(sqrt(m)) exact big-integer additions per entry, independent of the
     Rademacher series.  The table is the recurrence's working memory: it is
     kept and grows to the largest n asked, so sweeps over a range of n pay
-    the cost once.
+    the cost once.  n above 10^5 is refused with DomainError.
     """
     if n < 0:
         raise DomainError(f"partition count needs n >= 0, got {n}")
+    if n > _ORACLE_MAX_N:
+        raise DomainError(f"the partition oracle takes n <= {_ORACLE_MAX_N}, "
+                          f"got {n}")
     table = _partition_cache
     if n < len(table):
         return table[n]
-    # generalized pentagonal numbers 1, 2, 5, 7, 12, 15, ... up to n; their
-    # signs run +, +, -, -, +, +, ...
-    pent = []
+    # generalized pentagonal numbers up to n by the sign of their term:
+    # 1, 2, 12, 15, ... (k odd) are added and 5, 7, 22, 26, ... subtracted
+    plus: list[int] = []
+    minus: list[int] = []
     k = 1
     while k * (3 * k - 1) // 2 <= n:
-        pent += [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
+        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2,
+                                           k * (3 * k + 1) // 2))
         k += 1
+    jp = jm = 0  # how many of plus and minus are <= m
     for m in range(len(table), n + 1):
-        acc = 0
-        for i, g in enumerate(pent):
-            if g > m:
-                break
-            if i & 2:
-                acc -= table[m - g]
-            else:
-                acc += table[m - g]
-        table.append(acc)
+        while jp < len(plus) and plus[jp] <= m:
+            jp += 1
+        while jm < len(minus) and minus[jm] <= m:
+            jm += 1
+        table.append(sum([table[m - g] for g in plus[:jp]])
+                     - sum([table[m - g] for g in minus[:jm]]))
     return table[n]
 
 
@@ -202,7 +208,7 @@ def ford_tangency(left: Fraction, mid: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Dedekind sums and the residues of Selberg's formula
+# Dedekind sums and the factored sums A_q(n)
 # ---------------------------------------------------------------------------
 
 class DedekindConvention(Enum):
@@ -243,18 +249,137 @@ def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValu
     return DedekindValue(value, convention)
 
 
-def selberg_residues(q: int, n: int) -> list[int]:
-    """The residues l mod 2q with (3l^2 + l)/2 = -n (mod q), ascending.
+class FactoredA(NamedTuple):
+    """A_q(n) = sign * sqrt(num/den) * prod cos(pi*r/s) over the pairs
+    (r, s) of `cospi`, each with 0 <= r <= s; sign is 0 when A_q(n) = 0."""
 
-    They index Selberg's formula for the classical sums,
+    sign: int
+    num: int
+    den: int
+    cospi: tuple[tuple[int, int], ...]
 
-        A_q(n) = sqrt(q/3) * sum_l (-1)^l cos((6l + 1) pi / (6q)),
+    def __float__(self) -> float:
+        """A_q(n) in doubles."""
+        a = self.sign * math.sqrt(self.num / self.den)
+        for r, s in self.cospi:
+            a *= math.cos(math.pi * r / s)
+        return a
 
-    which is real, costs O(q) and needs no Dedekind sums.
+
+def _sqrt_mod(a: int, p: int, mod: int) -> int | None:
+    """A square root of a modulo mod = p^j, p an odd prime not dividing a,
+    or None when there is none: Tonelli-Shanks mod p, then Hensel lifting
+    one power of p at a time."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^s
+    odd = (p - 1) >> s
+    t, r = pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    if t != 1:
+        z = 2  # the least non-residue
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c = pow(z, odd, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == s:
+            return None  # t of order 2^s: a is no square mod p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    if mod > p:
+        # a Newton step with 1/(2r) fixed mod p gains one power of p
+        inv = pow(2 * r, -1, mod)
+        pk = p
+        while pk < mod:
+            pk *= p
+            r = (r - (r * r - a) * inv) % mod
+    return r
+
+
+def _sqrt_mod_2(a: int, mod: int) -> int:
+    """A square root of a = 1 (mod 8) modulo mod = 2^j, j >= 3, lifted bit
+    by bit: if x^2 = a (mod 2^i), x or x + 2^(i-1) is a root mod 2^(i+1)."""
+    x, m = 1, 8
+    while m < mod:
+        if (x * x - a) % (2 * m):
+            x += m // 2
+        m *= 2
+    return x
+
+
+def _cospi_arg(r: int, s: int) -> tuple[int, int]:
+    """(r', s) with 0 <= r' <= s and cos(pi*r'/s) = cos(pi*r/s)."""
+    r %= 2 * s
+    return min(r, 2 * s - r), s
+
+
+def factored_a(q: int, n: int) -> FactoredA:
+    """A_q(n), the root-of-unity sum of the exact partition series in the
+    classical convention, as a product over the prime powers k = p^lam of q.
+
+    Whiteman (1956; Johansson, arXiv:1205.5991, section 2) splits
+    A_q(n) = A_{k1}(n1) A_{k2}(n2) for coprime q = k1*k2, with n1 and n2
+    from congruences in three cases: k1 = 2, k1 = 4, and the rest, with
+    d1 = gcd(24, k1), d2 = gcd(24, k2) and 24 = d1*d2*e.  Written for
+    D = 1 - 24n and D_i = 1 - 24n_i, the three cases say the same thing,
+    D_i = D (q/k_i)^-2 modulo 8k_i (p = 2), 3k_i (p = 3) or k_i (p > 3), and
+    so does each further split of k2.  So each prime power takes one square
+    root x of D modulo 8k, 3k or k, with k2 = q/k:
+
+        k = 2:  (-1)^(n - (k2^2 - 1)/8)
+        p = 2:  (-1)^lam (-1|m) sqrt(k) sin(pi m/(2k)),         m = x/(3k2) mod 8k
+        p = 3:  2 (-1)^(lam+1) (m|3) sqrt(k/3) sin(4 pi m/(3k)), m = x/(8k2) mod 3k
+        p > 3:  2 (3|k) sqrt(k) cos(4 pi m/k),                  m = x/(24k2) mod k,
+                (3|k) sqrt(k) if p divides D and lam = 1,
+                and 0 if D is no square mod k or p divides D and lam > 1.
+
+    The primes come from trial division.  That is O(log q) modular work and
+    omega(q) cosines, none for A_1 = 1 and A_2 = +-1.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    return [l for l in range(2 * q) if (l * (3 * l + 1) // 2 + n) % q == 0]
+    d = 1 - 24 * n
+    sign, num, den, cospi = 1, 1, 1, []
+    rest, p = q, 2
+    while rest > 1:
+        while rest % p:
+            p = rest if p * p > rest else p + 1 + (p > 2)
+        k, lam = p, 1
+        rest //= p
+        while rest % p == 0:
+            k, lam, rest = k * p, lam + 1, rest // p
+        k2 = q // k
+        if k == 2:
+            sign *= 1 - 2 * ((n - (k2 * k2 - 1) // 8) % 2)
+            continue
+        if p == 2:
+            m = _sqrt_mod_2(d, 8 * k) * pow(3 * k2, -1, 8 * k) % (8 * k)
+            sign *= (-1) ** lam * (1 if m % 4 == 1 else -1)
+            arg = _cospi_arg(k - m, 2 * k)
+        elif p == 3:
+            m = _sqrt_mod(d, 3, 3 * k) * pow(8 * k2, -1, 3 * k) % (3 * k)
+            sign *= 2 * (-1) ** (lam + 1) * (1 if m % 3 == 1 else -1)
+            den = 3
+            arg = _cospi_arg(3 * k - 8 * m, 6 * k)
+        else:
+            # (3|p) = 1 exactly for p = +-1 (mod 12), by quadratic reciprocity
+            jacobi_3 = (1 if p % 12 in (1, 11) else -1) ** lam
+            if d % p == 0:
+                if lam > 1:
+                    return FactoredA(0, 0, 1, ())
+                sign *= jacobi_3
+                num *= k
+                continue
+            x = _sqrt_mod(d, p, k)
+            if x is None:
+                return FactoredA(0, 0, 1, ())
+            m = x * pow(24 * k2, -1, k) % k
+            sign *= 2 * jacobi_3
+            arg = _cospi_arg(4 * m, k)
+        num *= k
+        cospi.append(arg)
+    return FactoredA(sign, num, den, tuple(cospi))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,10 @@ def _frac_str(f: Fraction) -> str:
 def _cmd_partition(args) -> dict:
     from . import modular
     row: dict = {"n": args.n, "method": args.method}
+    # the oracle first, so that an n past its cap is refused before the
+    # series is summed; a negative n is left to the method's own check
+    oracle = (arith.partition_count_oracle(args.n)
+              if args.oracle_check and args.n >= 0 else None)
     if args.method == "rademacher":
         res = modular.rademacher_p(args.n)
         row.update(value=res.value, terms_used=res.terms_used,
@@ -169,7 +173,6 @@ def _cmd_partition(args) -> dict:
     else:  # asymptotic
         row["value"] = modular.asymptotic_p(args.n)
     if args.oracle_check:
-        oracle = arith.partition_count_oracle(args.n)
         row["oracle"] = oracle
         exact = row["value"] if isinstance(row["value"], int) else round(row["value"])
         row["match"] = exact == oracle
@@ -353,6 +356,16 @@ def _cmd_mellin(args) -> dict:
 # Sweep
 # ---------------------------------------------------------------------------
 
+# The most grid points a sweep takes, partition grids included
+_MAX_SWEEP_POINTS = 100_000
+
+
+def _require_sweep_points(points: int) -> None:
+    if points > _MAX_SWEEP_POINTS:
+        raise DomainError(f"a sweep takes at most {_MAX_SWEEP_POINTS} "
+                          f"points, got {points}")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     start: float
@@ -368,6 +381,7 @@ class SweepGrid:
             raise DomainError(f"need start < stop, got {self.start} >= {self.stop}")
         if self.points < 2:
             raise DomainError(f"need points >= 2, got {self.points}")
+        _require_sweep_points(self.points)
         if self.scale == "log" and self.start <= 0.0:
             raise DomainError("log scale needs start > 0")
 
@@ -462,6 +476,7 @@ def _cmd_sweep(args) -> dict:
         start, stop = int(args.start), int(args.stop)
         if start >= stop:
             raise DomainError("need start < stop")
+        _require_sweep_points(stop - start + 1)
         grid_values: list = list(range(start, stop + 1))
     else:
         grid = SweepGrid(args.start, args.stop, args.points, args.scale)

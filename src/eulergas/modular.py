@@ -21,7 +21,7 @@ from enum import Enum
 
 import mpmath as mp
 
-from .arith import selberg_residues
+from .arith import FactoredA, factored_a
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 __all__ = [
@@ -275,29 +275,26 @@ def _remainder_bound(n: int, terms: int) -> float:
         return math.inf
 
 
-def _term_double(q: int, lam: float, residues: list[int]) -> float:
+def _term_double(q: int, lam: float, a: FactoredA) -> float:
     """Term q of the series in doubles."""
     kq = _K / q
     e = math.exp(kq * lam)
     # K_q cosh(u) - sinh(u)/lam with cosh and sinh from one exponential
     deriv = ((kq - 1.0 / lam) * e + (kq + 1.0 / lam) / e) / (4.0 * lam * lam)
-    scale = math.sqrt(q) * deriv / (math.pi * math.sqrt(2.0))
-    # Selberg's formula over the residues already found
-    a = math.sqrt(q / 3.0) * sum(
-        (-1) ** l * math.cos(math.pi * (6 * l + 1) / (6 * q)) for l in residues)
-    return scale * a
+    return math.sqrt(q) * deriv / (math.pi * math.sqrt(2.0)) * float(a)
 
 
-def _term_mp(q: int, lam, k, residues: list[int]):
+def _term_mp(q: int, lam, k, a: FactoredA):
     """Term q of the series as an mpf at the current precision, from lam
     and K = pi*sqrt(2/3) given at least as precise."""
     kq = k / q
     e = mp.exp(kq * lam)
     deriv = ((kq - 1 / lam) * e + (kq + 1 / lam) / e) / (4 * lam * lam)
-    scale = mp.sqrt(q) * deriv / (mp.pi * mp.sqrt(2))
-    a = mp.sqrt(mp.mpf(q) / 3) * mp.fsum(
-        (-1) ** l * mp.cospi(mp.mpf(6 * l + 1) / (6 * q)) for l in residues)
-    return scale * a
+    # sqrt(q)/(pi*sqrt(2)) * A_q(n), with sqrt(q) and sqrt(num/den) in one
+    term = a.sign * mp.sqrt(mp.mpf(q * a.num) / (2 * a.den)) / mp.pi * deriv
+    for r, s in a.cospi:
+        term *= mp.cospi(mp.mpf(r) / s)
+    return term
 
 
 def rademacher_p(n: int) -> RademacherResult:
@@ -311,8 +308,9 @@ def rademacher_p(n: int) -> RademacherResult:
         (1/(2*lam^2)) * (K_q*cosh(K_q*lam) - sinh(K_q*lam)/lam).
 
     A_q(n), the root-of-unity sum of the classical Dedekind sums, comes
-    from Selberg's formula over arith.selberg_residues: real, O(q), and
-    with no Dedekind sums.
+    from arith.factored_a, a product over the prime powers of q of a sign,
+    a square root and at most one cosine each: O(log q) modular work and
+    no Dedekind sums.
 
     N is fixed before any term is summed: the smallest N whose Rademacher
     remainder bound is below 1/5.  Term q, of size about exp(K_1*lam/q),
@@ -349,23 +347,25 @@ def rademacher_p(n: int) -> RademacherResult:
     # Per term: log2 of a bound on its size, and of the number of units of
     # 2^-bits by which its evaluation can be off.  The argument u = K_q*lam
     # carries a relative error of a few units, which cosh and sinh magnify
-    # by u; the rest is a few dozen roundings plus one per residue.
-    # Doubles count as 52 bits, to cover libm's last-bit errors.
+    # by u; the rest is a few dozen roundings plus a few units per cosine,
+    # each of an argument in [0, pi].  |A_q(n)| is at most
+    # |sign|*sqrt(num/den), as every cosine is at most 1 in size.  Doubles
+    # count as 52 bits, to cover libm's last-bit errors.
     plan = []
     for q in range(1, n_terms + 1):
-        residues = selberg_residues(q, n)
-        if not residues:
+        a = factored_a(q, n)
+        if not a.sign:
             continue  # A_q(n) = 0 exactly
-        a_bound = math.sqrt(q / 3.0) * len(residues)
+        a_bound = abs(a.sign) * math.sqrt(a.num / a.den)
         kq = _K / q
         u = kq * lam
         log2_size = (u + math.log(math.sqrt(q) * a_bound * (kq + 1.0 / lam)
                                   / (2.0 * lam * lam * math.pi * math.sqrt(2.0)))
                      ) / math.log(2.0)
-        log2_units = math.log2(16.0 * (u + a_bound + 4.0))
+        log2_units = math.log2(16.0 * (u + len(a.cospi) + 4.0))
         need = math.ceil(log2_size + log2_units) + guard
         bits = 0 if need <= 52 else max(need, _WORK_BITS)
-        plan.append((q, residues, bits, log2_size, log2_units))
+        plan.append((q, a, bits, log2_size, log2_units))
     sum_bits = max(_WORK_BITS, plan[0][2])
 
     eval_err = 0.0
@@ -375,14 +375,14 @@ def rademacher_p(n: int) -> RademacherResult:
     with mp.workprec(sum_bits):
         lam_mp = mp.sqrt(mp.mpf(24 * n - 1) / 24)
         k_mp = mp.pi * mp.sqrt(mp.mpf(2) / 3)
-    for q, residues, bits, log2_size, log2_units in plan:
+    for q, a, bits, log2_size, log2_units in plan:
         eval_err += 2.0 ** (log2_size + log2_units - (bits or 52))
         if not bits:
-            doubles.append(_term_double(q, lam, residues))
+            doubles.append(_term_double(q, lam, a))
             doubles_size += 2.0 ** log2_size
             continue
         with mp.workprec(bits):
-            term = _term_mp(q, lam_mp, k_mp, residues)
+            term = _term_mp(q, lam_mp, k_mp, a)
         with mp.workprec(sum_bits):
             total += term
     with mp.workprec(sum_bits):

@@ -5,10 +5,12 @@ dual-scale law and Wigert's expansion.  These sum over the levels
 n = 1, 2, ... instead: in doubles with numpy, or at high precision with
 mpmath.  sigma_table sieves the divisor sums that literal series need.
 
-The production exact p(n) takes A_q(n) from Selberg's formula.  Here
-A_q(n) comes from the exact Dedekind-sum phases in either convention, and
-the series is summed at a fixed precision; with the paper-literal phases
-it is the negative control that selects the classical convention.
+The production exact p(n) takes A_q(n) from its factorisation over the
+prime powers of q.  Here A_q(n) comes from Selberg's formula, a scan over
+the residues mod 2q, and from the exact Dedekind-sum phases in either
+convention, and the series is summed at a fixed precision; with the
+paper-literal phases it is the negative control that selects the
+classical convention.
 """
 
 import math
@@ -17,8 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from eulergas.arith import (DedekindConvention, dedekind_sum,
-                            selberg_residues)
+from eulergas.arith import DedekindConvention, dedekind_sum
 from eulergas.modular import _remainder_bound, rademacher_p
 
 
@@ -163,6 +164,12 @@ def kloosterman_A(q, n, convention):
         re += math.cos(math.pi * ft)
         im += math.sin(math.pi * ft)
     return complex(re, im)
+
+
+def selberg_residues(q, n):
+    """The residues l mod 2q with (3l^2 + l)/2 = -n (mod q), ascending: the
+    terms of Selberg's formula, found by scanning all 2q of them."""
+    return [l for l in range(2 * q) if (l * (3 * l + 1) // 2 + n) % q == 0]
 
 
 def selberg_A(q, n):

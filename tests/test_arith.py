@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulergas import arith
 from eulergas.arith import (_BERNOULLI_2K, ZETA3, DedekindConvention,
                             dedekind_sum, divisor_sigma, divisors,
                             euler_gamma, farey_sequence, ford_circle,
@@ -97,6 +99,17 @@ def test_partition_oracle_examples():
     assert partition_count_oracle(100) == 190569292
     with pytest.raises(DomainError):
         partition_count_oracle(-1)
+
+
+def test_partition_oracle_refuses_past_its_cap():
+    # refused up front: the table does not grow towards n
+    size = len(arith._partition_cache)
+    for n in (10 ** 5 + 1, 10 ** 9, 10 ** 30):
+        start = time.monotonic()
+        with pytest.raises(DomainError, match="n <= 100000"):
+            partition_count_oracle(n)
+        assert time.monotonic() - start < 0.1
+    assert len(arith._partition_cache) == size
 
 
 def test_partition_oracle_matches_product_coefficients():

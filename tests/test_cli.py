@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
@@ -205,6 +206,46 @@ def test_sweep_annotates_arithmetic_errors(capsys):
         assert "errors" not in row
         assert row["conventional"] == pytest.approx(1.0 / math.expm1(row["x"]),
                                                     rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "--n", "100001", "--method", "oracle"),
+    # refused before the series for p(10^10) is summed
+    ("partition", "--n", "10000000000", "--oracle-check"),
+    ("sweep", "--quantity", "partition", "--start", "0", "--stop", "1e10",
+     "--models", "oracle"),
+    ("sweep", "--quantity", "partition", "--start", "1", "--stop", "100001"),
+    ("sweep", "--quantity", "energy", "--start", "0.1", "--stop", "1",
+     "--points", "100000000000"),
+    ("sweep", "--quantity", "energy", "--start", "0.1", "--stop", "1",
+     "--points", "100001"),
+])
+def test_oracle_and_sweep_caps_refuse_at_once(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "at most 100000 points" in err or "n <= 100000" in err
+
+
+def test_sweep_at_the_cap_is_taken():
+    # the largest grid passes the cap; SweepGrid checks it when built
+    from eulergas.cli import SweepGrid
+    assert len(SweepGrid(0.1, 1.0, 100_000, "linear").values()) == 100_000
+
+
+def test_oracle_cells_past_the_cap_go_null(capsys, monkeypatch):
+    # the cap lowered to 50, so that the table stays small
+    monkeypatch.setattr(eulergas.arith, "_ORACLE_MAX_N", 50)
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "partition",
+                           "--start", "49", "--stop", "51", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == [49, 50, 51]
+    assert [row["oracle"] for row in rows] == [173525, 204226, None]
+    assert "oracle=the partition oracle takes n <= 50" in rows[2]["errors"]
+    assert rows[2]["rademacher"] == 239943 and rows[2]["match"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact p(n): the certified Rademacher series against independent routes.
 
-The pentagonal-recurrence oracle checks every n up to 3000; Selberg's
-A_q(n) is checked against the Dedekind-phase sums; Rademacher's remainder
+The pentagonal-recurrence oracle checks every n up to 3000; the factored
+A_q(n) is checked against Selberg's formula and the Dedekind-phase sums,
+and Selberg's against the Dedekind-phase sums; Rademacher's remainder
 bound against 200-bit partial sums; and p(n) beyond the oracle's reach
 against the recurrence mod 2^64 and Ramanujan's congruences.  Past the
 term budget the series is refused at once, and a sum that misses its
@@ -11,6 +12,7 @@ certificate raises ConvergenceError.
 import io
 import json
 import math
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -19,8 +21,9 @@ import numpy as np
 import pytest
 
 from eulergas import cli, modular
-from eulergas.arith import DedekindConvention, partition_count_oracle
-from eulergas.errors import ConvergenceError, PrecisionError
+from eulergas.arith import (DedekindConvention, factored_a,
+                            partition_count_oracle)
+from eulergas.errors import ConvergenceError, DomainError, PrecisionError
 from eulergas.modular import _remainder_bound, rademacher_p
 from oracles import kloosterman_A, rademacher_partial_sum, selberg_A
 
@@ -71,6 +74,64 @@ def test_selberg_matches_dedekind_phase_sums():
             assert abs(selberg_A(q, n) - want.real) < 1e-12
 
 
+def selberg_terms(q, l):
+    """(-1)^l cos((6l + 1) pi/(6q)) at the residues l: Selberg's formula
+    sums these, times sqrt(q/3), over the l that serve n."""
+    return np.where(l % 2, -1.0, 1.0) * np.cos(np.pi * (6 * l + 1) / (6 * q))
+
+
+def test_factored_a_matches_selberg_for_every_residue_to_1000():
+    # Selberg's formula for every n mod q at once: each l mod 2q lands in
+    # the bucket of the one n it serves, -(3l^2 + l)/2 mod q
+    for q in range(1, 1001):
+        l = np.arange(2 * q, dtype=np.int64)
+        buckets = (math.sqrt(q / 3.0) * np.bincount(
+            -(l * (3 * l + 1) // 2) % q, weights=selberg_terms(q, l),
+            minlength=q)).tolist()
+        for n in range(q):
+            assert abs(float(factored_a(q, n)) - buckets[n]) < 1e-12 * q, (q, n)
+
+
+def test_factored_a_matches_selberg_at_random_large_q():
+    # one scan of the 2q residues per draw; A_q(n) has period q in n, so n
+    # itself may be large
+    rng = random.Random(20120525)
+    for _ in range(2000):
+        q, n = rng.randint(1, 20000), rng.randint(0, 10 ** 12)
+        l = np.arange(2 * q, dtype=np.int64)
+        hit = l[(l * (3 * l + 1) // 2 + n % q) % q == 0]
+        want = math.sqrt(q / 3.0) * math.fsum(selberg_terms(q, hit))
+        assert abs(float(factored_a(q, n)) - want) < 1e-12 * q, (q, n)
+
+
+def test_factored_a_matches_dedekind_phase_sums():
+    for q in range(1, 61):
+        for n in range(q):
+            want = kloosterman_A(q, n, CLASSICAL)
+            assert abs(float(factored_a(q, n)) - want.real) < 1e-12
+
+
+def test_factored_a_shape():
+    # A_1 = 1 and A_2(n) = (-1)^n need no cosine; the rest has one per
+    # prime power, with its argument reduced to [0, pi]; a sign of 0 marks
+    # A_q(n) = 0 exactly
+    assert factored_a(1, 7) == (1, 1, 1, ())
+    assert factored_a(2, 0) == (1, 1, 1, ())
+    assert factored_a(2, 1) == (-1, 1, 1, ())
+    assert factored_a(25, 4) == (0, 0, 1, ())  # 5 | 1 - 24n, 25 | q
+    assert factored_a(5, 1) == (0, 0, 1, ())   # -23 is no square mod 5
+    for q in range(3, 200):
+        for n in range(q):
+            a = factored_a(q, n)
+            if a.sign:
+                # sqrt(q), sqrt(q/3) or, with A_2 = +-1, sqrt(q/2)
+                assert a.num == (q // 2 if q % 4 == 2 else q)
+                assert a.den == (3 if q % 3 == 0 else 1)
+                assert all(0 <= r <= s for r, s in a.cospi)
+    with pytest.raises(DomainError):
+        factored_a(0, 1)
+
+
 @pytest.mark.parametrize("n,terms", [(2, 1), (2, 6), (30, 4), (100, 10),
                                      (100, 41), (1000, 15), (1000, 47),
                                      (2000, 30)])
@@ -99,6 +160,16 @@ def test_ramanujan_congruence_far_beyond_the_oracle():
         assert time.monotonic() - start < 5.0
         assert res.residual + res.error_bound < 0.5
         assert res.value % 5 == 0
+
+
+@pytest.mark.parametrize("base", [10 ** 6, 10 ** 7])
+@pytest.mark.parametrize("mod,res", [(5, 4), (7, 5), (11, 6)])
+def test_ramanujan_congruences_near_powers_of_ten(base, mod, res):
+    # p(5k + 4) = 0 (mod 5), p(7k + 5) = 0 (mod 7), p(11k + 6) = 0 (mod 11)
+    n = base + (res - base) % mod
+    result = rademacher_p(n)
+    assert result.residual + result.error_bound < 0.5
+    assert result.value % mod == 0
 
 
 def _run_cli(argv):
