@@ -8,8 +8,9 @@ with integer rounding.
 The exact series needs working precision beyond 53 bits once p(n) outgrows
 doubles (n around 300): its large terms run on mpmath, each with the bits
 its own size needs, and its small terms in doubles, all under an explicit
-error bound.  Everything else is double precision, truncated where the
-dropped part falls below a fixed relative error of 1e-12.
+error bound.  Everything else is double precision: Z(e^{-x}) on 0 < y < 1
+is exp(-F/kT) from thermo, one Euler product serves eta and Z elsewhere,
+and it and the G2 series stop at a relative error of 1e-12.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
 ]
 
 _GUARD_BAND = 1e-9  # |y| must stay this far inside the unit circle
-# Target relative error of the Z and eta products and of G2, least working
+# Target relative error of the Euler product and of G2, least working
 # precision of the exact p(n) series, and the most terms any product or
 # series may take before PrecisionError
 _REL_TOL = 1e-12
@@ -52,47 +53,42 @@ def _require_inside(abs_y: float) -> None:
             f"|y| = {abs_y} is within {_GUARD_BAND} of the unit circle", 0)
 
 
-def _product_length(abs_y: float) -> int:
-    """Smallest N with |y|^N below _REL_TOL*(1-|y|), so the dropped tail of
-    log(product) is below _REL_TOL; 0 when |y| is 0, where the product is
-    exactly 1.  Refuses |y| as _require_inside does.
-    """
+def _euler_product(y: complex | float) -> complex | float:
+    """prod_{n>=1} (1 - y^n) through the smallest N with |y|^N below
+    _REL_TOL*(1-|y|); refuses |y| as _require_inside does, and N > 5e6."""
+    abs_y = abs(y)
     _require_inside(abs_y)
-    if abs_y == 0.0:
-        return 0
-    cut = _REL_TOL * (1.0 - abs_y)
-    n = int(math.log(cut) / math.log(abs_y)) + 1
-    return max(n, 1)
-
-
-def partition_generating(y: complex | float) -> complex | float:
-    """Evaluate prod_{n>=1} (1 - y^n)^{-1} strictly inside the unit disk.
-
-    Real y in (0, 1) returns a float > 1.  Raises PrecisionError when |y|
-    is within the guard band of the circle or the product would exceed the
-    term budget, and DomainError when the product overflows a double.
-    """
-    n_terms = _product_length(abs(y))
+    n_terms = 0 if abs_y == 0.0 else int(
+        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
     if n_terms > _MAX_TERMS:
         raise PrecisionError(
             f"product needs {n_terms} terms, budget is {_MAX_TERMS}", n_terms)
-    if isinstance(y, complex) and y.imag != 0.0:
-        prod = 1.0 + 0.0j
-        yn = y
-        for _ in range(n_terms):
-            prod /= 1.0 - yn
-            yn *= y
-    else:
-        yr = float(y.real) if isinstance(y, complex) else float(y)
-        prod = 1.0
-        yn_r = yr
-        for _ in range(n_terms):
-            prod /= 1.0 - yn_r
-            yn_r *= yr
-    if not cmath.isfinite(prod):
+    prod = 1.0
+    yn = y
+    for _ in range(n_terms):
+        prod *= 1.0 - yn
+        yn *= y
+    return prod
+
+
+def partition_generating(y: complex | float) -> complex | float:
+    """Z(y) = prod_{n>=1} (1 - y^n)^{-1} strictly inside the unit disk: for
+    real y in (0, 1) the per-mode partition function exp(-F/kT) at x = -ln y
+    from thermo, elsewhere 1/_euler_product(y).  Raises PrecisionError as
+    _euler_product does, and DomainError when Z overflows a double."""
+    if not isinstance(y, complex) or y.imag == 0.0:
+        y = float(y.real)
+    _require_inside(abs(y))
+    from . import thermo
+    try:
+        z = (math.exp(-thermo.free_energy(-math.log(y)))
+             if isinstance(y, float) and y > 0.0 else 1.0 / _euler_product(y))
+    except (OverflowError, ZeroDivisionError):  # exp > DBL_MAX, product 0
+        z = math.inf
+    if not cmath.isfinite(z):
         raise DomainError(f"Z(y) at y = {y} overflows a double; Z(e^-x) "
                           f"fits only for x >= {Z_OVERFLOW_X:g}")
-    return prod
+    return z
 
 
 def _require_upper_half(tau: complex) -> complex:
@@ -114,17 +110,7 @@ def eta(tau: complex) -> complex:
     # part cannot overflow 2*pi*tau
     tau = complex(math.fmod(tau.real, 24.0), tau.imag)
     y = cmath.exp(2j * math.pi * tau)
-    n_terms = _product_length(abs(y))
-    if n_terms > _MAX_TERMS:
-        raise PrecisionError(
-            f"eta product needs {n_terms} terms, budget is {_MAX_TERMS}",
-            n_terms)
-    prod = 1.0 + 0.0j
-    yn = y
-    for _ in range(n_terms):
-        prod *= 1.0 - yn
-        yn *= y
-    return cmath.exp(1j * math.pi * tau / 12.0) * prod
+    return cmath.exp(1j * math.pi * tau / 12.0) * _euler_product(y)
 
 
 class EtaTransform(Enum):
@@ -139,8 +125,7 @@ def eta_transform(tau: complex, which: EtaTransform) -> complex:
     sqrt(tau/i)*eta(tau) with the principal square root.  Callers compare
     against direct evaluation at tau+1 or -1/tau.
     """
-    tau = _require_upper_half(tau)
-    base = eta(tau)
+    base = eta(tau)  # refuses tau as _require_upper_half does
     if which is EtaTransform.SHIFT:
         return cmath.exp(1j * math.pi / 12.0) * base
     if which is EtaTransform.INVERSION:
@@ -152,21 +137,19 @@ def functional_equation_rhs(x: float) -> float:
     """Dual-scale prediction of Z(e^{-x}) from the modular inversion:
 
         Z(y) = y^{1/24} / sqrt(2*pi) * x^{1/2} * exp(pi^2/(6x)) * Z(y'),
-        y = e^{-x},  y' = e^{-4*pi^2/x}.
+        y = e^{-x},  y' = e^{-4*pi^2/x},
 
-    For x <= 1 the Z(y') factor differs from 1 by less than e^{-4*pi^2}.
-    Below x = Z_OVERFLOW_X the value exceeds a double and DomainError is
-    raised.
+    the head being thermo's low-frequency exp(-F/kT).  For x <= 1 Z(y')
+    differs from 1 by less than e^{-4*pi^2}.  Below x = Z_OVERFLOW_X the
+    value exceeds a double and DomainError is raised.
     """
-    if x <= 0.0:
-        raise DomainError(f"need x > 0, got {x}")
+    from . import thermo
+    head = thermo.free_energy_lowfreq(x)  # refuses all but finite x > 0
     if x < Z_OVERFLOW_X:
         raise DomainError(f"Z(e^-x) at x = {x:g} overflows a double; it "
                           f"fits only for x >= {Z_OVERFLOW_X:g}")
-    z_dual = partition_generating(math.exp(-4.0 * math.pi ** 2 / x))
-    log_head = (-x / 24.0 + 0.5 * math.log(x / (2.0 * math.pi))
-                + math.pi ** 2 / (6.0 * x))
-    return math.exp(log_head) * float(z_dual)
+    return math.exp(-head) * partition_generating(
+        math.exp(-4.0 * math.pi ** 2 / x))
 
 
 def eisenstein_g2(tau: complex) -> complex:
@@ -177,7 +160,9 @@ def eisenstein_g2(tau: complex) -> complex:
     with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
     Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}).
     Like eta, raises PrecisionError when |y| rounds to within the guard
-    band of 1.
+    band of 1; and at once where the series needs more than twice the term
+    budget, as every tail is at least r^{D+1}/(1-r) and the sum at most
+    sum sigma_1(n) r^n = (E/kT)/x at x = 2*pi*Im(tau).
     """
     tau = _require_upper_half(tau)
     # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
@@ -189,10 +174,16 @@ def eisenstein_g2(tau: complex) -> complex:
     const = math.pi ** 2 / 3.0  # 2*zeta(2)
     if r == 0.0:
         return complex(const, 0.0)
+    from . import thermo
+    x, omr = 2.0 * math.pi * tau.imag, 1.0 - r
+    scale = max(thermo.internal_energy(x) / x, const / (8.0 * math.pi ** 2))
+    least = math.log(_REL_TOL * scale * omr) / math.log(r) - 1.0
+    if least > 2 * _MAX_TERMS:
+        raise PrecisionError(f"G2 series needs more than {least:.3g} terms, "
+                             f"budget is {_MAX_TERMS}", _MAX_TERMS + 1)
     acc = 0.0 + 0.0j
     yd = 1.0 + 0.0j
     d = 0
-    omr = 1.0 - r
     while True:
         d += 1
         yd *= y

@@ -29,6 +29,7 @@ overflowing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,6 +63,14 @@ _BOUND_ROUNDING = 1.0 + 1e-12
 _BOUND_FLOOR = math.ulp(0.0)
 
 
+def _exp_up(log_bound: float) -> float:
+    """A double >= e^{log_bound} (or 0, where it is below _BOUND_FLOOR):
+    rounded up at 2^600 times its size, scaled back and stepped up once."""
+    scaled = _BOUND_ROUNDING * math.exp(log_bound + 600.0 * math.log(2.0))
+    unit = math.ldexp(scaled, -600)
+    return unit and math.nextafter(unit, math.inf)
+
+
 def _require_x(x: float) -> float:
     x = float(x)
     if not (x > 0.0 and math.isfinite(x)):
@@ -71,7 +80,7 @@ def _require_x(x: float) -> float:
 
 @dataclass(frozen=True)
 class ThermoPerMode:
-    """All four per-mode quantities from one evaluation.
+    """All per-mode quantities from one evaluation, fluct in (kT)^2 units.
 
     s_over_k equals e_over_kT - f_over_kT exactly by construction;
     terms_used counts the Lambert and Wigert terms summed and tail_bound
@@ -82,24 +91,22 @@ class ThermoPerMode:
     n_occ: float
     e_over_kT: float
     s_over_k: float
+    fluct: float
     terms_used: int
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class _ModeSums:
-    f: float          # F/kT = -ln Z
-    n_occ: float      # N
-    e: float          # E/kT
-    fluct: float      # energy variance in (kT)^2 units
-    terms: int        # Lambert and Wigert terms summed
-    tail: float       # bound on every dropped tail
-
-
-def _power_tail(d: int, r: float, k: int) -> float:
-    """Bound on sum_{m>d} m^k r^m: its first term over one minus the largest
-    ratio of successive terms, ((d+2)/(d+1))^k r."""
-    return (d + 1) ** k * r ** (d + 1) / (1.0 - ((d + 2) / (d + 1)) ** k * r)
+def _power_tail(d: int, r: float, k: int, scale: float = 1.0) -> float:
+    """Bound on scale * sum_{m>d} m^k r^m: scale times its first term over
+    one minus the largest ratio of successive terms, ((d+2)/(d+1))^k r,
+    which must be below 1: at d >= 1, k <= 2, r < 4/9 (x > 0.811, which
+    DUAL_SWITCH keeps).  Taken in logs where r^{d+1} is below the normal
+    range (x > 354 at d = 1)."""
+    head, ratio = r ** (d + 1), ((d + 2) / (d + 1)) ** k * r
+    if head >= sys.float_info.min:
+        return scale * ((d + 1) ** k * head / (1.0 - ratio))
+    return _exp_up(math.log(scale) + k * math.log(d + 1)
+                   + (d + 1) * math.log(r) - math.log1p(-ratio))
 
 
 def _lambert(x: float) -> tuple[float, float, float, float, int,
@@ -135,8 +142,8 @@ def _lambert(x: float) -> tuple[float, float, float, float, int,
             break
     inv = 1.0 / (1.0 - rd * r)
     return (ln_z, n_occ, x * e_sum, x * x * fl_sum, d,
-            _power_tail(d, r, 0) * inv, x * _power_tail(d, r, 1) * inv,
-            x * x * _power_tail(d, r, 2) * inv * inv)
+            _power_tail(d, r, 0) * inv, _power_tail(d, r, 1, x) * inv,
+            _power_tail(d, r, 2, x * x) * inv * inv)
 
 
 # Wigert's coefficients (B_2k/2k)^2/(2k-1)! for k = 1..21, and the
@@ -176,20 +183,24 @@ def _wigert(x: float) -> tuple[float, int, float]:
         zp *= z2
         if a * zp <= TAIL_EPS * lead:
             break
-    return lead + 0.25 - total, k, a * zp
+    bound = a * zp
+    if zp < sys.float_info.min:  # lost bits to underflow: x below 5.9e-153
+        log_z = math.log(x) - math.log(4.0 * math.pi ** 2)
+        bound = _exp_up(math.log(a) + 2 * k * log_z)
+    return lead + 0.25 - total, k, bound
 
 
 @lru_cache(maxsize=4096)
-def _mode_sums(x: float) -> _ModeSums:
-    """F, N, E and the fluctuation at x.
+def _mode_sums(x: float) -> ThermoPerMode:
+    """Every per-mode quantity at x.
 
-    At x >= DUAL_SWITCH all four are direct Lambert sums.  Below it, F, E
-    and the fluctuation come from the functional equation
+    At x >= DUAL_SWITCH all are direct Lambert sums.  Below it, F, E and the
+    fluctuation come from the functional equation
 
         ln Z(x) = -x/24 + (1/2) ln(x/2pi) + pi^2/(6x) + ln Z(4 pi^2/x)
 
-    and its first two x-derivatives, with the Lambert forms evaluated at the
-    dual argument y = 4 pi^2/x > 43; N has no such law and comes from
+    and its first two x-derivatives: the low-frequency closed forms plus the
+    Lambert forms at y = 4 pi^2/x > 43.  N has no such law and comes from
     Wigert's expansion.  N, of order ln(1/x)/x, is the first to exceed the
     largest double (below x ~ 3.9e-306; F, E and the fluctuation only below
     ~1.8e-308), so OverflowError is raised there, before ln(x/2pi) can
@@ -198,30 +209,28 @@ def _mode_sums(x: float) -> _ModeSums:
     x = _require_x(x)
     if x >= DUAL_SWITCH:
         ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
-        return _ModeSums(-ln_z, n_occ, e, fluct, terms,
-                         max(_BOUND_ROUNDING * max(t_z, t_e, t_fl), _BOUND_FLOOR))
-    n_occ, k, t_n = _wigert(x)
-    if n_occ == math.inf:
-        raise OverflowError(f"per-mode values at x={x:g} overflow a double")
-    ln_zy, _, e_y, fl_y, terms, t_z, t_e, t_fl = _lambert(4.0 * math.pi ** 2 / x)
-    pi2_6x = math.pi ** 2 / (6.0 * x)
-    f = -pi2_6x - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0 - ln_zy
-    e = pi2_6x - 0.5 + x / 24.0 - e_y
-    fluct = 2.0 * pi2_6x - 0.5 - 2.0 * e_y + fl_y
-    return _ModeSums(f, n_occ, e, fluct, terms + k,
-                     max(_BOUND_ROUNDING * max(t_z, 2.0 * t_e + t_fl, t_n),
-                         _BOUND_FLOOR))
+        f, tail = -ln_z, max(t_z, t_e, t_fl)
+    else:
+        n_occ, k, t_n = _wigert(x)
+        if n_occ == math.inf:
+            raise OverflowError(f"per-mode values at x={x:g} overflow a double")
+        ln_zy, _, e_y, fl_y, terms, t_z, t_e, t_fl = _lambert(4.0 * math.pi ** 2 / x)
+        f = free_energy_lowfreq(x) - ln_zy
+        e = internal_energy_lowfreq(x) - e_y
+        fluct = math.pi ** 2 / (3.0 * x) - 0.5 - 2.0 * e_y + fl_y
+        terms, tail = terms + k, max(t_z, 2.0 * t_e + t_fl, t_n)
+    return ThermoPerMode(f, n_occ, e, e - f, fluct, terms,
+                         max(_BOUND_ROUNDING * tail, _BOUND_FLOOR))
 
 
 def thermo_per_mode(x: float) -> ThermoPerMode:
-    """F/kT, N, E/kT and S/k at one x from a single evaluation."""
-    ms = _mode_sums(x)
-    return ThermoPerMode(ms.f, ms.n_occ, ms.e, ms.e - ms.f, ms.terms, ms.tail)
+    """Every per-mode quantity at one x from a single evaluation."""
+    return _mode_sums(x)
 
 
 def free_energy(x: float) -> float:
     """F/kT = -sum sigma_{-1}(n) e^{-nx}  (negative for all x > 0)."""
-    return _mode_sums(x).f
+    return _mode_sums(x).f_over_kT
 
 
 def free_energy_lowfreq(x: float) -> float:
@@ -243,7 +252,7 @@ def occupation_lowfreq(x: float) -> float:
 
 def internal_energy(x: float) -> float:
     """E/kT = x * sum sigma_1(n) e^{-nx}."""
-    return _mode_sums(x).e
+    return _mode_sums(x).e_over_kT
 
 
 def internal_energy_lowfreq(x: float) -> float:
@@ -254,8 +263,7 @@ def internal_energy_lowfreq(x: float) -> float:
 
 def entropy(x: float) -> float:
     """S/k = sum sigma_1(n)(x + 1/n) e^{-nx}, taken as (E - F)/kT."""
-    ms = _mode_sums(x)
-    return ms.e - ms.f
+    return _mode_sums(x).s_over_k
 
 
 def entropy_lowfreq(x: float) -> float:

@@ -1,6 +1,9 @@
 import cmath
 import math
 import random
+import time
+
+import mpmath
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
                               leading_term_p, partition_generating,
                               rademacher_p)
-from oracles import rademacher_paper_literal
+from oracles import level_sums_mp, rademacher_paper_literal
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,27 @@ def test_overflow_is_a_domain_error_naming_the_threshold():
     assert abs(lhs - rhs) <= 1e-9 * lhs
 
 
+# the acceptance points of the functional equation, and a log grid from the
+# overflow threshold to 20
+Z_ORACLE_X = [0.25, 0.5, 1.0, 2.0, 4.0 * math.pi ** 2,
+              *(2.5e-3 * 8000.0 ** (i / 24) for i in range(25))]
+
+
+@pytest.mark.parametrize("x", Z_ORACLE_X)
+def test_z_matches_level_sums(x):
+    # Z(e^-x) = exp(-F/kT) with F/kT summed over the levels at 50 digits, an
+    # oracle independent of both sides of the functional equation, which
+    # below x = 0.9 share thermo's dual law; the bound allows for rounding
+    # in exp's argument, of size pi^2/(6x)
+    tol = 1e-15 * (1.0 + math.pi ** 2 / (6.0 * x))
+    y = math.exp(-x)
+    with mpmath.workdps(50):
+        want_y = mpmath.exp(-level_sums_mp(-mpmath.log(y))[0])
+        want_x = mpmath.exp(-level_sums_mp(x)[0])
+        assert abs(partition_generating(y) - want_y) <= tol * want_y
+        assert abs(functional_equation_rhs(x) - want_x) <= tol * want_x
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein series
 # ---------------------------------------------------------------------------
@@ -212,6 +236,23 @@ def test_g2_reduces_a_huge_real_part_exactly():
     assert eisenstein_g2(complex(-7.25, 0.5)) == eisenstein_g2(-0.25 + 0.5j)
     assert eisenstein_g2(-0.25 + 0.5j) == pytest.approx(
         eisenstein_g2(0.75 + 0.5j), rel=1e-13)
+
+
+@pytest.mark.parametrize("im", [3.2e-10, 1e-8])
+def test_g2_refuses_at_once_where_its_series_exceeds_the_budget(im):
+    # inside the guard band, but the series would need over 1e8 terms: a
+    # lower bound on its length refuses it before the loop starts
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="budget"):
+        eisenstein_g2(complex(0.0, im))
+    assert time.perf_counter() - start < 0.05
+
+
+def test_g2_still_answers_next_to_the_refusal():
+    # G2(-1/tau) = tau^2 G2(tau) - 2 pi i tau, and G2(i 1e4) = pi^2/3
+    t = 1e-4
+    want = (math.pi ** 2 / 3.0 - 2.0 * math.pi * t) / -(t * t)
+    assert eisenstein_g2(complex(0.0, t)) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("im", [1e-300, 1e-12])

@@ -419,6 +419,49 @@ def test_tail_bound_is_positive_where_the_dropped_terms_underflow(x):
         assert all(0 < t < tm.tail_bound for t in dropped), dropped
 
 
+def _bound_formula_mp(x, tm):
+    """The bound formula tail_bound stands for, at the working precision.
+
+    Direct route, after d terms with r = e^{-x}: the larger of the k = 0, 1
+    and 2 geometric tails x^k (d+1)^k r^{d+1}/(1 - ((d+2)/(d+1))^k r), each
+    over (1 - r^{d+1})^{1 or 2}.  Dual route at the x below: Wigert's
+    contour bound zeta(3)^2 (K+1) (2K)! (x/4pi^2)^{2K}/(2pi) after K terms;
+    the Lambert tails at 4 pi^2/x > 6e155 are of order e^{-8e155}.
+    """
+    x = mpmath.mpf(x)
+    if x >= DUAL_SWITCH:
+        d = tm.terms_used
+        r = mpmath.exp(-x)
+        inv = 1 / (1 - r ** (d + 1))
+        return max(x ** k * (d + 1) ** k * r ** (d + 1)
+                   / (1 - (mpmath.mpf(d + 2) / (d + 1)) ** k * r)
+                   * inv ** (2 if k == 2 else 1) for k in (0, 1, 2))
+    k = tm.terms_used - _lambert(4.0 * math.pi ** 2 / float(x))[4]
+    return (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
+            * (x / (4 * mpmath.pi ** 2)) ** (2 * k) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("x", [359.0, 378.6, *np.linspace(354.0, 379.0, 51),
+                               *np.geomspace(9.3e-161, 6.5e-155, 25)])
+def test_tail_bound_holds_below_the_normal_range(x):
+    # where the bound, or r^{d+1} or (x/4pi^2)^{2K} in it, is below the
+    # smallest normal double, it is still at least the exact bound formula
+    x = float(x)
+    tm = thermo_per_mode(x)
+    with mpmath.workdps(40):
+        exact = _bound_formula_mp(x, tm)
+        assert tm.tail_bound >= exact, (x, tm.tail_bound, exact)
+        # and not loose: within 1e-11 or a few units of the smallest double
+        assert tm.tail_bound <= exact * (1 + 1e-11) + 3 * math.ulp(0.0)
+
+
+def test_thermo_per_mode_carries_the_fluctuation():
+    for x in (1e-5, 0.5, DUAL_SWITCH, 3.0):
+        tm = thermo_per_mode(x)
+        assert tm.fluct == per_mode_energy_fluctuation(x)
+        assert tm.s_over_k == tm.e_over_kT - tm.f_over_kT
+
+
 def test_values_match_high_precision_lambert_sums():
     for x in (1.5e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.28, 8.0, 20.0, 30.0):
         with mpmath.workdps(25):
