@@ -173,9 +173,6 @@ class TangencyPoint(NamedTuple):
     re: Fraction
     im: Fraction
 
-    def as_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
 
 def _unimodular(lo: Fraction, hi: Fraction) -> bool:
     return hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1

@@ -432,7 +432,7 @@ def _sweep_evaluator(quantity: str, model: str, args, constants):
     if quantity == "occupation":
         return {"exact": thermo.occupation,
                 "lowfreq": thermo.occupation_lowfreq,
-                "conventional": lambda x: 1.0 / math.expm1(x)}[model]
+                "conventional": lambda x: math.exp(-x) / -math.expm1(-x)}[model]
     if quantity in ("emissivity", "frac-noise"):
         if args.temperature is None:
             raise DomainError(f"{quantity} sweep needs --temperature")

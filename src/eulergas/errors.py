@@ -1,7 +1,7 @@
 """Error types shared by all modules.
 
 Three failure classes cover every contract in the library: bad inputs
-(DomainError), series/quadrature precision exhaustion (PrecisionError), and
+(DomainError), a series past its term budget (PrecisionError), and
 sums that fail their certificate (ConvergenceError).  Computation errors
 carry their diagnostic fields so front ends can serialize them.  require_positive is the
 one check of a physical input: finite and > 0.
@@ -23,7 +23,7 @@ def require_positive(name: str, value: float) -> None:
 
 
 class PrecisionError(RuntimeError):
-    """The requested tolerance cannot be met within the term/precision budget."""
+    """The exact p(n) series needs more terms than its 5e6-term budget."""
 
     def __init__(self, message: str, terms_attempted: int = 0):
         super().__init__(message)

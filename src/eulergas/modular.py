@@ -9,8 +9,8 @@ The exact series needs working precision beyond 53 bits once p(n) outgrows
 doubles (n around 300): its large terms run on mpmath, each with the bits
 its own size needs, and its small terms in doubles, all under an explicit
 error bound.  Everything else is double precision: Z(e^{-x}) on 0 < y < 1
-is exp(-F/kT) from thermo, one Euler product serves eta and Z elsewhere,
-and it and the G2 series stop at a relative error of 1e-12.
+is exp(-F/kT) from thermo, Z elsewhere is from eta, and eta and G2 move tau
+up by SL2(Z) to Im tau >= 0.05, where 117 terms reach 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -31,86 +31,93 @@ __all__ = [
     "RademacherResult", "rademacher_p", "leading_term_p", "asymptotic_p",
 ]
 
-_GUARD_BAND = 1e-9  # |y| must stay this far inside the unit circle
 # Target relative error of the Euler product and of G2, least working
-# precision of the exact p(n) series, and the most terms any product or
-# series may take before PrecisionError
+# precision of the exact p(n) series, and the most terms it may take
+# before PrecisionError
 _REL_TOL = 1e-12
 _WORK_BITS = 64
 _MAX_TERMS = 5_000_000
+# eta and G2 are summed from this Im(tau) up, where |y| <= 0.7304: at most
+# 93 factors of the product and 117 terms of G2; below it _reduce runs first
+_IM_DIRECT = 0.05
 # Z(e^{-x}) exceeds the largest double below this x: the root of
 # -x/24 + ln(x/2pi)/2 + pi^2/(6x) = ln(DBL_MAX), rounded up
 Z_OVERFLOW_X = 2.3047e-3
 
 
-def _require_inside(abs_y: float) -> None:
-    """PrecisionError when |y| is within the guard band of the unit circle
-    (also when it rounds to 1), DomainError when it is nan."""
-    if math.isnan(abs_y):
-        raise DomainError("need finite y, got |y| = nan")
-    if abs_y >= 1.0 - _GUARD_BAND:
-        raise PrecisionError(
-            f"|y| = {abs_y} is within {_GUARD_BAND} of the unit circle", 0)
-
-
-def _euler_product(y: complex | float) -> complex | float:
-    """prod_{n>=1} (1 - y^n) through the smallest N with |y|^N below
-    _REL_TOL*(1-|y|); refuses |y| as _require_inside does, and N > 5e6."""
-    abs_y = abs(y)
-    _require_inside(abs_y)
-    n_terms = 0 if abs_y == 0.0 else int(
-        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
-    if n_terms > _MAX_TERMS:
-        raise PrecisionError(
-            f"product needs {n_terms} terms, budget is {_MAX_TERMS}", n_terms)
-    prod = 1.0
-    yn = y
-    for _ in range(n_terms):
-        prod *= 1.0 - yn
-        yn *= y
-    return prod
-
-
 def partition_generating(y: complex | float) -> complex | float:
     """Z(y) = prod_{n>=1} (1 - y^n)^{-1} strictly inside the unit disk: for
     real y in (0, 1) the per-mode partition function exp(-F/kT) at x = -ln y
-    from thermo, elsewhere 1/_euler_product(y).  Raises PrecisionError as
-    _euler_product does, and DomainError when Z overflows a double."""
+    from thermo, elsewhere e^{i pi tau/12}/eta(tau) at tau = ln y/(2 pi i).
+    Raises DomainError for |y| >= 1 (also nan) and where Z overflows a
+    double."""
     if not isinstance(y, complex) or y.imag == 0.0:
         y = float(y.real)
-    _require_inside(abs(y))
-    from . import thermo
+    if not abs(y) < 1.0:
+        raise DomainError(f"need |y| < 1, got |y| = {abs(y)}")
+    if y == 0.0:
+        return 1.0
     try:
-        z = (math.exp(-thermo.free_energy(-math.log(y)))
-             if isinstance(y, float) and y > 0.0 else 1.0 / _euler_product(y))
-    except (OverflowError, ZeroDivisionError):  # exp > DBL_MAX, product 0
+        if isinstance(y, float) and y > 0.0:
+            from . import thermo
+            z = math.exp(-thermo.free_energy(-math.log(y)))
+        else:
+            tau = cmath.log(y) / (2j * math.pi)
+            z = cmath.exp(1j * math.pi * tau / 12.0) / eta(tau)
+    except (OverflowError, ZeroDivisionError):  # exp > DBL_MAX, eta is 0
         z = math.inf
     if not cmath.isfinite(z):
         raise DomainError(f"Z(y) at y = {y} overflows a double; Z(e^-x) "
                           f"fits only for x >= {Z_OVERFLOW_X:g}")
-    return z
+    return z.real if isinstance(y, float) else z  # Z is real for real y
 
 
-def _require_upper_half(tau: complex) -> complex:
+def _reduce(tau: complex) -> tuple[complex, int, list[complex]] | None:
+    """While Im tau < _IM_DIRECT, write tau = n + s, |Re s| <= 1/2, and go
+    on at -1/s, which multiplies Im by 1/|s|^2 > 3.96.  Returns the final
+    tau, the sum of the n mod 24 and the s; None where -1/s overflows, as
+    only |s| < 1e-308 can, which puts Im(-1/s) above 1e293."""
     tau = complex(tau)
     if not (cmath.isfinite(tau) and tau.imag > 0.0):
         raise DomainError(f"need finite tau with Im(tau) > 0, got {tau}")
-    return tau
+    shift, steps = 0, []
+    while tau.imag < _IM_DIRECT:
+        n = round(tau.real)
+        s = complex(tau.real - n, tau.imag)
+        tau = -1.0 / s
+        if not cmath.isfinite(tau):
+            return None
+        shift = (shift + n) % 24
+        steps.append(s)
+    return tau, shift, steps
 
 
 def eta(tau: complex) -> complex:
     """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau).
 
-    Raises PrecisionError when |y| rounds to within the guard band of 1
-    (Im tau below about 1.6e-10).  Once |y| underflows (Im tau above about
-    119) the product is exactly 1.
+    Taken after _reduce with eta(s + n) = e^{i pi n/12} eta(s) and
+    eta(s) = eta(-1/s)/sqrt(s/i); 0 where eta underflows a double.  Once
+    |y| underflows (Im tau above about 119) the product is exactly 1.
     """
-    tau = _require_upper_half(tau)
+    reduced = _reduce(tau)
+    if reduced is None:
+        return 0j  # eta at Im above 1e293 is below e^{-1e292}
+    tau, shift, steps = reduced
     # eta(tau + 24) = eta(tau): reduce Re(tau) exactly, so that a huge real
     # part cannot overflow 2*pi*tau
     tau = complex(math.fmod(tau.real, 24.0), tau.imag)
     y = cmath.exp(2j * math.pi * tau)
-    return cmath.exp(1j * math.pi * tau / 12.0) * _euler_product(y)
+    abs_y = abs(y)
+    # the smallest N with |y|^N below _REL_TOL*(1-|y|)
+    n_terms = 0 if abs_y == 0.0 else int(
+        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
+    prod, yn = 1.0, y
+    for _ in range(n_terms):
+        prod *= 1.0 - yn
+        yn *= y
+    # 1/sqrt(s/i) in the exponent, so that eta underflows to 0 at once
+    log_scale = -sum((cmath.log(s / 1j) for s in steps), 0j) / 2.0
+    return cmath.exp(1j * math.pi * (tau + shift) / 12.0 + log_scale) * prod
 
 
 class EtaTransform(Enum):
@@ -125,7 +132,7 @@ def eta_transform(tau: complex, which: EtaTransform) -> complex:
     sqrt(tau/i)*eta(tau) with the principal square root.  Callers compare
     against direct evaluation at tau+1 or -1/tau.
     """
-    base = eta(tau)  # refuses tau as _require_upper_half does
+    base = eta(tau)  # refuses tau as _reduce does
     if which is EtaTransform.SHIFT:
         return cmath.exp(1j * math.pi / 12.0) * base
     if which is EtaTransform.INVERSION:
@@ -158,33 +165,22 @@ def eisenstein_g2(tau: complex) -> complex:
         G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n,
 
     with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
-    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}).
-    Like eta, raises PrecisionError when |y| rounds to within the guard
-    band of 1; and at once where the series needs more than twice the term
-    budget, as every tail is at least r^{D+1}/(1-r) and the sum at most
-    sum sigma_1(n) r^n = (E/kT)/x at x = 2*pi*Im(tau).
+    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}),
+    after _reduce; unwound by G2(s) = (G2(-1/s) + 2*pi*i*s)/s^2.  Raises
+    DomainError where G2 overflows a double.
     """
-    tau = _require_upper_half(tau)
+    reduced = _reduce(tau)
+    if reduced is None:  # |s| < 1e-308, so |G2| > (pi^2/3 - 2 pi |s|)/|s|^2
+        raise DomainError(f"G2 at tau = {tau} overflows a double")
+    top, _, steps = reduced
     # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
     # part cannot overflow 2*pi*tau
-    tau = complex(math.fmod(tau.real, 1.0), tau.imag)
-    y = cmath.exp(2j * math.pi * tau)
+    top = complex(math.fmod(top.real, 1.0), top.imag)
+    y = cmath.exp(2j * math.pi * top)
     r = abs(y)
-    _require_inside(r)
     const = math.pi ** 2 / 3.0  # 2*zeta(2)
-    if r == 0.0:
-        return complex(const, 0.0)
-    from . import thermo
-    x, omr = 2.0 * math.pi * tau.imag, 1.0 - r
-    scale = max(thermo.internal_energy(x) / x, const / (8.0 * math.pi ** 2))
-    least = math.log(_REL_TOL * scale * omr) / math.log(r) - 1.0
-    if least > 2 * _MAX_TERMS:
-        raise PrecisionError(f"G2 series needs more than {least:.3g} terms, "
-                             f"budget is {_MAX_TERMS}", _MAX_TERMS + 1)
-    acc = 0.0 + 0.0j
-    yd = 1.0 + 0.0j
-    d = 0
-    while True:
+    omr, acc, yd, d = 1.0 - r, 0.0 + 0.0j, 1.0 + 0.0j, 0
+    while True:  # one term, of 0, once y underflows
         d += 1
         yd *= y
         acc += d * yd / (1.0 - yd)
@@ -195,9 +191,12 @@ def eisenstein_g2(tau: complex) -> complex:
         scale = max(abs(acc), const / (8.0 * math.pi ** 2))
         if tail <= _REL_TOL * scale:
             break
-        if d > _MAX_TERMS:
-            raise PrecisionError("G2 series exceeded term budget", d)
-    return const - 8.0 * math.pi ** 2 * acc
+    value = const - 8.0 * math.pi ** 2 * acc
+    for s in reversed(steps):
+        value = (value + 2j * math.pi * s) / s / s
+    if not cmath.isfinite(value):
+        raise DomainError(f"G2 at tau = {tau} overflows a double")
+    return value
 
 
 # ---------------------------------------------------------------------------

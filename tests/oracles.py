@@ -212,3 +212,19 @@ def rademacher_paper_literal(n):
     if abs(total - m) + _remainder_bound(n, terms) < 0.5:
         return int(m)
     return None
+
+
+def eta_mp(tau, dps=50):
+    """Dedekind eta at the double tau to `dps` digits.  tau is moved up to
+    Im >= 1/2 at that precision by tau = n + s -> -1/s, collecting
+    e^{i pi n/12}/sqrt(s/i) as eta(n + s) = e^{i pi n/12} eta(-1/s)/sqrt(s/i)
+    asks, and mpmath's q-series is summed there."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpc(tau.real, tau.imag)  # exact
+        factor = mpmath.mpc(1)
+        while t.imag < 0.5:
+            n = int(mpmath.nint(t.real))
+            s = t - n
+            factor *= mpmath.expjpi(mpmath.mpf(n) / 12) / mpmath.sqrt(s / 1j)
+            t = -1 / s
+        return factor * mpmath.eta(t)

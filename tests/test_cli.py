@@ -208,6 +208,19 @@ def test_sweep_annotates_arithmetic_errors(capsys):
                                                     rel=1e-15)
 
 
+def test_conventional_occupation_vanishes_at_large_x(capsys):
+    # e^{-x}/(1 - e^{-x}) underflows to 0 where 1/(e^x - 1) would overflow
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "occupation",
+                           "--start", "700", "--stop", "800", "--points", "3",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert all("errors" not in row for row in rows)
+    assert rows[0]["conventional"] == pytest.approx(math.exp(-700.0),
+                                                    rel=1e-15)
+    assert [row["conventional"] for row in rows[1:]] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("argv", [
     ("partition", "--n", "100001", "--method", "oracle"),
     # refused before the series for p(10^10) is summed
@@ -297,11 +310,12 @@ def test_unreduced_fraction_is_usage_error(capsys):
 
 
 def test_computation_error_serialized(capsys):
-    code, _, err = run_cli(capsys, "eta", "--tau", "0,1e-6")
+    # p(10^30) needs more Rademacher terms than the 5e6 budget allows
+    code, _, err = run_cli(capsys, "partition", "--n", str(10 ** 30))
     assert code == 1
     payload = json.loads(err)
     assert payload["error"]["type"] == "PrecisionError"
-    assert payload["error"]["terms_attempted"] == 6303914
+    assert payload["error"]["terms_attempted"] == 5000001
     assert "budget is 5000000" in payload["error"]["message"]
 
 
@@ -384,7 +398,7 @@ def test_extreme_inputs_exit_cleanly(capsys, argv):
 @pytest.mark.parametrize("tau, code", [
     ("0,inf", 2),       # non-finite tau is refused
     ("nan,1", 2),
-    ("0,1e-300", 1),    # |y| rounds to 1: within the guard band
+    ("0,1e-300", 0),    # eta(i/t) underflows, so eta(i t) is 0
     ("0,1e300", 0),     # |y| underflows: the product is exactly 1
 ])
 def test_eta_at_the_edges_of_the_half_plane(capsys, tau, code):
@@ -392,8 +406,6 @@ def test_eta_at_the_edges_of_the_half_plane(capsys, tau, code):
     assert got == code
     if code == 2:
         assert err.startswith("error: ") and "finite" in err
-    elif code == 1:
-        assert "unit circle" in json.loads(err)["error"]["message"]
     else:
         assert json.loads(out)["rows"][0]["eta_abs"] == 0.0
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulergas.arith import partition_count_oracle
-from eulergas.errors import DomainError, PrecisionError
+from eulergas.arith import (DedekindConvention, dedekind_sum,
+                            partition_count_oracle)
+from eulergas.errors import DomainError
 from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
                               leading_term_p, partition_generating,
                               rademacher_p)
-from oracles import level_sums_mp, rademacher_paper_literal
+from oracles import eta_mp, level_sums_mp, rademacher_paper_literal
+
+EPS = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +59,25 @@ def test_generating_log_bracket_at_e_inverse():
 
 
 def test_generating_guard_band():
-    with pytest.raises(PrecisionError):
+    # |y| >= 1 is outside the domain, and next to 1 on the real segment Z
+    # overflows a double
+    for y in (0.8 + 0.7j, 0.6 + 0.8j, 1.0, -1.0, 1.5):
+        with pytest.raises(DomainError, match=r"need \|y\| < 1"):
+            partition_generating(y)
+    with pytest.raises(DomainError, match="overflows"):
         partition_generating(1.0 - 1e-10)
-    with pytest.raises(PrecisionError):
-        partition_generating(0.8 + 0.7j)  # |y| > 1
+
+
+def test_generating_on_the_negative_segment_is_real():
+    # off the positive segment Z is e^{i pi tau/12}/eta(tau), tau = ln y/2 pi i
+    for y in (-0.5, -0.95):
+        got = partition_generating(y)
+        assert isinstance(got, float)
+        inside = partition_generating(complex(y, 1e-300))
+        assert abs(got - inside) <= 1e-15 * abs(got)
+    series = math.fsum(partition_count_oracle(n) * (-0.5) ** n
+                       for n in range(120))
+    assert partition_generating(-0.5) == pytest.approx(series, rel=1e-13)
 
 
 def test_generating_rejects_nan():
@@ -93,9 +112,9 @@ def test_eta_product_is_one_once_y_underflows():
 
 @pytest.mark.parametrize("im", [1e-300, 5e-324, 1e-11])
 def test_eta_refuses_y_on_the_unit_circle(im):
-    # |y| rounds to within the guard band of 1
-    with pytest.raises(PrecisionError, match="unit circle"):
-        eta(complex(0.0, im))
+    # where |y| rounds to 1 eta is taken at -1/tau, where it underflows:
+    # eta(i t) = t^{-1/2} eta(i/t), below e^{-pi/(12 t)}
+    assert eta(complex(0.0, im)) == 0.0
 
 
 def test_eta_period_24_in_the_real_part():
@@ -238,28 +257,116 @@ def test_g2_reduces_a_huge_real_part_exactly():
         eisenstein_g2(0.75 + 0.5j), rel=1e-13)
 
 
+def _g2_on_the_imaginary_axis(t):
+    # G2(-1/tau) = tau^2 G2(tau) - 2 pi i tau, and G2(i/t) = pi^2/3 to far
+    # below a double once 1/t > 6
+    return (math.pi ** 2 / 3.0 - 2.0 * math.pi * t) / -(t * t)
+
+
 @pytest.mark.parametrize("im", [3.2e-10, 1e-8])
 def test_g2_refuses_at_once_where_its_series_exceeds_the_budget(im):
-    # inside the guard band, but the series would need over 1e8 terms: a
-    # lower bound on its length refuses it before the loop starts
+    # the series would need over 1e8 terms at tau; at -1/tau it needs one,
+    # so G2 answers at once
     start = time.perf_counter()
-    with pytest.raises(PrecisionError, match="budget"):
-        eisenstein_g2(complex(0.0, im))
+    value = eisenstein_g2(complex(0.0, im))
     assert time.perf_counter() - start < 0.05
+    assert value == pytest.approx(_g2_on_the_imaginary_axis(im), rel=1e-10)
 
 
 def test_g2_still_answers_next_to_the_refusal():
-    # G2(-1/tau) = tau^2 G2(tau) - 2 pi i tau, and G2(i 1e4) = pi^2/3
     t = 1e-4
-    want = (math.pi ** 2 / 3.0 - 2.0 * math.pi * t) / -(t * t)
-    assert eisenstein_g2(complex(0.0, t)) == pytest.approx(want, rel=1e-10)
+    assert eisenstein_g2(complex(0.0, t)) == pytest.approx(
+        _g2_on_the_imaginary_axis(t), rel=1e-10)
 
 
 @pytest.mark.parametrize("im", [1e-300, 1e-12])
 def test_g2_refuses_the_guard_band_like_eta(im):
-    # |y| rounds to 1 at 1e-300 and lies within 1e-9 of it at 1e-12
-    with pytest.raises(PrecisionError, match="unit circle"):
-        eisenstein_g2(complex(0.0, im))
+    # G2(i t) is about -pi^2/(3 t^2): a double at t = 1e-12, and refused as
+    # an overflow at 1e-300, where eta underflows
+    if im > 1e-100:
+        assert eisenstein_g2(complex(0.0, im)) == pytest.approx(
+            _g2_on_the_imaginary_axis(im), rel=1e-10)
+    else:
+        with pytest.raises(DomainError, match="overflows"):
+            eisenstein_g2(complex(0.0, im))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite, st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False))
+def test_eta_and_g2_are_typed_at_every_finite_tau(re, im):
+    # eta is a finite value, 0 where it underflows; G2 is a finite value
+    # or a DomainError where it overflows
+    tau = complex(re, im)
+    assert cmath.isfinite(eta(tau))
+    try:
+        value = eisenstein_g2(tau)
+    except DomainError as exc:
+        assert "overflows" in str(exc)
+    else:
+        assert cmath.isfinite(value)
+
+
+def _unimodular(rng, c_max):
+    # (a b; c d) in SL2(Z) with 1 <= c <= c_max and |d| <= 3c
+    c = rng.randint(1, c_max)
+    d = rng.randint(-3 * c, 3 * c)
+    while math.gcd(c, d) != 1:
+        d = rng.randint(-3 * c, 3 * c)
+    a = pow(d, -1, c) if c > 1 else 1
+    b = (a * d - 1) // c
+    return a, b, c, d
+
+
+def test_eta_and_g2_follow_the_dedekind_multiplier():
+    # Apostol, Modular Functions and Dirichlet Series, Thm 3.4: for c > 0
+    #   eta(g tau0) = exp(pi i [(a+d)/(12c) - s(d, c)]) sqrt(-i(c tau0 + d))
+    #                 * eta(tau0),
+    #   G2(g tau0)  = (c tau0 + d)^2 G2(tau0) - 2 pi i c (c tau0 + d),
+    # with the right-hand sides summed directly at Im tau0 in [0.8, 1.5].
+    # g tau0 is rounded to a double, off by eps |tau| in tau; eta carries
+    # that as eps |tau| |G2(tau)|/(4 pi) relative (eta'/eta = i G2/(4 pi)),
+    # G2 as eps |tau| 2c|c tau0 + d| (the derivative of ln (c tau0 + d)^2)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        a, b, c, d = _unimodular(rng, 3000)
+        tau0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.5))
+        j = c * tau0 + d
+        tau = (a * tau0 + b) / j
+        s = dedekind_sum(d % c, c, DedekindConvention.CLASSICAL_SAWTOOTH)
+        phase = (Fraction(a + d, 12 * c) - s.value) % 2
+        want_eta = (cmath.exp(1j * math.pi * float(phase))
+                    * cmath.sqrt(-1j * j) * eta(tau0))
+        want_g2 = j * j * eisenstein_g2(tau0) - 2j * math.pi * c * j
+        tol_eta = 1e-12 + 8 * EPS * abs(tau) * abs(want_g2) / (4 * math.pi)
+        tol_g2 = 1e-12 + 16 * EPS * abs(tau) * 2 * c * abs(j)
+        assert abs(eta(tau) - want_eta) <= tol_eta * abs(want_eta), (a, b, c, d)
+        assert abs(eisenstein_g2(tau) - want_g2) <= tol_g2 * abs(want_g2), \
+            (a, b, c, d)
+
+
+def test_eta_below_the_switch_matches_the_oracle():
+    # 50-digit eta at Im tau in [1e-9, 0.05), log-uniform; the error allowed
+    # is the truncation target plus the rounding of -1/s carried at
+    # eps |tau| |G2(tau)|/(4 pi) relative
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(200):
+        tau = complex(rng.uniform(-3.0, 3.0),
+                      math.exp(rng.uniform(math.log(1e-9), math.log(0.05))))
+        want = complex(eta_mp(tau))
+        got = eta(tau)
+        if abs(want) < 2.3e-308:  # below the normal doubles
+            assert abs(got) < 2.3e-308
+            continue
+        g2 = abs(eisenstein_g2(tau))
+        tol = 1e-12 + 8 * EPS * abs(tau) * g2 / (4 * math.pi)
+        assert abs(got - want) <= tol * abs(want), tau
+        checked += 1
+    assert checked >= 150
 
 
 # ---------------------------------------------------------------------------
