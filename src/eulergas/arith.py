@@ -130,15 +130,21 @@ def reduced_fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+# The largest Farey order taken (304 193 fractions; order 10^5 would be ~3e9)
+_FAREY_MAX_ORDER = 1000
+
+
 def farey_sequence(order: int) -> list[Fraction]:
     """All reduced fractions in [0, 1] with denominator <= order, ascending.
 
     Uses the next-term recurrence, so consecutive entries are unimodular by
     construction; tests verify that independently against brute-force
-    enumeration.
+    enumeration.  order above 1000 is refused with DomainError.
     """
     if order < 1:
         raise DomainError(f"farey order must be >= 1, got {order}")
+    if order > _FAREY_MAX_ORDER:
+        raise DomainError(f"farey order must be <= {_FAREY_MAX_ORDER}, got {order}")
     out = [Fraction(0, 1)]
     a, b, c, d = 0, 1, 1, order
     while c <= order:
@@ -230,8 +236,10 @@ class DedekindValue:
 def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValue:
     """Exact s(p, q) for coprime 0 <= p < q (p = 0 only with q = 1).
 
-    Both conventions reduce to T/q^2 with T = sum l*((p*l) mod q) over
-    l = 1..q-1; the classical sawtooth version subtracts (q-1)/4.
+    The classical sum is the alternating sum of the reciprocity law's
+    right-hand sides, s(p, q) + s(q, p) = (p/q + q/p + 1/(pq))/12 - 1/4,
+    along Euclid's remainders of (q, p), with s(0, 1) = 0: O(log q) steps.
+    The paper-literal version adds (q-1)/4.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
@@ -239,10 +247,12 @@ def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValu
         raise DomainError(f"need 0 <= p < q, got p={p}, q={q}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"p and q must be coprime, got p={p}, q={q}")
-    total = sum(l * ((p * l) % q) for l in range(1, q))
-    value = Fraction(total, q * q)
-    if convention is DedekindConvention.CLASSICAL_SAWTOOTH:
-        value -= Fraction(q - 1, 4)
+    value, sign, a, b = Fraction(0), 1, p, q
+    while a:
+        value += sign * (Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4))
+        sign, a, b = -sign, b % a, a
+    if convention is DedekindConvention.PAPER_LITERAL:
+        value += Fraction(q - 1, 4)
     return DedekindValue(value, convention)
 
 

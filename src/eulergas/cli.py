@@ -237,12 +237,10 @@ def _cmd_eta(args) -> dict:
     row = {"tau_re": tau.real, "tau_im": tau.imag,
            "eta_re": value.real, "eta_im": value.imag, "eta_abs": abs(value)}
     if args.check != "none":
-        if args.check == "shift":
-            predicted = modular.eta_transform(tau, modular.EtaTransform.SHIFT)
-            direct = modular.eta(tau + 1.0)
-        else:
-            predicted = modular.eta_transform(tau, modular.EtaTransform.INVERSION)
-            direct = modular.eta(-1.0 / tau)
+        which = modular.EtaTransform(args.check)
+        predicted = modular.eta_transform(tau, which)
+        direct = modular.eta(tau + 1.0 if which is modular.EtaTransform.SHIFT
+                             else -1.0 / tau)
         row["check"] = args.check
         row["check_residual"] = abs(direct - predicted) / abs(direct)
     return {"command": "eta", "params": {"tau": args.tau, "check": args.check},
@@ -341,10 +339,7 @@ def _cmd_quartz(args) -> dict:
 
 def _cmd_mellin(args) -> dict:
     from . import thermo
-    kind = {"free-energy": thermo.MellinKind.FREE_ENERGY,
-            "occupation": thermo.MellinKind.OCCUPATION,
-            "energy": thermo.MellinKind.ENERGY}[args.kind]
-    integral, closed = thermo.mellin_check(args.s, kind)
+    integral, closed = thermo.mellin_check(args.s, thermo.MellinKind(args.kind))
     row = {"s": args.s, "kind": args.kind, "integral": integral,
            "closed_form": closed,
            "rel_diff": abs(integral - closed) / abs(closed)}
@@ -386,90 +381,77 @@ class SweepGrid:
             raise DomainError("log scale needs start > 0")
 
     def values(self) -> list[float]:
+        """start, points - 2 inner values and stop, each finite."""
+        n = self.points - 1
         if self.scale == "log":
-            ratio = (self.stop / self.start) ** (1.0 / (self.points - 1))
-            vals = [self.start * ratio ** i for i in range(self.points)]
+            ratio = (self.stop / self.start) ** (1.0 / n)
+            if ratio < math.inf:
+                vals = [self.start * ratio ** i for i in range(n)]
+            else:  # stop/start overflows: step in logs
+                lo = math.log(self.start)
+                step = (math.log(self.stop) - lo) / n
+                vals = [self.start] + [math.exp(lo + step * i) for i in range(1, n)]
         else:
-            step = (self.stop - self.start) / (self.points - 1)
-            vals = [self.start + step * i for i in range(self.points)]
-        vals[-1] = self.stop
-        return vals
+            step = (self.stop - self.start) / n
+            if step < math.inf:
+                vals = [self.start + step * i for i in range(n)]
+            else:  # stop - start overflows: step at half scale
+                half = (0.5 * self.stop - 0.5 * self.start) / n
+                vals = [2.0 * (0.5 * self.start + half * i) for i in range(n)]
+        return vals + [self.stop]
 
 
-_SWEEP_MODELS = {
-    "energy": ("exact", "lowfreq", "planck", "zeropoint"),
-    "free-energy": ("exact", "lowfreq", "conventional"),
-    "entropy": ("exact", "lowfreq"),
-    "occupation": ("exact", "lowfreq", "conventional"),
-    "emissivity": ("planck", "rayleigh-jeans", "general", "general-lf"),
-    "frac-noise": ("rj", "general-lf", "einstein"),
-    "partition": ("rademacher", "oracle"),
-}
+# --quantity choices, spelled out so that building the parser imports nothing
+_SWEEP_QUANTITIES = ("energy", "free-energy", "entropy", "occupation",
+                     "emissivity", "frac-noise", "partition")
 
 
-def _sweep_evaluator(quantity: str, model: str, args, constants):
-    """Return f(value) -> float for one quantity/model column."""
+def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
+    """The grid variable of a sweep quantity and {model: f(value)} for its
+    columns, in default column order."""
+    if quantity == "partition":
+        from . import modular
+        return "n", {"rademacher": lambda n: modular.rademacher_p(int(n)).value,
+                     "oracle": lambda n: arith.partition_count_oracle(int(n))}
     if quantity in ("emissivity", "frac-noise"):
         from . import radiation
-    elif quantity == "partition":
-        from . import modular
-    else:
-        from . import thermo
-    if quantity == "energy":
-        return {"exact": thermo.internal_energy,
-                "lowfreq": thermo.internal_energy_lowfreq,
-                "planck": lambda x: thermo.planck_factor(x, thermo.PlanckVariant.PLANCK),
-                "zeropoint": lambda x: thermo.planck_factor(x, thermo.PlanckVariant.ZERO_POINT),
-                }[model]
-    if quantity == "free-energy":
-        return {"exact": thermo.free_energy,
-                "lowfreq": thermo.free_energy_lowfreq,
-                "conventional": lambda x: math.log1p(-math.exp(-x)),
-                }[model]
-    if quantity == "entropy":
-        return {"exact": thermo.entropy,
-                "lowfreq": thermo.entropy_lowfreq}[model]
-    if quantity == "occupation":
-        return {"exact": thermo.occupation,
-                "lowfreq": thermo.occupation_lowfreq,
-                "conventional": lambda x: math.exp(-x) / -math.expm1(-x)}[model]
-    if quantity in ("emissivity", "frac-noise"):
+        # only the radiation quantities use h, k and c
+        constants = _constants_from(args)
         if args.temperature is None:
             raise DomainError(f"{quantity} sweep needs --temperature")
         cavity = radiation.CavitySpec(volume=args.volume,
                                       temperature=args.temperature)
-        if quantity == "emissivity":
-            emodel = {"planck": radiation.EmissivityModel.PLANCK,
-                      "rayleigh-jeans": radiation.EmissivityModel.RAYLEIGH_JEANS,
-                      "general": radiation.EmissivityModel.GENERAL,
-                      "general-lf": radiation.EmissivityModel.GENERAL_LOW_FREQ}[model]
-            return lambda nu: radiation.emissivity(nu, cavity, constants, emodel)
-        nmodel = {"rj": radiation.NoiseModel.RAYLEIGH_JEANS,
-                  "general-lf": radiation.NoiseModel.GENERAL_LOW_FREQ,
-                  "einstein": radiation.NoiseModel.EINSTEIN_FULL}[model]
-        return lambda nu: radiation.fluctuation_spectrum(nu, cavity, constants,
-                                                         nmodel)
-    if quantity == "partition":
-        if model == "rademacher":
-            return lambda n: modular.rademacher_p(int(n)).value
-        return lambda n: arith.partition_count_oracle(int(n))
-    raise DomainError(f"unknown sweep quantity {quantity!r}")
+        f, models = ((radiation.emissivity, radiation.EmissivityModel)
+                     if quantity == "emissivity" else
+                     (radiation.fluctuation_spectrum, radiation.NoiseModel))
+        return "nu", {m.value: (lambda nu, m=m: f(nu, cavity, constants, m))
+                      for m in models}
+    from . import thermo
+    planck = thermo.PlanckVariant
+    return "x", {
+        "energy": {"exact": thermo.internal_energy,
+                   "lowfreq": thermo.internal_energy_lowfreq,
+                   "planck": lambda x: thermo.planck_factor(x, planck.PLANCK),
+                   "zeropoint": lambda x: thermo.planck_factor(x, planck.ZERO_POINT)},
+        "free-energy": {"exact": thermo.free_energy,
+                        "lowfreq": thermo.free_energy_lowfreq,
+                        "conventional": lambda x: math.log1p(-math.exp(-x))},
+        "entropy": {"exact": thermo.entropy, "lowfreq": thermo.entropy_lowfreq},
+        "occupation": {"exact": thermo.occupation,
+                       "lowfreq": thermo.occupation_lowfreq,
+                       "conventional": thermo._bose},
+    }[quantity]
 
 
 def _cmd_sweep(args) -> dict:
     quantity = args.quantity
-    # only the radiation quantities use h, k and c
-    constants = (_constants_from(args) if quantity in ("emissivity", "frac-noise")
-                 else None)
-    models = (tuple(args.models.split(",")) if args.models
-              else _SWEEP_MODELS[quantity])
+    var, columns = _sweep_columns(quantity, args)
+    models = tuple(args.models.split(",")) if args.models else tuple(columns)
     for m in models:
-        if m not in _SWEEP_MODELS[quantity]:
+        if m not in columns:
             raise DomainError(
                 f"model {m!r} not available for {quantity}; "
-                f"choose from {', '.join(_SWEEP_MODELS[quantity])}")
-    var = "n" if quantity == "partition" else ("nu" if quantity in
-                                               ("emissivity", "frac-noise") else "x")
+                f"choose from {', '.join(columns)}")
     if quantity == "partition":
         if not (math.isfinite(args.start) and math.isfinite(args.stop)):
             raise DomainError("partition sweep needs finite --start and --stop")
@@ -482,15 +464,13 @@ def _cmd_sweep(args) -> dict:
         grid = SweepGrid(args.start, args.stop, args.points, args.scale)
         grid_values = grid.values()
 
-    evaluators = {m: _sweep_evaluator(quantity, m, args, constants)
-                  for m in models}
     rows = []
     for v in grid_values:
         row: dict = {var: v}
         errors = []
         for m in models:
             try:
-                row[m] = _check_finite(m, evaluators[m](v))
+                row[m] = _check_finite(m, columns[m](v))
             # ValueError: DomainError, or the math domain error of a
             # conventional comparator outside x > 0
             except (PrecisionError, ConvergenceError, ValueError,
@@ -600,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="grid sweeps with models side by side")
-    p.add_argument("--quantity", choices=tuple(_SWEEP_MODELS), required=True)
+    p.add_argument("--quantity", choices=_SWEEP_QUANTITIES, required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--points", type=int, default=50)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .arith import _BERNOULLI_2K, ZETA3
 from .errors import DomainError, require_positive
 from .radiation import PhysicalConstants, load_key_value_file
+from .thermo import _bose
 
 __all__ = [
     "SolidSpec", "ResonatorSpec",
@@ -170,10 +171,8 @@ def specific_heat(solid: SolidSpec, constants: PhysicalConstants,
     Dulong-Petit ratio.
     """
     x_m = debye_temperature(solid, constants) / solid.temperature
-    r = math.exp(-x_m)
-    # 0 once e^{-x_m} underflows, also at x_m = inf (T subnormal)
-    bose = x_m * r / -math.expm1(-x_m) if r else 0.0
-    ratio = 4.0 * debye_function(x_m) - 3.0 * bose
+    # x_m = inf where T is subnormal; the Bose term is 0 there
+    ratio = 4.0 * debye_function(x_m) - 3.0 * _bose(x_m, x_m)
     cv = 3.0 * solid.n_atoms * constants.k * ratio
     if model is DebyeModel.CONVENTIONAL:
         return cv

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .arith import ZETA3
 from .errors import DomainError, require_positive
-from .thermo import internal_energy
+from .thermo import _bose, internal_energy
 
 __all__ = [
     "PhysicalConstants", "CavitySpec", "load_key_value_file",
@@ -143,8 +143,8 @@ def planck_spectral_density(nu: float, cavity: CavitySpec,
     """Conventional spectral energy density u(nu, T) in J/Hz:
     (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x})."""
     x = mode_x(nu, cavity.temperature, constants)
-    return (8.0 * math.pi * constants.h * cavity.volume / constants.c ** 3
-            * nu ** 3 * math.exp(-x) / -math.expm1(-x))
+    return _bose(x, 8.0 * math.pi * constants.h * cavity.volume / constants.c ** 3
+                 * nu ** 3)
 
 
 class EmissivityModel(Enum):
@@ -171,8 +171,7 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     x = mode_x(nu, t, constants)
     c2 = constants.c ** 2
     if model is EmissivityModel.PLANCK:
-        return (2.0 * math.pi * constants.h / c2 * nu ** 3
-                * math.exp(-x) / -math.expm1(-x))
+        return _bose(x, 2.0 * math.pi * constants.h / c2 * nu ** 3)
     if model is EmissivityModel.RAYLEIGH_JEANS:
         return 2.0 * math.pi * constants.k / c2 * nu ** 2 * t
     if model is EmissivityModel.GENERAL:
@@ -207,9 +206,9 @@ def einstein_AB(nu: float, constants: PhysicalConstants, temperature: float,
 
 
 class NoiseModel(Enum):
-    EINSTEIN_FULL = "einstein"
     RAYLEIGH_JEANS = "rj"
     GENERAL_LOW_FREQ = "general-lf"
+    EINSTEIN_FULL = "einstein"
 
 
 def einstein_fluctuation_from_u(nu: float, u: float, cavity: CavitySpec,

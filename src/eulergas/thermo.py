@@ -286,12 +286,20 @@ class PlanckVariant(Enum):
     ZERO_POINT = "zero-point"   # x*coth(x/2)
 
 
+def _bose(x: float, scale: float = 1.0) -> float:
+    """scale/(e^x - 1), the conventional model's Bose factor, taken as
+    scale e^{-x}/(1 - e^{-x}) and rounded in that order: it vanishes instead
+    of overflowing at large x, and is 0 once e^{-x} underflows (also at
+    x = inf, whatever scale).  At x = 0 it raises ZeroDivisionError."""
+    e = math.exp(-x)
+    return scale * e / -math.expm1(-x) if e else 0.0
+
+
 def planck_factor(x: float, variant: PlanckVariant) -> float:
     """Conventional per-mode energy factors in kT units."""
     x = _require_x(x)
     if variant is PlanckVariant.PLANCK:
-        # x e^{-x}/(1 - e^{-x}): vanishes instead of overflowing at large x
-        return x * math.exp(-x) / -math.expm1(-x)
+        return _bose(x, x)
     if variant is PlanckVariant.ZERO_POINT:
         return x / math.tanh(0.5 * x)
     raise DomainError(f"unknown Planck variant {variant!r}")
@@ -307,31 +315,44 @@ class MellinKind(Enum):
     ENERGY = "energy"
 
 
-def _mellin_head(kind: MellinKind, s: float, c: float) -> float:
-    """Closed-form integral of the small-x integrand over [0, c].
+def _free_energy_head(s: float, c: float) -> float:
+    return (math.pi ** 2 / 6.0 * c ** (s - 1.0) / (s - 1.0)
+            + 0.5 * c ** s * (math.log(c / (2.0 * math.pi)) / s - 1.0 / s ** 2)
+            - c ** (s + 1.0) / (24.0 * (s + 1.0)))
 
-    The free-energy and energy forms are exact up to e^{-4 pi^2 / c}; the
-    occupation form integrates Wigert's expansion termwise, with as many
-    terms as it takes at x = c, so its remainder is as small.
-    """
-    pi2_6 = math.pi ** 2 / 6.0
-    if kind is MellinKind.FREE_ENERGY:
-        return (pi2_6 * c ** (s - 1.0) / (s - 1.0)
-                + 0.5 * c ** s * (math.log(c / (2.0 * math.pi)) / s - 1.0 / s ** 2)
-                - c ** (s + 1.0) / (24.0 * (s + 1.0)))
-    if kind is MellinKind.OCCUPATION:
-        g = euler_gamma()
-        _, k_terms, _ = _wigert(c)
-        return (c ** (s - 1.0) * ((g - math.log(c)) / (s - 1.0)
-                                  + 1.0 / (s - 1.0) ** 2)
-                + c ** s / (4.0 * s)
-                - sum(w * c ** (2 * k - 1 + s) / (2 * k - 1 + s)
-                      for k, w in enumerate(_WIGERT[:k_terms], 1)))
-    if kind is MellinKind.ENERGY:
-        return (pi2_6 * c ** (s - 2.0) / (s - 2.0)
-                - 0.5 * c ** (s - 1.0) / (s - 1.0)
-                + c ** s / (24.0 * s))
-    raise DomainError(f"unknown Mellin kind {kind!r}")
+
+def _occupation_head(s: float, c: float) -> float:
+    _, k_terms, _ = _wigert(c)
+    return (c ** (s - 1.0) * ((euler_gamma() - math.log(c)) / (s - 1.0)
+                              + 1.0 / (s - 1.0) ** 2)
+            + c ** s / (4.0 * s)
+            - sum(w * c ** (2 * k - 1 + s) / (2 * k - 1 + s)
+                  for k, w in enumerate(_WIGERT[:k_terms], 1)))
+
+
+def _energy_head(s: float, c: float) -> float:
+    return (math.pi ** 2 / 6.0 * c ** (s - 2.0) / (s - 2.0)
+            - 0.5 * c ** (s - 1.0) / (s - 1.0)
+            + c ** s / (24.0 * s))
+
+
+# Per kind: the least s (exclusive); the series in the integrand, -ln Z, N
+# and sum sigma_1(n) e^{-nx} = (E/kT)/x; its integral times x^{s-1} over
+# [0, c] in closed small-x form; and the Gamma*zeta*zeta closed form.  The
+# free-energy and energy heads are exact up to e^{-4 pi^2 / c}; the
+# occupation head integrates Wigert's expansion termwise, with as many terms
+# as it takes at x = c, so its remainder is as small.
+_MELLIN = {
+    MellinKind.FREE_ENERGY: (
+        1.0, lambda x: -free_energy(x), _free_energy_head,
+        lambda s: gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s + 1.0)),
+    MellinKind.OCCUPATION: (
+        1.0, occupation, _occupation_head,
+        lambda s: gamma_fn(s) * riemann_zeta(s) ** 2),
+    MellinKind.ENERGY: (
+        2.0, lambda x: internal_energy(x) / x, _energy_head,
+        lambda s: gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s - 1.0)),
+}
 
 
 def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
@@ -346,20 +367,12 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     """
     if not math.isfinite(s):
         raise DomainError(f"Mellin check needs finite s, got {s}")
-    if kind in (MellinKind.FREE_ENERGY, MellinKind.OCCUPATION):
-        if s <= 1.0:
-            raise DomainError(f"{kind.value} Mellin check needs s > 1, got {s}")
-    elif kind is MellinKind.ENERGY:
-        if s <= 2.0:
-            raise DomainError(f"energy Mellin check needs s > 2, got {s}")
-    else:
+    if kind not in _MELLIN:
         raise DomainError(f"unknown Mellin kind {kind!r}")
+    s_min, base, head, closed_form = _MELLIN[kind]
+    if s <= s_min:
+        raise DomainError(f"{kind.value} Mellin check needs s > {s_min:g}, got {s}")
     import mpmath
-
-    # -ln Z, N and sum sigma_1(n) e^{-nx} = (E/kT)/x
-    base = {MellinKind.FREE_ENERGY: lambda x: -free_energy(x),
-            MellinKind.OCCUPATION: occupation,
-            MellinKind.ENERGY: lambda x: internal_energy(x) / x}[kind]
 
     def fx(x: float) -> float:
         return base(x) * x ** (s - 1.0)
@@ -372,14 +385,7 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
         return base(1.0 / u) * u ** (-s - 1.0)
 
     c = LOWFREQ_SWITCH
-    head = _mellin_head(kind, s, c)
+    lo = head(s, c)
     mid = mpmath.fp.quad(fx, [c, 1.0])
     top = mpmath.fp.quad(tail, [0.0, 0.25, 1.0])
-
-    if kind is MellinKind.FREE_ENERGY:
-        closed = gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s + 1.0)
-    elif kind is MellinKind.OCCUPATION:
-        closed = gamma_fn(s) * riemann_zeta(s) ** 2
-    else:
-        closed = gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s - 1.0)
-    return head + mid + top, closed
+    return lo + mid + top, closed_form(s)

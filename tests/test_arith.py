@@ -149,6 +149,16 @@ def test_farey_examples():
         farey_sequence(0)
 
 
+def test_farey_order_is_capped():
+    # order 10^5 would build ~3e9 Fractions; the cap refuses it at once
+    assert len(farey_sequence(1000)) == 304193
+    start = time.monotonic()
+    for order in (1001, 100_000):
+        with pytest.raises(DomainError, match="<= 1000"):
+            farey_sequence(order)
+    assert time.monotonic() - start < 1.0
+
+
 def test_farey_matches_brute_force():
     for order in range(1, 31):
         assert farey_sequence(order) == brute_farey(order)
@@ -279,6 +289,16 @@ def test_dedekind_matches_brute_force():
             if math.gcd(p, q) == 1 and (p > 0 or q == 1):
                 assert dedekind_sum(p, q, CLASSICAL).value == brute_classical(p, q)
                 assert dedekind_sum(p, q, PAPER).value == brute_paper(p, q)
+
+
+def test_dedekind_at_large_q():
+    # closed forms s(1, q) = (q-1)(q-2)/(12q) and, q odd, s(2, q) =
+    # (q-1)(q-5)/(24q), at q far past what a sum over l = 1..q-1 can reach
+    for q in (10 ** 12 + 1, 2 ** 61 - 1):
+        assert dedekind_sum(1, q, CLASSICAL).value == Fraction((q - 1) * (q - 2), 12 * q)
+        assert dedekind_sum(2, q, CLASSICAL).value == Fraction((q - 1) * (q - 5), 24 * q)
+        assert (dedekind_sum(2, q, PAPER).value
+                == dedekind_sum(2, q, CLASSICAL).value + Fraction(q - 1, 4))
 
 
 def test_dedekind_rejects_bad_input():

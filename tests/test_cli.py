@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eulergas
-from eulergas.cli import _json_value, build_parser, main
+from eulergas.cli import _json_value, _sweep_columns, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +248,30 @@ def test_sweep_at_the_cap_is_taken():
     assert len(SweepGrid(0.1, 1.0, 100_000, "linear").values()) == 100_000
 
 
+@pytest.mark.parametrize("argv", [
+    # stop/start overflows
+    ("--start", "1e-200", "--stop", "1e200", "--points", "5", "--scale", "log"),
+    ("--start", "5e-324", "--stop", "1e308", "--points", "4", "--scale", "log"),
+    # stop - start overflows
+    ("--start=-1.5e308", "--stop", "1.5e308", "--points", "3"),
+    ("--start=-1.5e308", "--stop", "1.5e308", "--points", "6"),
+    # the last ratio power overflows, and the grid ends at stop instead
+    ("--start", "1", "--stop", "1.7976931348623157e308", "--points", "5",
+     "--scale", "log"),
+])
+def test_sweep_grids_that_overflow_stay_finite(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "energy", *argv,
+                             "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    xs = [row["x"] for row in doc["rows"]]
+    points = int(argv[argv.index("--points") + 1])
+    assert len(xs) == points
+    assert xs[0] == doc["params"]["start"] and xs[-1] == doc["params"]["stop"]
+    assert all(math.isfinite(x) for x in xs)
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
 def test_oracle_cells_past_the_cap_go_null(capsys, monkeypatch):
     # the cap lowered to 50, so that the table stays small
     monkeypatch.setattr(eulergas.arith, "_ORACLE_MAX_N", 50)
@@ -468,6 +492,44 @@ def test_non_finite_result_is_a_computation_error(capsys):
     assert code == 1
     assert out == ""
     assert "x_m" in json.loads(err.splitlines()[-1])["error"]["message"]
+
+
+def test_choice_lists_match_the_library_enums():
+    # the parser spells its choices out, so that building it imports no
+    # subsystem; they must stay the values of the enums the handlers build
+    from eulergas.modular import EtaTransform
+    from eulergas.radiation import EmissivityModel, NoiseModel
+    from eulergas.thermo import MellinKind
+    commands = next(a.choices for a in build_parser()._actions
+                    if a.dest == "command")
+
+    def choices(command, dest):
+        return next(a.choices for a in commands[command]._actions
+                    if a.dest == dest)
+
+    assert choices("mellin-check", "kind") == tuple(k.value for k in MellinKind)
+    assert choices("eta", "check") == ("none", *(t.value for t in EtaTransform))
+    # the sweep columns come from the enums, whose order is the column order
+    for quantity, enum, columns in (
+            ("emissivity", EmissivityModel,
+             ("planck", "rayleigh-jeans", "general", "general-lf")),
+            ("frac-noise", NoiseModel, ("rj", "general-lf", "einstein"))):
+        args = build_parser().parse_args(
+            ["sweep", "--quantity", quantity, "--start", "1", "--stop", "2",
+             "--temperature", "300"])
+        assert tuple(_sweep_columns(quantity, args)[1]) == columns
+        assert tuple(m.value for m in enum) == columns
+
+
+def test_overflowed_planck_prefactor_is_a_computation_error(capsys):
+    # 8 pi h V nu^3/c^3 overflows at V = 1e300, nu = 1e100, while e^{-x}
+    # underflows: u is 0, not nan, and the Einstein shot term overflows
+    code, out, err = run_cli(capsys, "blackbody", "--nu", "1e100",
+                             "--temperature", "300", "--volume", "1e300",
+                             "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "OverflowError"
 
 
 def test_underflowed_planck_density_is_a_computation_error(capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _lambert, _wigert, entropy, entropy_lowfreq,
+                             _bose, _lambert, _wigert, entropy,
+                             entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
                              internal_energy, internal_energy_lowfreq,
                              mellin_check, occupation, occupation_lowfreq,
@@ -223,6 +224,16 @@ def test_zero_point_identity():
 def test_planck_factor_domain():
     with pytest.raises(DomainError):
         planck_factor(0.0, PlanckVariant.PLANCK)
+
+
+def test_bose_factor_edges():
+    # 0 once e^{-x} underflows, even where the prefactor overflowed; at x = 0
+    # the division fails, which the occupation sweep reports in its cell
+    assert _bose(800.0) == 0.0
+    assert _bose(math.inf, math.inf) == 0.0
+    with pytest.raises(ZeroDivisionError) as exc:
+        _bose(0.0)
+    assert str(exc.value) == "float division by zero"
 
 
 # ---------------------------------------------------------------------------
