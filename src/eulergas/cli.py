@@ -404,6 +404,8 @@ class SweepGrid:
 # --quantity choices, spelled out so that building the parser imports nothing
 _SWEEP_QUANTITIES = ("energy", "free-energy", "entropy", "occupation",
                      "emissivity", "frac-noise", "partition")
+# the quantities that take --temperature and --volume
+_RADIATION_QUANTITIES = ("emissivity", "frac-noise")
 
 
 def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
@@ -413,14 +415,15 @@ def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
         from . import modular
         return "n", {"rademacher": lambda n: modular.rademacher_p(int(n)).value,
                      "oracle": lambda n: arith.partition_count_oracle(int(n))}
-    if quantity in ("emissivity", "frac-noise"):
+    if quantity in _RADIATION_QUANTITIES:
         from . import radiation
         # only the radiation quantities use h, k and c
         constants = _constants_from(args)
         if args.temperature is None:
             raise DomainError(f"{quantity} sweep needs --temperature")
-        cavity = radiation.CavitySpec(volume=args.volume,
-                                      temperature=args.temperature)
+        cavity = radiation.CavitySpec(
+            volume=1.0 if args.volume is None else args.volume,
+            temperature=args.temperature)
         f, models = ((radiation.emissivity, radiation.EmissivityModel)
                      if quantity == "emissivity" else
                      (radiation.fluctuation_spectrum, radiation.NoiseModel))
@@ -445,6 +448,12 @@ def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
 
 def _cmd_sweep(args) -> dict:
     quantity = args.quantity
+    unused = [] if quantity in _RADIATION_QUANTITIES else ["temperature", "volume"]
+    if quantity == "partition":
+        unused += ["points", "scale"]
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            raise DomainError(f"{quantity} sweep takes no --{flag}")
     var, columns = _sweep_columns(quantity, args)
     models = tuple(args.models.split(",")) if args.models else tuple(columns)
     for m in models:
@@ -461,7 +470,9 @@ def _cmd_sweep(args) -> dict:
         _require_sweep_points(stop - start + 1)
         grid_values: list = list(range(start, stop + 1))
     else:
-        grid = SweepGrid(args.start, args.stop, args.points, args.scale)
+        grid = SweepGrid(args.start, args.stop,
+                         50 if args.points is None else args.points,
+                         args.scale or "linear")
         grid_values = grid.values()
 
     rows = []
@@ -583,12 +594,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=_SWEEP_QUANTITIES, required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--scale", choices=("linear", "log"), default="linear")
+    # flags a quantity does not use are refused, so these default to None
+    p.add_argument("--points", type=int, default=None,
+                   help="grid points, default 50 (not for partition)")
+    p.add_argument("--scale", choices=("linear", "log"), default=None,
+                   help="grid scale, default linear (not for partition)")
     p.add_argument("--models", default=None,
                    help="comma-separated subset of the quantity's models")
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--volume", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=None,
+                   help="emissivity and frac-noise only")
+    p.add_argument("--volume", type=float, default=None,
+                   help="default 1.0 (emissivity and frac-noise only)")
     p.set_defaults(handler=_cmd_sweep)
     return parser
 

@@ -8,16 +8,19 @@ two conventional per-mode comparators, and the Mellin-transform cross-checks
     integral  N(x)   x^{s-1} dx      = Gamma(s) zeta(s)^2
     integral (E/kTx) x^{s-1} dx      = Gamma(s) zeta(s) zeta(s-1)
 
-The divisor series are evaluated in Lambert form, sum d^k r^d/(1 - r^d)
-with r = e^{-x}, which at x >= 0.9 reaches double precision in at most 53
+With r = e^{-x}, ln Z, E and the fluctuation come from Euler's pentagonal
+number theorem, 1/Z = prod (1 - r^d) = sum_k (-1)^k r^{k(3k-1)/2}, and its
+two derivatives, and N from Clausen's identity
+N = sum r^{m^2} (1 + r^m)/(1 - r^m); both converge like r^{k^2}, so at
+x >= 0.9 double precision takes at most 6 pentagonal pairs and 6 Clausen
 terms.  Below x = 0.9, F, E and the fluctuation follow from the dual-scale
-functional equation of ln Z with the Lambert sums taken at 4 pi^2/x, which
-needs one term, and N from Wigert's expansion (the residues of
-Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19.  Every recorded tail
-bound is a true bound: geometric on the dropped Lambert terms, and a
-contour bound on Wigert's remainder.  There is no term budget: every finite
-x > 0 gives finite values, except below x ~ 3.9e-306, where N exceeds the
-largest double and OverflowError is raised.
+functional equation of ln Z with the pentagonal sums taken at 4 pi^2/x,
+which needs one pair, and N from Wigert's expansion (the residues of
+Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19 terms.  Every recorded
+tail bound is a true bound: geometric on the dropped pentagonal and Clausen
+terms, and a contour bound on Wigert's remainder.  There is no term budget:
+every finite x > 0 gives finite values, except below x ~ 3.9e-306, where N
+exceeds the largest double and OverflowError is raised.
 
 The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
 by mpmath's double-precision tanh-sinh rule, and compare with Gamma(s) zeta
@@ -52,9 +55,11 @@ LOWFREQ_SWITCH = 1e-3    # Mellin integrands are integrated in closed
                          # small-x form below this x
 DUAL_SWITCH = 0.9        # below this x: the dual scale for F, E and the
                          # fluctuation, Wigert's expansion for N
-TAIL_EPS = 2.0 ** -56    # Lambert sums stop once the d^2 tail is below this
-                         # fraction of the first term, Wigert's once its
-                         # remainder bound is below it times the leading term
+TAIL_EPS = 2.0 ** -56    # the pentagonal and Clausen sums stop once their
+                         # tail bounds (the p^2-weighted one for the
+                         # pentagonal) are below this fraction of their first
+                         # term r, Wigert's once its remainder bound is below
+                         # it times the leading term
 # Tail bounds are rounded up by this factor, which covers the relative error
 # of evaluating them in floating point (below 1e-14 for every x)
 _BOUND_ROUNDING = 1.0 + 1e-12
@@ -83,8 +88,9 @@ class ThermoPerMode:
     """All per-mode quantities from one evaluation, fluct in (kT)^2 units.
 
     s_over_k equals e_over_kT - f_over_kT exactly by construction;
-    terms_used counts the Lambert and Wigert terms summed and tail_bound
-    bounds every dropped tail.
+    terms_used counts the pentagonal pairs and Clausen terms summed at
+    x >= DUAL_SWITCH, and below it the pentagonal pairs at 4 pi^2/x and
+    Wigert's terms; tail_bound bounds every dropped tail.
     """
 
     f_over_kT: float
@@ -96,54 +102,108 @@ class ThermoPerMode:
     tail_bound: float
 
 
-def _power_tail(d: int, r: float, k: int, scale: float = 1.0) -> float:
-    """Bound on scale * sum_{m>d} m^k r^m: scale times its first term over
-    one minus the largest ratio of successive terms, ((d+2)/(d+1))^k r,
-    which must be below 1: at d >= 1, k <= 2, r < 4/9 (x > 0.811, which
-    DUAL_SWITCH keeps).  Taken in logs where r^{d+1} is below the normal
-    range (x > 354 at d = 1)."""
+def _power_tail(d: int, r: float, k: int) -> float:
+    """Bound on sum_{m>d} m^k r^m: its first term over one minus the largest
+    ratio of successive terms, ((d+2)/(d+1))^k r, which must be below 1: it
+    is at most 1.44 r for d >= 4, k <= 2, and r < e^{-0.9} keeps that below
+    0.6.  Taken in logs where r^{d+1} is below the normal range."""
     head, ratio = r ** (d + 1), ((d + 2) / (d + 1)) ** k * r
     if head >= sys.float_info.min:
-        return scale * ((d + 1) ** k * head / (1.0 - ratio))
-    return _exp_up(math.log(scale) + k * math.log(d + 1)
-                   + (d + 1) * math.log(r) - math.log1p(-ratio))
+        return (d + 1) ** k * head / (1.0 - ratio)
+    return _exp_up(k * math.log(d + 1) + (d + 1) * math.log(r)
+                   - math.log1p(-ratio))
 
 
-def _lambert(x: float) -> tuple[float, float, float, float, int,
-                                float, float, float]:
-    """Lambert forms at x >= DUAL_SWITCH (or at the dual argument), r = e^{-x}:
+def _lambert(x: float, occupation: bool = False) -> tuple[
+        float, float, float, float, int, float, float, float]:
+    """The per-mode sums at x >= DUAL_SWITCH (or at the dual argument),
+    r = e^{-x}, from Euler's pentagonal number theorem
 
-        ln Z = -sum ln(1 - r^d)          N     = sum r^d/(1 - r^d)
-        E/kT = x sum d r^d/(1 - r^d)     fluct = x^2 sum d^2 r^d/(1 - r^d)^2
+        P = prod_d (1 - r^d) = 1 + sum_{k>=1} (-1)^k (r^{a_k} + r^{b_k}),
+        a_k = k(3k-1)/2,  b_k = a_k + k,
+
+    with P_1 and P_2 the same series with each power r^p weighted by p and
+    p^2, so that ln Z = -ln P, E/kT = -x P_1/P and
+    fluct = x^2 ((P_1/P)^2 - P_2/P); and, if occupation, N from Clausen's
+    identity
+
+        N = sum_d r^d/(1 - r^d) = sum_{m>=1} r^{m^2} (1 + r^m)/(1 - r^m).
 
     Returns (ln Z, N, E/kT, fluct, terms, tail of ln Z and N, tail of E/kT,
-    tail of fluct).  After D terms every dropped term is at most
-    d^k r^d/(1 - r^{D+1}), with the denominator squared for fluct, so each
-    tail is bounded by a geometric sum.  The loop stops once the d^2 tail is
-    below TAIL_EPS of the first term, which every sum exceeds.  Once r
-    underflows every sum is 0 after one term; that is returned before x * x
-    can overflow and turn 0 into nan.
+    tail of fluct); without occupation N is 0 and terms counts only the
+    pentagonal pairs.
+
+    After K pairs the pentagonal exponents left are distinct and at least
+    a = a_{K+1} >= 5, so each dropped P_j tail is at most
+    t_j = _power_tail(a - 1, r, j).  With P >= low = P_K - t_0 > 0, ln P
+    moves by at most t_0/low and P_j/P by at most (t_j + |P_j/P| t_0)/low
+    (du and dv for j = 1, 2), so ln Z, E and fluct move by at most t_0/low,
+    x du and x^2 (du (2 |P_1/P| + du) + dv).  After M Clausen
+    terms every factor (1 + r^m)/(1 - r^m) is at most (1 + r)/(1 - r) and
+    the gaps (m+1)^2 - m^2 grow, so the tail is at most
+    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Each loop stops once its
+    tail bound (the p^2 one for the pairs) is below TAIL_EPS of r, the
+    first term of every sum.
+
+    Where r is subnormal (or 0) every power past r underflows, so each sum
+    is its first term and every tail is below the smallest double.  E and
+    fluct, x r and x^2 r, are then taken through h = e^{-x/2}, so that they
+    keep the bits a subnormal r has lost, and in an order in which x * x
+    cannot overflow and turn 0 into nan.
     """
     r = math.exp(-x)
-    if r == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0, 0.0
-    ln_z = n_occ = e_sum = fl_sum = 0.0
-    rd = 1.0
-    d = 0
+    if r < sys.float_info.min:
+        h = math.exp(-0.5 * x)
+        return (r, r if occupation else 0.0, x * h * h, x * (x * h) * h,
+                2 if occupation else 1, 0.0, 0.0, 0.0)
+    lim = TAIL_EPS * r
+    p0 = p1 = p2 = 0.0  # P - 1, P_1, P_2
+    ra, rk, gap, r3 = 1.0, 1.0, r, r * r * r  # r^{a_k}, r^k, r^{a_{k+1}-a_k}
+    k, a = 0, 1
     while True:
-        d += 1
-        rd *= r
-        q = rd / (1.0 - rd)
-        ln_z -= math.log1p(-rd)
-        n_occ += q
-        e_sum += d * q
-        fl_sum += d * d * q / (1.0 - rd)
-        if _power_tail(d, r, 2) <= TAIL_EPS * r:
+        k += 1
+        b = a + k
+        ra *= gap
+        rk *= r
+        rb = ra * rk
+        gap *= r3
+        sign = -1.0 if k & 1 else 1.0
+        p0 += sign * (ra + rb)
+        p1 += sign * (a * ra + b * rb)
+        p2 += sign * (a * a * ra + b * b * rb)
+        a = b + 2 * k + 1  # a_{k+1}
+        # _power_tail(a - 1, r, 2) <= lim, with r^a = ra * gap in hand
+        if a * a * ra * gap <= lim * (1.0 - ((a + 1) / a) ** 2 * r):
             break
-    inv = 1.0 / (1.0 - rd * r)
-    return (ln_z, n_occ, x * e_sum, x * x * fl_sum, d,
-            _power_tail(d, r, 0) * inv, _power_tail(d, r, 1, x) * inv,
-            _power_tail(d, r, 2, x * x) * inv * inv)
+    p = 1.0 + p0
+    u, v = p1 / p, p2 / p
+    t0, t1, t2 = (_power_tail(a - 1, r, 0), _power_tail(a - 1, r, 1),
+                  _power_tail(a - 1, r, 2))
+    low = p - t0
+    du = (t1 + abs(u) * t0) / low
+    dv = (t2 + abs(v) * t0) / low
+    t_z = t0 / low
+    n_occ, m = 0.0, 0
+    if occupation:
+        rm, rsq, odd = 1.0, 1.0, r  # r^m, r^{m^2}, r^{2m-1}
+        ratio = (1.0 + r) / (1.0 - r)
+        while True:
+            m += 1
+            rm *= r
+            rsq *= odd
+            odd *= r * r
+            n_occ += rsq * (1.0 + rm) / (1.0 - rm)
+            head, gaps = rsq * odd, 1.0 - odd * r * r  # r^{(M+1)^2}, 1 - r^{2M+3}
+            if ratio * head <= lim * gaps:
+                break
+        if head >= sys.float_info.min:
+            t_n = ratio * head / gaps
+        else:
+            t_n = _exp_up(math.log(ratio) + (m + 1) ** 2 * math.log(r)
+                          - math.log(gaps))
+        t_z = max(t_z, t_n)
+    return (-math.log1p(p0), n_occ, -x * u, x * x * (u * u - v), k + m,
+            t_z, x * du, x * x * (du * (2.0 * abs(u) + du) + dv))
 
 
 # Wigert's coefficients (B_2k/2k)^2/(2k-1)! for k = 1..21, and the
@@ -194,13 +254,15 @@ def _wigert(x: float) -> tuple[float, int, float]:
 def _mode_sums(x: float) -> ThermoPerMode:
     """Every per-mode quantity at x.
 
-    At x >= DUAL_SWITCH all are direct Lambert sums.  Below it, F, E and the
-    fluctuation come from the functional equation
+    At x >= DUAL_SWITCH all come from the pentagonal and Clausen sums of
+    _lambert.  Below it, F, E and the fluctuation come from the functional
+    equation
 
         ln Z(x) = -x/24 + (1/2) ln(x/2pi) + pi^2/(6x) + ln Z(4 pi^2/x)
 
     and its first two x-derivatives: the low-frequency closed forms plus the
-    Lambert forms at y = 4 pi^2/x > 43.  N has no such law and comes from
+    pentagonal sums at y = 4 pi^2/x > 43, one pair each.  N has no such law
+    and comes from
     Wigert's expansion.  N, of order ln(1/x)/x, is the first to exceed the
     largest double (below x ~ 3.9e-306; F, E and the fluctuation only below
     ~1.8e-308), so OverflowError is raised there, before ln(x/2pi) can
@@ -208,7 +270,7 @@ def _mode_sums(x: float) -> ThermoPerMode:
     """
     x = _require_x(x)
     if x >= DUAL_SWITCH:
-        ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
+        ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x, occupation=True)
         f, tail = -ln_z, max(t_z, t_e, t_fl)
     else:
         n_occ, k, t_n = _wigert(x)

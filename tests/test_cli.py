@@ -272,6 +272,25 @@ def test_sweep_grids_that_overflow_stay_finite(capsys, argv):
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("partition", "--start", "0", "--stop", "3", "--scale", "log"), "scale"),
+    (("partition", "--start", "0", "--stop", "3", "--points", "4"), "points"),
+    (("energy", "--start", "0.1", "--stop", "1", "--temperature", "300"),
+     "temperature"),
+    (("occupation", "--start", "0.1", "--stop", "1", "--volume", "2"),
+     "volume"),
+    (("free-energy", "--start", "0.1", "--stop", "1", "--volume", "1"),
+     "volume"),
+])
+def test_sweeps_refuse_flags_they_do_not_use(capsys, argv, flag):
+    # a flag the quantity has no use for is a usage error, not dropped,
+    # also when it holds the value the used flag defaults to
+    code, out, err = run_cli(capsys, "sweep", "--quantity", *argv,
+                             "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[0]} sweep takes no --{flag}\n"
+
+
 def test_oracle_cells_past_the_cap_go_null(capsys, monkeypatch):
     # the cap lowered to 50, so that the table stays small
     monkeypatch.setattr(eulergas.arith, "_ORACLE_MAX_N", 50)
@@ -636,8 +655,9 @@ def _cli_argv(draw):
                      draw(st.sampled_from(("--start=nan", "--stop=inf", "")))]
         else:
             argv += [num("start"), num("stop"), integer("points", -1, _MAX_POINTS),
-                     choice("scale", ("linear", "log")), num("temperature"),
-                     num("volume")]
+                     choice("scale", ("linear", "log"))]
+            if quantity in ("emissivity", "frac-noise"):
+                argv += [num("temperature"), num("volume")]
     constants = draw(st.sampled_from(_CONSTANTS))
     if constants is not None:
         argv.append(f"--constants={constants}")

@@ -7,7 +7,7 @@ import pytest
 
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _bose, _lambert, _wigert, entropy,
+                             _bose, _lambert, _power_tail, _wigert, entropy,
                              entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
                              internal_energy, internal_energy_lowfreq,
@@ -380,27 +380,115 @@ def _mp_lambert(x, d_from, d_to):
     return ln_z, n, e, fl
 
 
-def test_tail_bound_covers_dropped_terms():
-    # direct route: the four sums at x each drop d > terms_used
-    x = 3.0
-    tm = thermo_per_mode(x)
-    d = tm.terms_used
+def _mp_pentagonal(x, k_from, k_to):
+    """Sums over k_from <= k < k_to of the pentagonal pairs at x, in mpmath:
+    (-1)^k p^j (r^{a_k} + r^{b_k}) for j = 0, 1, 2, with r = e^{-x},
+    a_k = k(3k-1)/2 and b_k = a_k + k."""
+    r = mpmath.exp(-mpmath.mpf(x))
+    sums = [mpmath.mpf(0)] * 3
+    for k in range(k_from, k_to):
+        a = k * (3 * k - 1) // 2
+        for p in (a, a + k):
+            term = (-1) ** k * r ** p
+            sums = [s + p ** j * term for j, s in enumerate(sums)]
+    return sums
+
+
+def _mp_clausen(x, m_from, m_to):
+    """Sum over m_from <= m < m_to of r^{m^2} (1 + r^m)/(1 - r^m), in mpmath."""
+    r = mpmath.exp(-mpmath.mpf(x))
+    return mpmath.fsum(r ** (m * m) * (1 + r ** m) / (1 - r ** m)
+                       for m in range(m_from, m_to))
+
+
+def _mp_dropped(x, k):
+    """What the pentagonal pairs after the first k change in ln Z, E/kT and
+    the fluctuation at x, in mpmath: with the kept sums s_j, P = 1 + s_0,
+    the dropped ones t_j and P' = P + t_0, the changes of P_j/P are
+    (t_j P - s_j t_0)/(P P'), taken so that nothing cancels."""
+    x = mpmath.mpf(x)
+    s0, s1, s2 = _mp_pentagonal(x, 1, k + 1)
+    t0, t1, t2 = _mp_pentagonal(x, k + 1, k + 30)
+    p = 1 + s0
+    den = p * (p + t0)
+    du, dv = (t1 * p - s1 * t0) / den, (t2 * p - s2 * t0) / den
+    return (-mpmath.log1p(t0 / p), -x * du,
+            x * x * (du * (2 * s1 / p + du) - dv))
+
+
+def _pentagonal_bounds_mp(x, k):
+    """The bounds on what the pairs after the first k change in ln Z, E/kT
+    and the fluctuation at x, at the working precision: with a = a_{k+1},
+    t_j = a^j r^a/(1 - ((a+1)/a)^j r), low = P - t_0, u = |P_1/P|,
+    v = |P_2/P|, du = (t_1 + u t_0)/low and dv = (t_2 + v t_0)/low, they are
+    t_0/low, x du and x^2 (du (2u + du) + dv)."""
+    x = mpmath.mpf(x)
+    r = mpmath.exp(-x)
+    a = (k + 1) * (3 * k + 2) // 2
+    t0, t1, t2 = (mpmath.mpf(a) ** j * r ** a
+                  / (1 - (mpmath.mpf(a + 1) / a) ** j * r) for j in range(3))
+    s0, s1, s2 = _mp_pentagonal(x, 1, k + 1)
+    p = 1 + s0
+    u, v = abs(s1 / p), abs(s2 / p)
+    low = p - t0
+    du, dv = (t1 + u * t0) / low, (t2 + v * t0) / low
+    return t0 / low, x * du, x * x * (du * (2 * u + du) + dv)
+
+
+@pytest.mark.parametrize("x", [0.9, 2.0 * math.pi, 30.0])
+def test_pentagonal_and_clausen_identities(x):
+    # Euler's pentagonal theorem, P = 1 + s_0 = prod (1 - r^d); its two
+    # derivatives in ln r, read through ln P as P_1/P = -sum d r^d/(1 - r^d)
+    # and P_2/P - (P_1/P)^2 = -sum d^2 r^d/(1 - r^d)^2; and Clausen's
+    # identity for N: each against the 40-digit Lambert sums
     with mpmath.workdps(40):
-        ln_z, n, e, fl = _mp_lambert(x, d + 1, d + 200)
-        dropped = (ln_z, n, x * e, x * x * fl)
-        assert all(tm.tail_bound >= t > 0 for t in dropped)
-    # dual route: ln Z, E and the fluctuation are Lambert sums at
-    # y = 4 pi^2/x that drop d > d_y; N is Wigert's expansion through the
-    # remaining k_terms terms, whose remainder is the 40-digit N minus them
+        ln_z, n, e, fl = _mp_lambert(x, 1, int(110.0 / x) + 10)
+        s0, s1, s2 = _mp_pentagonal(x, 1, 12)
+        p = 1 + s0
+        pairs = ((-mpmath.log1p(s0), ln_z), (s1 / p, -e),
+                 (s2 / p - (s1 / p) ** 2, -fl), (_mp_clausen(x, 1, 12), n))
+        for got, want in pairs:
+            assert abs(got - want) <= mpmath.mpf(10) ** -36 * abs(want), x
+
+
+def test_tail_bound_covers_dropped_terms():
+    # direct route: K pentagonal pairs and M Clausen terms.  Each dropped
+    # P_j tail (pairs k > K) is within _power_tail from the first dropped
+    # exponent; the three carried into ln Z, E and the fluctuation are within
+    # their bounds, which the kernel evaluates to 1e-11; and tail_bound
+    # covers them and the dropped Clausen terms m > M
+    for x in (DUAL_SWITCH, 3.0, 30.0):
+        tm = thermo_per_mode(x)
+        *_, k, t_z, t_e, t_fl = _lambert(x)
+        m = tm.terms_used - k
+        assert k >= 1 and m >= 1
+        a = (k + 1) * (3 * k + 2) // 2
+        with mpmath.workdps(40):
+            tails = _mp_pentagonal(x, k + 1, k + 30)
+            for j, t in enumerate(tails):
+                assert _power_tail(a - 1, math.exp(-x), j) >= abs(t) > 0
+            dropped = [abs(t) for t in _mp_dropped(x, k)]
+            for got, bound, t in zip((t_z, t_e, t_fl),
+                                     _pentagonal_bounds_mp(x, k), dropped):
+                assert bound >= t and abs(got / bound - 1) <= 1e-11, x
+            dropped.append(_mp_clausen(x, m + 1, m + 30))
+            assert all(tm.tail_bound >= t > 0 for t in dropped), x
+    # dual route: ln Z, E and the fluctuation come from the pentagonal sums
+    # at y = 4 pi^2/x, which drop the pairs k > k_y; N is Wigert's expansion
+    # through the remaining k_terms terms, whose remainder is the 40-digit N
+    # minus them
     x = 0.5
     tm = thermo_per_mode(x)
     y = 4.0 * math.pi ** 2 / x
-    d_y = _lambert(y)[4]
-    k_terms = tm.terms_used - d_y
-    assert d_y >= 1 and k_terms >= 1
+    *_, k_y, t_z, t_e, t_fl = _lambert(y)
+    k_terms = tm.terms_used - k_y
+    assert k_y >= 1 and k_terms >= 1
     with mpmath.workdps(40):
-        ln_z, _, e, fl = _mp_lambert(y, d_y + 1, d_y + 50)
-        dropped = (ln_z, y * e, 2 * y * e + y * y * fl)
+        ln_z, e, fl = (abs(t) for t in _mp_dropped(y, k_y))
+        for got, bound, t in zip((t_z, t_e, t_fl),
+                                 _pentagonal_bounds_mp(y, k_y), (ln_z, e, fl)):
+            assert bound >= t and abs(got / bound - 1) <= 1e-11
+        dropped = (ln_z, e, 2 * e + fl)
         assert all(tm.tail_bound >= t > 0 for t in dropped)
         remainder = abs(occupation_mp(x) - wigert_partial_mp(x, k_terms))
         assert tm.tail_bound >= remainder > 0
@@ -433,30 +521,34 @@ def test_tail_bound_is_positive_where_the_dropped_terms_underflow(x):
 def _bound_formula_mp(x, tm):
     """The bound formula tail_bound stands for, at the working precision.
 
-    Direct route, after d terms with r = e^{-x}: the larger of the k = 0, 1
-    and 2 geometric tails x^k (d+1)^k r^{d+1}/(1 - ((d+2)/(d+1))^k r), each
-    over (1 - r^{d+1})^{1 or 2}.  Dual route at the x below: Wigert's
-    contour bound zeta(3)^2 (K+1) (2K)! (x/4pi^2)^{2K}/(2pi) after K terms;
-    the Lambert tails at 4 pi^2/x > 6e155 are of order e^{-8e155}.
+    Direct route, after K pentagonal pairs and M Clausen terms with
+    r = e^{-x}: the largest of the three pentagonal bounds and Clausen's
+    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Dual route at the x below:
+    Wigert's contour bound zeta(3)^2 (K+1) (2K)! (x/4pi^2)^{2K}/(2pi) after
+    K terms; the pentagonal tails at 4 pi^2/x > 6e155 are of order
+    e^{-3e156}.
     """
     x = mpmath.mpf(x)
     if x >= DUAL_SWITCH:
-        d = tm.terms_used
+        k = _lambert(float(x))[4]
+        m = tm.terms_used - k
         r = mpmath.exp(-x)
-        inv = 1 / (1 - r ** (d + 1))
-        return max(x ** k * (d + 1) ** k * r ** (d + 1)
-                   / (1 - (mpmath.mpf(d + 2) / (d + 1)) ** k * r)
-                   * inv ** (2 if k == 2 else 1) for k in (0, 1, 2))
+        clausen = ((1 + r) / (1 - r) * r ** ((m + 1) ** 2)
+                   / (1 - r ** (2 * m + 3)))
+        return max(*_pentagonal_bounds_mp(x, k), clausen)
     k = tm.terms_used - _lambert(4.0 * math.pi ** 2 / float(x))[4]
     return (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
             * (x / (4 * mpmath.pi ** 2)) ** (2 * k) / (2 * mpmath.pi))
 
 
 @pytest.mark.parametrize("x", [359.0, 378.6, *np.linspace(354.0, 379.0, 51),
-                               *np.geomspace(9.3e-161, 6.5e-155, 25)])
+                               *np.geomspace(9.3e-161, 6.5e-155, 25),
+                               *np.linspace(141.0, 187.0, 47), 186.1, 186.2])
 def test_tail_bound_holds_below_the_normal_range(x):
-    # where the bound, or r^{d+1} or (x/4pi^2)^{2K} in it, is below the
-    # smallest normal double, it is still at least the exact bound formula
+    # where the bound, or the powers of r or (x/4pi^2)^{2K} in it, are below
+    # the smallest normal double (r^{a_{K+1}} from x = 141.7, Clausen's
+    # r^{(M+1)^2} from 177.1, the whole bound from about 186.1), it is still
+    # at least the exact bound formula
     x = float(x)
     tm = thermo_per_mode(x)
     with mpmath.workdps(40):
@@ -464,6 +556,29 @@ def test_tail_bound_holds_below_the_normal_range(x):
         assert tm.tail_bound >= exact, (x, tm.tail_bound, exact)
         # and not loose: within 1e-11 or a few units of the smallest double
         assert tm.tail_bound <= exact * (1 + 1e-11) + 3 * math.ulp(0.0)
+
+
+def test_values_match_40_digit_sums_up_to_the_underflow_of_r():
+    # the pentagonal and Clausen route on 409 log points from the switch to
+    # x = 745, where e^{-x} is the smallest subnormal: each value within
+    # 2e-15 of the 40-digit Lambert sums, or within two units of the
+    # smallest double where the value itself is subnormal
+    with mpmath.workdps(40):
+        for x in np.geomspace(DUAL_SWITCH, 745.0, 409):
+            x = float(x)
+            ln_z, n, e, fl = _mp_lambert(x, 1, int(110.0 / x) + 10)
+            xm = mpmath.mpf(x)
+            want = (-ln_z, n, xm * e, xm * e + ln_z, xm * xm * fl)
+            for got, w in zip(_fields(x), want):
+                tol = max(2e-15 * abs(w), 2 * math.ulp(0.0))
+                assert abs(got - w) <= tol, (x, got, w)
+
+
+def test_at_most_12_terms_from_the_switch_up():
+    # 6 pentagonal pairs and 6 Clausen terms at x = 0.9, fewer above
+    assert thermo_per_mode(DUAL_SWITCH).terms_used == 12
+    for x in [*np.geomspace(DUAL_SWITCH, 1e300, 200), 745.0, 746.0]:
+        assert thermo_per_mode(float(x)).terms_used <= 12, x
 
 
 def test_thermo_per_mode_carries_the_fluctuation():
