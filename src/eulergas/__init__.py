@@ -6,8 +6,8 @@ the 1/f flicker floor of a quartz resonator, with Farey/Ford/Dedekind
 geometry kept exact throughout.
 
 The top-level names load on first use (PEP 562): `import eulergas` imports
-no submodule, and `eulergas.eta` or `from eulergas import eta` imports
-`eulergas.modular` then.
+no submodule, and `eulergas.rademacher_p` or
+`from eulergas import rademacher_p` imports `eulergas.modular` then.
 """
 
 import importlib
@@ -22,8 +22,7 @@ _EXPORTS = {
               "gamma_fn", "partition_count_oracle", "reduced_fraction",
               "riemann_zeta"),
     "errors": ("ConvergenceError", "DomainError", "PrecisionError"),
-    "modular": ("EtaTransform", "RademacherResult", "asymptotic_p", "eta",
-                "eta_transform", "eisenstein_g2", "functional_equation_rhs",
+    "modular": ("RademacherResult", "asymptotic_p", "functional_equation_rhs",
                 "leading_term_p", "partition_generating", "rademacher_p"),
     "phonon": ("DebyeModel", "FlickerResult", "ResonatorSpec", "SolidSpec",
                "debye_frequency", "debye_function", "debye_temperature",
@@ -33,7 +32,8 @@ _EXPORTS = {
                   "NoiseModel", "PhotonModel", "PhysicalConstants",
                   "einstein_AB", "emissivity", "fluctuation_spectrum",
                   "mode_x", "photon_density", "stefan_boltzmann"),
-    "thermo": ("MellinKind", "PlanckVariant", "ThermoPerMode", "entropy",
+    "thermo": ("EtaTransform", "MellinKind", "PlanckVariant", "ThermoPerMode",
+               "eisenstein_g2", "entropy", "eta", "eta_transform",
                "free_energy", "free_energy_lowfreq", "internal_energy",
                "internal_energy_lowfreq", "mellin_check", "occupation",
                "occupation_lowfreq", "per_mode_energy_fluctuation",

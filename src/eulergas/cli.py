@@ -227,20 +227,20 @@ def _cmd_dedekind(args) -> dict:
 
 
 def _cmd_eta(args) -> dict:
-    from . import modular
+    from . import thermo
     try:
         re_s, im_s = args.tau.split(",")
         tau = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise DomainError(f"expected --tau RE,IM, got {args.tau!r}") from exc
-    value = modular.eta(tau)
+    value = thermo.eta(tau)
     row = {"tau_re": tau.real, "tau_im": tau.imag,
            "eta_re": value.real, "eta_im": value.imag, "eta_abs": abs(value)}
     if args.check != "none":
-        which = modular.EtaTransform(args.check)
-        predicted = modular.eta_transform(tau, which)
-        direct = modular.eta(tau + 1.0 if which is modular.EtaTransform.SHIFT
-                             else -1.0 / tau)
+        which = thermo.EtaTransform(args.check)
+        predicted = thermo.eta_transform(tau, which)
+        direct = thermo.eta(tau + 1.0 if which is thermo.EtaTransform.SHIFT
+                            else -1.0 / tau)
         row["check"] = args.check
         row["check_residual"] = abs(direct - predicted) / abs(direct)
     return {"command": "eta", "params": {"tau": args.tau, "check": args.check},

@@ -1,16 +1,18 @@
 """Generating-function evaluation on the disk and upper half plane.
 
-The partition generating product, the eta function with its shift/inversion
-transforms, the weight-two Eisenstein series, the dominant closed-form term,
-the crude exponential estimate, and the exact convergent series for p(n)
-with integer rounding.
+The partition generating product, the dual-scale functional equation, the
+dominant closed-form term, the crude exponential estimate, and the exact
+convergent series for p(n) with integer rounding.  eta, its shift/inversion
+transforms and the weight-two Eisenstein series live in thermo, next to
+the per-mode kernel, and are imported back here.
 
 The exact series needs working precision beyond 53 bits once p(n) outgrows
 doubles (n around 300): its large terms run on mpmath, each with the bits
 its own size needs, and its small terms in doubles, all under an explicit
-error bound.  Everything else is double precision: Z(e^{-x}) on 0 < y < 1
-is exp(-F/kT) from thermo, Z elsewhere is from eta, and eta and G2 move tau
-up by SL2(Z) to Im tau >= 0.05, where 117 terms reach 1e-12 relative.
+error bound.  This is the only module that imports mpmath, and it does so
+at import, so that loading it (not the first p(n)) pays that cost.
+Everything else is double precision: Z(e^{-x}) on 0 < y < 1 is exp(-F/kT)
+from thermo, and Z elsewhere is from eta.
 """
 
 from __future__ import annotations
@@ -18,28 +20,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import mpmath as mp
 
+from . import thermo
 from .arith import FactoredA, factored_a
 from .errors import ConvergenceError, DomainError, PrecisionError
+# eta and G2 live in thermo; these names keep eulergas.modular.eta working
+from .thermo import EtaTransform, eisenstein_g2, eta, eta_transform  # noqa: F401
 
 __all__ = [
-    "partition_generating", "eta", "EtaTransform", "eta_transform",
-    "functional_equation_rhs", "eisenstein_g2",
+    "partition_generating", "functional_equation_rhs",
     "RademacherResult", "rademacher_p", "leading_term_p", "asymptotic_p",
 ]
 
-# Target relative error of the Euler product and of G2, least working
-# precision of the exact p(n) series, and the most terms it may take
-# before PrecisionError
-_REL_TOL = 1e-12
+# Least working precision of the exact p(n) series, and the most terms it
+# may take before PrecisionError
 _WORK_BITS = 64
 _MAX_TERMS = 5_000_000
-# eta and G2 are summed from this Im(tau) up, where |y| <= 0.7304: at most
-# 93 factors of the product and 117 terms of G2; below it _reduce runs first
-_IM_DIRECT = 0.05
 # Z(e^{-x}) exceeds the largest double below this x: the root of
 # -x/24 + ln(x/2pi)/2 + pi^2/(6x) = ln(DBL_MAX), rounded up
 Z_OVERFLOW_X = 2.3047e-3
@@ -59,7 +57,6 @@ def partition_generating(y: complex | float) -> complex | float:
         return 1.0
     try:
         if isinstance(y, float) and y > 0.0:
-            from . import thermo
             z = math.exp(-thermo.free_energy(-math.log(y)))
         else:
             tau = cmath.log(y) / (2j * math.pi)
@@ -72,74 +69,6 @@ def partition_generating(y: complex | float) -> complex | float:
     return z.real if isinstance(y, float) else z  # Z is real for real y
 
 
-def _reduce(tau: complex) -> tuple[complex, int, list[complex]] | None:
-    """While Im tau < _IM_DIRECT, write tau = n + s, |Re s| <= 1/2, and go
-    on at -1/s, which multiplies Im by 1/|s|^2 > 3.96.  Returns the final
-    tau, the sum of the n mod 24 and the s; None where -1/s overflows, as
-    only |s| < 1e-308 can, which puts Im(-1/s) above 1e293."""
-    tau = complex(tau)
-    if not (cmath.isfinite(tau) and tau.imag > 0.0):
-        raise DomainError(f"need finite tau with Im(tau) > 0, got {tau}")
-    shift, steps = 0, []
-    while tau.imag < _IM_DIRECT:
-        n = round(tau.real)
-        s = complex(tau.real - n, tau.imag)
-        tau = -1.0 / s
-        if not cmath.isfinite(tau):
-            return None
-        shift = (shift + n) % 24
-        steps.append(s)
-    return tau, shift, steps
-
-
-def eta(tau: complex) -> complex:
-    """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau).
-
-    Taken after _reduce with eta(s + n) = e^{i pi n/12} eta(s) and
-    eta(s) = eta(-1/s)/sqrt(s/i); 0 where eta underflows a double.  Once
-    |y| underflows (Im tau above about 119) the product is exactly 1.
-    """
-    reduced = _reduce(tau)
-    if reduced is None:
-        return 0j  # eta at Im above 1e293 is below e^{-1e292}
-    tau, shift, steps = reduced
-    # eta(tau + 24) = eta(tau): reduce Re(tau) exactly, so that a huge real
-    # part cannot overflow 2*pi*tau
-    tau = complex(math.fmod(tau.real, 24.0), tau.imag)
-    y = cmath.exp(2j * math.pi * tau)
-    abs_y = abs(y)
-    # the smallest N with |y|^N below _REL_TOL*(1-|y|)
-    n_terms = 0 if abs_y == 0.0 else int(
-        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
-    prod, yn = 1.0, y
-    for _ in range(n_terms):
-        prod *= 1.0 - yn
-        yn *= y
-    # 1/sqrt(s/i) in the exponent, so that eta underflows to 0 at once
-    log_scale = -sum((cmath.log(s / 1j) for s in steps), 0j) / 2.0
-    return cmath.exp(1j * math.pi * (tau + shift) / 12.0 + log_scale) * prod
-
-
-class EtaTransform(Enum):
-    SHIFT = "shift"          # predicts eta(tau + 1)
-    INVERSION = "inversion"  # predicts eta(-1/tau)
-
-
-def eta_transform(tau: complex, which: EtaTransform) -> complex:
-    """Right-hand side of the degree -1/2 transformation law.
-
-    SHIFT returns exp(i*pi/12)*eta(tau); INVERSION returns
-    sqrt(tau/i)*eta(tau) with the principal square root.  Callers compare
-    against direct evaluation at tau+1 or -1/tau.
-    """
-    base = eta(tau)  # refuses tau as _reduce does
-    if which is EtaTransform.SHIFT:
-        return cmath.exp(1j * math.pi / 12.0) * base
-    if which is EtaTransform.INVERSION:
-        return cmath.sqrt(tau / 1j) * base
-    raise DomainError(f"unknown transform {which!r}")
-
-
 def functional_equation_rhs(x: float) -> float:
     """Dual-scale prediction of Z(e^{-x}) from the modular inversion:
 
@@ -150,53 +79,12 @@ def functional_equation_rhs(x: float) -> float:
     differs from 1 by less than e^{-4*pi^2}.  Below x = Z_OVERFLOW_X the
     value exceeds a double and DomainError is raised.
     """
-    from . import thermo
     head = thermo.free_energy_lowfreq(x)  # refuses all but finite x > 0
     if x < Z_OVERFLOW_X:
         raise DomainError(f"Z(e^-x) at x = {x:g} overflows a double; it "
                           f"fits only for x >= {Z_OVERFLOW_X:g}")
     return math.exp(-head) * partition_generating(
         math.exp(-4.0 * math.pi ** 2 / x))
-
-
-def eisenstein_g2(tau: complex) -> complex:
-    """Weight-two Eisenstein series from its Fourier expansion:
-
-        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n,
-
-    with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
-    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}),
-    after _reduce; unwound by G2(s) = (G2(-1/s) + 2*pi*i*s)/s^2.  Raises
-    DomainError where G2 overflows a double.
-    """
-    reduced = _reduce(tau)
-    if reduced is None:  # |s| < 1e-308, so |G2| > (pi^2/3 - 2 pi |s|)/|s|^2
-        raise DomainError(f"G2 at tau = {tau} overflows a double")
-    top, _, steps = reduced
-    # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
-    # part cannot overflow 2*pi*tau
-    top = complex(math.fmod(top.real, 1.0), top.imag)
-    y = cmath.exp(2j * math.pi * top)
-    r = abs(y)
-    const = math.pi ** 2 / 3.0  # 2*zeta(2)
-    omr, acc, yd, d = 1.0 - r, 0.0 + 0.0j, 1.0 + 0.0j, 0
-    while True:  # one term, of 0, once y underflows
-        d += 1
-        yd *= y
-        acc += d * yd / (1.0 - yd)
-        # sum_{m>d} m r^m = r^{d+1} ((d+1)/(1-r) + r/(1-r)^2), and every
-        # dropped denominator has |1 - y^m| >= 1 - r^{d+1}
-        tail = (r ** (d + 1) * ((d + 1) / omr + r / omr ** 2)
-                / (1.0 - r ** (d + 1)))
-        scale = max(abs(acc), const / (8.0 * math.pi ** 2))
-        if tail <= _REL_TOL * scale:
-            break
-    value = const - 8.0 * math.pi ** 2 * acc
-    for s in reversed(steps):
-        value = (value + 2j * math.pi * s) / s / s
-    if not cmath.isfinite(value):
-        raise DomainError(f"G2 at tau = {tau} overflows a double")
-    return value
 
 
 # ---------------------------------------------------------------------------

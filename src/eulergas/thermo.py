@@ -23,14 +23,19 @@ every finite x > 0 gives finite values, except below x ~ 3.9e-306, where N
 exceeds the largest double and OverflowError is raised.
 
 The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
-by mpmath's double-precision tanh-sinh rule, and compare with Gamma(s) zeta
-zeta from math.gamma and mpmath.fp.zeta; only they import mpmath.  The
-Planck factor is written in e^{-x} form, so it vanishes instead of
-overflowing.
+by a double-precision tanh-sinh rule, the same as mpmath.fp.quad's to the
+bit, and compare with Gamma(s) zeta zeta from math.gamma and arith's
+Euler-Maclaurin zeta.  The Planck factor is written in e^{-x} form, so it
+vanishes instead of overflowing.
+
+eta(tau) and the weight-two Eisenstein series G2(tau) on the upper half
+plane, with eta's shift and inversion laws, are here too, after an SL2(Z)
+reduction to Im tau >= 0.05.  Nothing in this module imports mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ __all__ = [
     "per_mode_energy_fluctuation",
     "PlanckVariant", "planck_factor",
     "MellinKind", "mellin_check",
+    "eta", "EtaTransform", "eta_transform", "eisenstein_g2",
 ]
 
 LOWFREQ_SWITCH = 1e-3    # Mellin integrands are integrated in closed
@@ -102,16 +108,26 @@ class ThermoPerMode:
     tail_bound: float
 
 
-def _power_tail(d: int, r: float, k: int) -> float:
-    """Bound on sum_{m>d} m^k r^m: its first term over one minus the largest
-    ratio of successive terms, ((d+2)/(d+1))^k r, which must be below 1: it
-    is at most 1.44 r for d >= 4, k <= 2, and r < e^{-0.9} keeps that below
-    0.6.  Taken in logs where r^{d+1} is below the normal range."""
-    head, ratio = r ** (d + 1), ((d + 2) / (d + 1)) ** k * r
+def _power_tails(d: int, r: float) -> tuple[float, float, float]:
+    """Bounds on sum_{m>d} m^k r^m for k = 0, 1, 2 from one power r^{d+1}:
+    each sum's first term over one minus the largest ratio of successive
+    terms, ((d+2)/(d+1))^k r, which must be below 1: it is at most 1.44 r
+    for d >= 4, and r < e^{-0.9} keeps that below 0.6.  Taken in logs where
+    r^{d+1} is below the normal range."""
+    head, grow = r ** (d + 1), (d + 2) / (d + 1)
+    r1, r2 = grow * r, grow ** 2 * r
     if head >= sys.float_info.min:
-        return (d + 1) ** k * head / (1.0 - ratio)
-    return _exp_up(k * math.log(d + 1) + (d + 1) * math.log(r)
-                   - math.log1p(-ratio))
+        return (head / (1.0 - r), (d + 1) * head / (1.0 - r1),
+                (d + 1) ** 2 * head / (1.0 - r2))
+    log_d, log_head = math.log(d + 1), (d + 1) * math.log(r)
+    return (_exp_up(log_head - math.log1p(-r)),
+            _exp_up(log_d + log_head - math.log1p(-r1)),
+            _exp_up(2 * log_d + log_head - math.log1p(-r2)))
+
+
+def _power_tail(d: int, r: float, k: int) -> float:
+    """The k-th of _power_tails(d, r)."""
+    return _power_tails(d, r)[k]
 
 
 def _lambert(x: float, occupation: bool = False) -> tuple[
@@ -135,7 +151,7 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
 
     After K pairs the pentagonal exponents left are distinct and at least
     a = a_{K+1} >= 5, so each dropped P_j tail is at most
-    t_j = _power_tail(a - 1, r, j).  With P >= low = P_K - t_0 > 0, ln P
+    t_j = _power_tails(a - 1, r)[j].  With P >= low = P_K - t_0 > 0, ln P
     moves by at most t_0/low and P_j/P by at most (t_j + |P_j/P| t_0)/low
     (du and dv for j = 1, 2), so ln Z, E and fluct move by at most t_0/low,
     x du and x^2 (du (2 |P_1/P| + du) + dv).  After M Clausen
@@ -172,13 +188,12 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
         p1 += sign * (a * ra + b * rb)
         p2 += sign * (a * a * ra + b * b * rb)
         a = b + 2 * k + 1  # a_{k+1}
-        # _power_tail(a - 1, r, 2) <= lim, with r^a = ra * gap in hand
+        # _power_tails(a - 1, r)[2] <= lim, with r^a = ra * gap in hand
         if a * a * ra * gap <= lim * (1.0 - ((a + 1) / a) ** 2 * r):
             break
     p = 1.0 + p0
     u, v = p1 / p, p2 / p
-    t0, t1, t2 = (_power_tail(a - 1, r, 0), _power_tail(a - 1, r, 1),
-                  _power_tail(a - 1, r, 2))
+    t0, t1, t2 = _power_tails(a - 1, r)
     low = p - t0
     du = (t1 + abs(u) * t0) / low
     dv = (t2 + abs(v) * t0) / low
@@ -371,6 +386,68 @@ def planck_factor(x: float, variant: PlanckVariant) -> float:
 # Mellin-transform checks
 # ---------------------------------------------------------------------------
 
+# mpmath.fp.quad's stop: the estimated error at most eps/8
+_QUAD_EPS = 2.0 ** -55
+
+
+@lru_cache(maxsize=6)
+def _tanh_sinh_nodes(degree: int) -> list[tuple[float, float]]:
+    """The tanh-sinh nodes x = tanh(pi/2 sinh t) and weights
+    w = pi/2 cosh t / cosh^2(pi/2 sinh t) on [-1, 1] that step 2^-degree
+    adds: t = +-2^-degree (2k + 1), and at degree 1 also t = 0 and every
+    multiple of 1/2.  e^{pi/2 sinh t} = e^{a - b}, with a = pi/4 e^t and
+    b = pi/4 e^{-t} stepped by multiplication, until x rounds to 1 (by
+    t ~ 3.2, long before mpmath's cap of 20 2^degree steps)."""
+    t0 = math.ldexp(1.0, -degree)
+    nodes = [(0.0, math.pi / 2)] if degree == 1 else []
+    up = math.exp(t0 if degree == 1 else 2 * t0)
+    down = 1 / up
+    a, b = math.pi / 4 * math.exp(t0), math.pi / 4 / math.exp(t0)
+    while True:
+        c = math.exp(a - b)
+        d = 1 / c
+        co = (c + d) / 2
+        x = (c - d) / 2 / co
+        if x == 1.0:  # mpmath's |x - 1| <= 2^-63 in doubles
+            break
+        w = (a + b) / co ** 2
+        nodes += ((x, w), (-x, w))
+        a *= up
+        b *= down
+    return nodes
+
+
+def _tanh_sinh(f, lo: float, hi: float) -> float:
+    """The integral of f over [lo, hi] by tanh-sinh quadrature (Takahasi and
+    Mori 1974), as mpmath.fp.quad takes it, to the bit: degrees 1 to 6, each
+    halving the step and reusing the last sum, until the error extrapolated
+    from the last three sums (Bailey, Borwein and Girgensohn) is at most
+    _QUAD_EPS."""
+    half, mid = (hi - lo) / 2, (hi + lo) / 2
+    sums: list[float] = []
+    for degree in range(1, 7):
+        h = 2.0 ** -degree
+        total = sums[-1] / (h * 2) if sums else 0.0
+        total += sum([half * w * f(mid + half * x)
+                      for x, w in _tanh_sinh_nodes(degree)], 0.0)
+        sums.append(h * total)
+        if degree == 1:
+            continue
+        if degree == 2:
+            err = abs(sums[0] - sums[1])
+        elif sums[-1] == sums[-2] == sums[-3]:
+            err = 0.0
+        elif sums[-1] == sums[-2] or sums[-1] == sums[-3]:
+            err = _QUAD_EPS  # log of 0
+        else:
+            d1 = math.log(abs(sums[-1] - sums[-2]), 10)
+            d2 = math.log(abs(sums[-1] - sums[-3]), 10)
+            err = 10.0 ** int(min(0, max(d1 ** 2 / d2, 2 * d1, -53)))
+        if err <= _QUAD_EPS:
+            break
+    return sums[-1]
+
+
 class MellinKind(Enum):
     FREE_ENERGY = "free-energy"
     OCCUPATION = "occupation"
@@ -423,9 +500,9 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     Returns (integral, closed_form) for the caller to compare.  The integral
     is split at x = c and x = 1: the head on [0, c] is integrated in closed
     small-x form, and [c, 1] and the tail, mapped through u = 1/x onto
-    [0, 1], by mpmath's double-precision tanh-sinh rule (mpmath.fp.quad).
-    The tail is split once more at u = 1/4, near the integrand's peak; in
-    one piece the rule's rounding leaves ~1e-15 relative error.
+    [0, 1], by _tanh_sinh.  The tail is split once more at u = 1/4, near the
+    integrand's peak; in one piece the rule's rounding leaves ~1e-15
+    relative error.
     """
     if not math.isfinite(s):
         raise DomainError(f"Mellin check needs finite s, got {s}")
@@ -434,7 +511,6 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     s_min, base, head, closed_form = _MELLIN[kind]
     if s <= s_min:
         raise DomainError(f"{kind.value} Mellin check needs s > {s_min:g}, got {s}")
-    import mpmath
 
     def fx(x: float) -> float:
         return base(x) * x ** (s - 1.0)
@@ -448,6 +524,125 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
 
     c = LOWFREQ_SWITCH
     lo = head(s, c)
-    mid = mpmath.fp.quad(fx, [c, 1.0])
-    top = mpmath.fp.quad(tail, [0.0, 0.25, 1.0])
+    mid = _tanh_sinh(fx, c, 1.0)
+    top = _tanh_sinh(tail, 0.0, 0.25) + _tanh_sinh(tail, 0.25, 1.0)
     return lo + mid + top, closed_form(s)
+
+
+# ---------------------------------------------------------------------------
+# eta and G2 on the upper half plane
+# ---------------------------------------------------------------------------
+
+# Target relative error of the Euler product of eta and of G2
+_REL_TOL = 1e-12
+# eta and G2 are summed from this Im(tau) up, where |y| <= 0.7304: at most
+# 93 factors of the product and 117 terms of G2; below it _reduce runs first
+_IM_DIRECT = 0.05
+
+
+def _reduce(tau: complex) -> tuple[complex, int, list[complex]] | None:
+    """While Im tau < _IM_DIRECT, write tau = n + s, |Re s| <= 1/2, and go
+    on at -1/s, which multiplies Im by 1/|s|^2 > 3.96.  Returns the final
+    tau, the sum of the n mod 24 and the s; None where -1/s overflows, as
+    only |s| < 1e-308 can, which puts Im(-1/s) above 1e293."""
+    tau = complex(tau)
+    if not (cmath.isfinite(tau) and tau.imag > 0.0):
+        raise DomainError(f"need finite tau with Im(tau) > 0, got {tau}")
+    shift, steps = 0, []
+    while tau.imag < _IM_DIRECT:
+        n = round(tau.real)
+        s = complex(tau.real - n, tau.imag)
+        tau = -1.0 / s
+        if not cmath.isfinite(tau):
+            return None
+        shift = (shift + n) % 24
+        steps.append(s)
+    return tau, shift, steps
+
+
+def eta(tau: complex) -> complex:
+    """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau).
+
+    Taken after _reduce with eta(s + n) = e^{i pi n/12} eta(s) and
+    eta(s) = eta(-1/s)/sqrt(s/i); 0 where eta underflows a double.  Once
+    |y| underflows (Im tau above about 119) the product is exactly 1.
+    """
+    reduced = _reduce(tau)
+    if reduced is None:
+        return 0j  # eta at Im above 1e293 is below e^{-1e292}
+    tau, shift, steps = reduced
+    # eta(tau + 24) = eta(tau): reduce Re(tau) exactly, so that a huge real
+    # part cannot overflow 2*pi*tau
+    tau = complex(math.fmod(tau.real, 24.0), tau.imag)
+    y = cmath.exp(2j * math.pi * tau)
+    abs_y = abs(y)
+    # the smallest N with |y|^N below _REL_TOL*(1-|y|)
+    n_terms = 0 if abs_y == 0.0 else int(
+        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
+    prod, yn = 1.0, y
+    for _ in range(n_terms):
+        prod *= 1.0 - yn
+        yn *= y
+    # 1/sqrt(s/i) in the exponent, so that eta underflows to 0 at once
+    log_scale = -sum((cmath.log(s / 1j) for s in steps), 0j) / 2.0
+    return cmath.exp(1j * math.pi * (tau + shift) / 12.0 + log_scale) * prod
+
+
+class EtaTransform(Enum):
+    SHIFT = "shift"          # predicts eta(tau + 1)
+    INVERSION = "inversion"  # predicts eta(-1/tau)
+
+
+def eta_transform(tau: complex, which: EtaTransform) -> complex:
+    """Right-hand side of the degree -1/2 transformation law.
+
+    SHIFT returns exp(i*pi/12)*eta(tau); INVERSION returns
+    sqrt(tau/i)*eta(tau) with the principal square root.  Callers compare
+    against direct evaluation at tau+1 or -1/tau.
+    """
+    base = eta(tau)  # refuses tau as _reduce does
+    if which is EtaTransform.SHIFT:
+        return cmath.exp(1j * math.pi / 12.0) * base
+    if which is EtaTransform.INVERSION:
+        return cmath.sqrt(tau / 1j) * base
+    raise DomainError(f"unknown transform {which!r}")
+
+
+def eisenstein_g2(tau: complex) -> complex:
+    """Weight-two Eisenstein series from its Fourier expansion:
+
+        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n,
+
+    with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
+    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}),
+    after _reduce; unwound by G2(s) = (G2(-1/s) + 2*pi*i*s)/s^2.  Raises
+    DomainError where G2 overflows a double.
+    """
+    reduced = _reduce(tau)
+    if reduced is None:  # |s| < 1e-308, so |G2| > (pi^2/3 - 2 pi |s|)/|s|^2
+        raise DomainError(f"G2 at tau = {tau} overflows a double")
+    top, _, steps = reduced
+    # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
+    # part cannot overflow 2*pi*tau
+    top = complex(math.fmod(top.real, 1.0), top.imag)
+    y = cmath.exp(2j * math.pi * top)
+    r = abs(y)
+    const = math.pi ** 2 / 3.0  # 2*zeta(2)
+    omr, acc, yd, d = 1.0 - r, 0.0 + 0.0j, 1.0 + 0.0j, 0
+    while True:  # one term, of 0, once y underflows
+        d += 1
+        yd *= y
+        acc += d * yd / (1.0 - yd)
+        # sum_{m>d} m r^m = r^{d+1} ((d+1)/(1-r) + r/(1-r)^2), and every
+        # dropped denominator has |1 - y^m| >= 1 - r^{d+1}
+        tail = (r ** (d + 1) * ((d + 1) / omr + r / omr ** 2)
+                / (1.0 - r ** (d + 1)))
+        scale = max(abs(acc), const / (8.0 * math.pi ** 2))
+        if tail <= _REL_TOL * scale:
+            break
+    value = const - 8.0 * math.pi ** 2 * acc
+    for s in reversed(steps):
+        value = (value + 2j * math.pi * s) / s / s
+    if not cmath.isfinite(value):
+        raise DomainError(f"G2 at tau = {tau} overflows a double")
+    return value

@@ -397,7 +397,8 @@ def test_zeta_inside_partial_sum_bracket(s):
     assert lower <= riemann_zeta(s) <= upper
 
 
-@pytest.mark.parametrize("s", [1.5, 2.37, 3.0, 4.5, 11.0])
+@pytest.mark.parametrize("s", [1.5, 2.37, 3.0, 4.5, 11.0,
+                               1.0 + 1e-9, 1.001, 40.0, 100.0])
 def test_zeta_against_40_digit_mpmath(s):
     with mpmath.workdps(40):
         ref = mpmath.zeta(s)

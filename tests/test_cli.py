@@ -715,10 +715,10 @@ _LOADS = {
     "sweep frac-noise": (("radiation", "thermo"), False),
     "phonon": (("phonon", "radiation", "thermo"), False),
     "quartz": (("phonon", "radiation", "thermo"), False),
-    "mellin-check": (("thermo",), True),
-    "eta": (("modular",), True),
-    "partition": (("modular",), True),
-    "sweep partition": (("modular",), True),
+    "mellin-check": (("thermo",), False),
+    "eta": (("thermo",), False),
+    "partition": (("modular", "thermo"), True),
+    "sweep partition": (("modular", "thermo"), True),
 }
 _SWEEP_ARGVS = [
     ["sweep", "--quantity", "frac-noise", "--start", "1e4", "--stop", "1e6",

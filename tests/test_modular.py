@@ -226,6 +226,14 @@ def test_z_matches_level_sums(x):
         assert abs(functional_equation_rhs(x) - want_x) <= tol * want_x
 
 
+def test_modular_eta_and_g2_are_thermo_objects():
+    # eta and G2 live in thermo, next to the per-mode kernel; modular hands
+    # on the same objects
+    from eulergas import modular, thermo
+    for name in ("eta", "EtaTransform", "eta_transform", "eisenstein_g2"):
+        assert getattr(modular, name) is getattr(thermo, name), name
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein series
 # ---------------------------------------------------------------------------

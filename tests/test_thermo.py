@@ -5,9 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from eulergas import thermo
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _bose, _lambert, _power_tail, _wigert, entropy,
+                             _bose, _lambert, _power_tail, _tanh_sinh,
+                             _wigert, entropy,
                              entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
                              internal_energy, internal_energy_lowfreq,
@@ -258,6 +260,30 @@ def test_mellin_reference_values():
     assert closed == pytest.approx(1.9773, abs=1e-4)
     integral, closed = mellin_check(2.0, MellinKind.OCCUPATION)
     assert closed == pytest.approx(2.7058, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", list(MellinKind))
+def test_mellin_integrals_equal_mpmath_quadrature_bit_for_bit(kind, monkeypatch):
+    # _tanh_sinh is mpmath.fp.quad's rule and stop; with fp.quad put in its
+    # place, every integral of a grid of s has the same bits
+    s_min = thermo._MELLIN[kind][0]
+    grid = [s_min + d for d in (1e-3, 0.05, 0.3, 0.8, 1.0, 1.7, 2.5, 4.0,
+                                7.5, 15.0, 40.0)]
+    ours = [mellin_check(s, kind)[0] for s in grid]
+    monkeypatch.setattr(thermo, "_tanh_sinh",
+                        lambda f, lo, hi: mpmath.fp.quad(f, [lo, hi]))
+    assert [mellin_check(s, kind)[0] for s in grid] == ours
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (math.sin, 0.0, 3.0),
+    (math.sqrt, 0.0, 1.0),
+    (lambda x: 1.0 / (1.0 + x * x), -1.0, 2.0),
+    (lambda x: 1.0, 0.0, 1.0),       # equal sums: a zero estimated error
+    (lambda x: x ** 7, -1.0, 1.0),   # every sum 0
+])
+def test_tanh_sinh_equals_mpmath_quadrature(f, lo, hi):
+    assert _tanh_sinh(f, lo, hi) == mpmath.fp.quad(f, [lo, hi])
 
 
 def test_mellin_domain_errors():
