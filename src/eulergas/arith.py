@@ -14,6 +14,7 @@ mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -321,6 +322,11 @@ def _cospi_arg(r: int, s: int) -> tuple[int, int]:
     return min(r, 2 * s - r), s
 
 
+# The most (q, n mod q) pairs factored_a keeps: all 4095 of q <= 90, so
+# every residue of every term of p(n) for n up to 16 131 (N <= 90)
+_A_CACHE_SIZE = 4096
+
+
 def factored_a(q: int, n: int) -> FactoredA:
     """A_q(n), the root-of-unity sum of the exact partition series in the
     classical convention, as a product over the prime powers k = p^lam of q.
@@ -343,9 +349,20 @@ def factored_a(q: int, n: int) -> FactoredA:
 
     The primes come from trial division.  That is O(log q) modular work and
     omega(q) cosines, none for A_1 = 1 and A_2 = +-1.
+
+    All of this depends on n only through n mod q: each root is of D modulo
+    a divisor of 24q, and the k = 2 sign is that of n mod 2.  So results are
+    kept in a least-recently-used cache keyed by (q, n mod q), at most
+    _A_CACHE_SIZE of them, which serves runs of consecutive n.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
+    return _factored_a(q, n % q)
+
+
+@functools.lru_cache(maxsize=_A_CACHE_SIZE)
+def _factored_a(q: int, n: int) -> FactoredA:
+    """factored_a for 0 <= n < q."""
     d = 1 - 24 * n
     sign, num, den, cospi = 1, 1, 1, []
     rest, p = q, 2

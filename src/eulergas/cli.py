@@ -6,7 +6,8 @@ significant digits, so parsing the output recovers every value bit for
 bit); diagnostics go to stderr.  Exit codes: 0 success, 1 computation error
 (the error's fields are serialized to stderr as JSON), 2 usage error.  A
 non-finite float (overflow, or an undefined value) is a computation error,
-never an `inf` or `nan` in the output.
+never an `inf` or `nan` in the output.  So is a dependency that cannot be
+imported (mpmath, for exact p(n)).
 
 Only `arith` and `errors` are imported up front; each handler imports the
 subsystem it calls, so a call loads no module its subcommand does not use.
@@ -626,7 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PrecisionError, ConvergenceError) as exc:
         sys.stderr.write(_json_value({"schema": 1, "error": exc.fields()}) + "\n")
         return 1
-    except ArithmeticError as exc:  # overflow, division by zero, inf or nan
+    # overflow, division by zero, inf or nan; or mpmath, which exact p(n)
+    # needs, cannot be imported
+    except (ArithmeticError, ImportError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(_json_value({"schema": 1, "error": error}) + "\n")
         return 1

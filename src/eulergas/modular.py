@@ -7,10 +7,13 @@ transforms and the weight-two Eisenstein series live in thermo, next to
 the per-mode kernel, and are imported back here.
 
 The exact series needs working precision beyond 53 bits once p(n) outgrows
-doubles (n around 300): its large terms run on mpmath, each with the bits
-its own size needs, and its small terms in doubles, all under an explicit
-error bound.  This is the only module that imports mpmath, and it does so
-at import, so that loading it (not the first p(n)) pays that cost.
+doubles (n around 300): its large terms run on mpmath.libmp's raw values
+(sign, mantissa, exponent, bit count), each with the bits its own size
+needs and every operation rounded to nearest, and its small terms in
+doubles, all under an explicit error bound.  This is the only module that
+imports mpmath, and it does so at import, so that loading it (not the
+first p(n)) pays that cost.  The A_q(n) factors come from arith's cache,
+keyed by (q, n mod q).
 Everything else is double precision: Z(e^{-x}) on 0 < y < 1 is exp(-F/kT)
 from thermo, and Z elsewhere is from eta.
 """
@@ -21,7 +24,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
+from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
+                          mpf_cos_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int,
+                          mpf_nint, mpf_pi, mpf_rdiv_int, mpf_sqrt, mpf_sub,
+                          round_nearest, to_float, to_int)
 
 from . import thermo
 from .arith import FactoredA, factored_a
@@ -127,6 +133,8 @@ class RademacherResult:
 
 
 _K = math.pi * math.sqrt(2.0 / 3.0)
+# the rounding of every high-precision operation, that of mpf arithmetic
+_RND = round_nearest
 # Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
 # |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
 _REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
@@ -153,6 +161,33 @@ def _remainder_bound(n: int, terms: int) -> float:
         return math.inf
 
 
+def _term_count(n: int) -> int:
+    """N for p(n), n >= 2: the least number of terms whose remainder bound
+    is below _REM_TARGET.  PrecisionError if that exceeds _MAX_TERMS."""
+    # The bound falls strictly as N grows: d/dN of sqrt(N) sinh(a), with
+    # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0.  So if it
+    # is not below the target at the budget, no N within the budget will
+    # do; and where it is, the search below can bisect.
+    if _remainder_bound(n, _MAX_TERMS) >= _REM_TARGET:
+        raise PrecisionError(f"series for p({n}) needs more than "
+                             f"{_MAX_TERMS} terms, budget is {_MAX_TERMS}",
+                             _MAX_TERMS + 1)
+    # The first part of the bound alone exceeds the target at every count
+    # up to lo.  Double from there until the bound is below it (at the
+    # budget at the latest), then bisect (lo, hi].
+    lo = math.ceil((_REM_A / _REM_TARGET) ** 2) - 1
+    hi = lo + 1
+    while _remainder_bound(n, hi) >= _REM_TARGET:
+        lo, hi = hi, min(2 * hi, _MAX_TERMS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _remainder_bound(n, mid) < _REM_TARGET:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _term_double(q: int, lam: float, a: FactoredA) -> float:
     """Term q of the series in doubles."""
     kq = _K / q
@@ -162,16 +197,27 @@ def _term_double(q: int, lam: float, a: FactoredA) -> float:
     return math.sqrt(q) * deriv / (math.pi * math.sqrt(2.0)) * float(a)
 
 
-def _term_mp(q: int, lam, k, a: FactoredA):
-    """Term q of the series as an mpf at the current precision, from lam
-    and K = pi*sqrt(2/3) given at least as precise."""
-    kq = k / q
-    e = mp.exp(kq * lam)
-    deriv = ((kq - 1 / lam) * e + (kq + 1 / lam) / e) / (4 * lam * lam)
+def _term_mp(q: int, lam: tuple, k: tuple, a: FactoredA, prec: int) -> tuple:
+    """Term q of the series as a raw mpmath.libmp value at prec bits, from
+    lam and K = pi*sqrt(2/3) given at least as precise.  Each operation
+    rounds to nearest at prec bits, as mpf arithmetic would."""
+    kq = mpf_div(k, from_int(q), prec, _RND)
+    e = mpf_exp(mpf_mul(kq, lam, prec, _RND), prec, _RND)
+    inv = mpf_rdiv_int(1, lam, prec, _RND)
+    # (K_q - 1/lam) e + (K_q + 1/lam)/e over 4 lam^2
+    deriv = mpf_div(
+        mpf_add(mpf_mul(mpf_sub(kq, inv, prec, _RND), e, prec, _RND),
+                mpf_div(mpf_add(kq, inv, prec, _RND), e, prec, _RND),
+                prec, _RND),
+        mpf_mul(mpf_mul_int(lam, 4, prec, _RND), lam, prec, _RND), prec, _RND)
     # sqrt(q)/(pi*sqrt(2)) * A_q(n), with sqrt(q) and sqrt(num/den) in one
-    term = a.sign * mp.sqrt(mp.mpf(q * a.num) / (2 * a.den)) / mp.pi * deriv
+    root = mpf_sqrt(mpf_div(from_int(q * a.num, prec, _RND),
+                            from_int(2 * a.den), prec, _RND), prec, _RND)
+    term = mpf_mul(mpf_div(mpf_mul_int(root, a.sign, prec, _RND),
+                           mpf_pi(prec, _RND), prec, _RND), deriv, prec, _RND)
     for r, s in a.cospi:
-        term *= mp.cospi(mp.mpf(r) / s)
+        arg = mpf_div(from_int(r, prec, _RND), from_int(s), prec, _RND)
+        term = mpf_mul(term, mpf_cos_pi(arg, prec, _RND), prec, _RND)
     return term
 
 
@@ -191,10 +237,11 @@ def rademacher_p(n: int) -> RademacherResult:
     no Dedekind sums.
 
     N is fixed before any term is summed: the smallest N whose Rademacher
-    remainder bound is below 1/5.  Term q, of size about exp(K_1*lam/q),
-    gets only the bits it needs to keep its absolute error below 2^-24/N,
-    and never fewer than 64; a term small enough for that in doubles is
-    evaluated in doubles under the same explicit bound.  The sum is
+    remainder bound is below 1/5, found by doubling and bisection.  Term
+    q, of size about exp(K_1*lam/q), gets only the bits it needs to keep
+    its absolute error below 2^-24/N, and never fewer than 64; a term
+    small enough for that in doubles is evaluated in doubles under the
+    same explicit bound.  The sum is
     accumulated at the precision of the q = 1 term.  The result's
     error_bound is the remainder bound plus the evaluation error, and the
     value is certified only when residual + error_bound < 1/2; otherwise
@@ -207,18 +254,7 @@ def rademacher_p(n: int) -> RademacherResult:
         raise DomainError(f"need n >= 0, got {n}")
     if n <= 1:
         return RademacherResult(n, 1, 0, 0.0, 0.0)
-    # The bound falls strictly as N grows: d/dN of sqrt(N) sinh(a), with
-    # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0.  So if it
-    # is not below the target at the budget, no N within the budget will
-    # do, and the search below would count up to the budget in vain.
-    if _remainder_bound(n, _MAX_TERMS) >= _REM_TARGET:
-        raise PrecisionError(f"series for p({n}) needs more than "
-                             f"{_MAX_TERMS} terms, budget is {_MAX_TERMS}",
-                             _MAX_TERMS + 1)
-    # the first part of the bound alone rules out every smaller N
-    n_terms = math.ceil((_REM_A / _REM_TARGET) ** 2)
-    while _remainder_bound(n, n_terms) >= _REM_TARGET:
-        n_terms += 1
+    n_terms = _term_count(n)
     guard = _EVAL_BITS + n_terms.bit_length()
     lam = math.sqrt(n - 1.0 / 24.0)
 
@@ -249,24 +285,24 @@ def rademacher_p(n: int) -> RademacherResult:
     eval_err = 0.0
     doubles: list[float] = []
     doubles_size = 0.0
-    total = mp.mpf(0)
-    with mp.workprec(sum_bits):
-        lam_mp = mp.sqrt(mp.mpf(24 * n - 1) / 24)
-        k_mp = mp.pi * mp.sqrt(mp.mpf(2) / 3)
+    total = fzero
+    lam_mp = mpf_sqrt(mpf_div(from_int(24 * n - 1, sum_bits, _RND),
+                              from_int(24), sum_bits, _RND), sum_bits, _RND)
+    k_mp = mpf_mul(mpf_pi(sum_bits, _RND),
+                   mpf_sqrt(mpf_div(from_int(2), from_int(3), sum_bits, _RND),
+                            sum_bits, _RND), sum_bits, _RND)
     for q, a, bits, log2_size, log2_units in plan:
         eval_err += 2.0 ** (log2_size + log2_units - (bits or 52))
         if not bits:
             doubles.append(_term_double(q, lam, a))
             doubles_size += 2.0 ** log2_size
             continue
-        with mp.workprec(bits):
-            term = _term_mp(q, lam_mp, k_mp, a)
-        with mp.workprec(sum_bits):
-            total += term
-    with mp.workprec(sum_bits):
-        total += math.fsum(doubles)
-        rounded = mp.nint(total)
-        residual = float(abs(total - rounded))
+        total = mpf_add(total, _term_mp(q, lam_mp, k_mp, a, bits),
+                        sum_bits, _RND)
+    total = mpf_add(total, from_float(math.fsum(doubles)), sum_bits, _RND)
+    rounded = mpf_nint(total, sum_bits, _RND)
+    residual = to_float(mpf_abs(mpf_sub(total, rounded, sum_bits, _RND),
+                                sum_bits, _RND), rnd=_RND)
     # fsum rounds once, by at most 2^-53 of the doubles' sizes; each of the
     # other additions by at most 2^-sum_bits of a partial sum, itself below
     # the sum of all the sizes
@@ -277,7 +313,7 @@ def rademacher_p(n: int) -> RademacherResult:
 
     error_bound = _remainder_bound(n, n_terms) + eval_err
     if residual + error_bound < 0.5:
-        return RademacherResult(n, int(rounded), n_terms, residual,
+        return RademacherResult(n, int(to_int(rounded)), n_terms, residual,
                                 error_bound)
     raise ConvergenceError(
         f"series for p({n}) is not certified: residual {residual:.3g} + "

@@ -520,7 +520,14 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
         # can overflow at the rule's nodes next to u = 0
         if u * 745.0 < 1.0:
             return 0.0
-        return base(1.0 / u) * u ** (-s - 1.0)
+        b = base(1.0 / u)
+        try:
+            return b * u ** (-s - 1.0)
+        except OverflowError:  # s above ~106: the product in logs
+            if b == 0.0:
+                return 0.0
+            return math.copysign(
+                math.exp(math.log(abs(b)) - (s + 1.0) * math.log(u)), b)
 
     c = LOWFREQ_SWITCH
     lo = head(s, c)

@@ -503,6 +503,14 @@ def test_arithmetic_errors_are_computation_errors(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind", ["free-energy", "occupation", "energy"])
+def test_mellin_check_at_large_s(capsys, kind):
+    code, out, err = run_cli(capsys, "mellin-check", "--s", "107", "--kind",
+                             kind, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"][0]["rel_diff"] < 1e-14
+
+
 def test_non_finite_result_is_a_computation_error(capsys):
     # x_m = theta_D/T overflows at T = 1e-310; JSON has no inf to print
     code, out, err = run_cli(capsys, "phonon", "--n-atoms", "6e23",
@@ -778,3 +786,25 @@ for name in eulergas.__all__:
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--n", "50"],
+    ["sweep", "--quantity", "partition", "--start", "0", "--stop", "5"],
+])
+def test_exact_p_without_mpmath_is_a_computation_error(tmp_path, argv):
+    # an mpmath package that cannot be imported, first on the path: one
+    # JSON error line and exit 1, no traceback
+    (tmp_path / "mpmath").mkdir()
+    (tmp_path / "mpmath" / "__init__.py").write_text(
+        'raise ImportError("mpmath is kept out of this test")\n')
+    src = str(Path(eulergas.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+    proc = subprocess.run([sys.executable, "-m", "eulergas.cli", *argv,
+                           "--format", "json"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"schema": 1, "error": {"type": "ImportError",
+                                "message": "mpmath is kept out of this test"}}]

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eulergas import cli, modular
+from eulergas import arith, cli, modular
 from eulergas.arith import (DedekindConvention, factored_a,
                             partition_count_oracle)
 from eulergas.errors import ConvergenceError, DomainError, PrecisionError
@@ -130,6 +130,96 @@ def test_factored_a_shape():
                 assert all(0 <= r <= s for r, s in a.cospi)
     with pytest.raises(DomainError):
         factored_a(0, 1)
+
+
+def test_factored_a_depends_on_n_mod_q_alone():
+    # what the cache keyed by (q, n mod q) rests on: the uncached
+    # factorisation of n equals that of n mod q, for small n and large
+    uncached = arith._factored_a.__wrapped__
+    for q in range(1, 301):
+        residues = [uncached(q, n) for n in range(q)]
+        for n in range(q, 3 * q):
+            assert uncached(q, n) == residues[n % q], (q, n)
+    rng = random.Random(1205)
+    for _ in range(500):
+        q, n = rng.randint(1, 20000), 10 ** 12 + rng.randint(0, 10 ** 6)
+        assert uncached(q, n) == uncached(q, n % q) == factored_a(q, n), (q, n)
+
+
+def test_a_cache_is_bounded_and_serves_runs_of_n():
+    info = arith._factored_a.cache_info
+    assert info().maxsize == arith._A_CACHE_SIZE == 4096
+    arith._factored_a.cache_clear()
+    for n in range(5001):
+        assert rademacher_p(n).value == partition_count_oracle(n), n
+    assert info().currsize <= info().maxsize
+    # consecutive n share residues: p(0..5000) has N <= 64 terms, so it
+    # needs at most 2080 distinct (q, n mod q) of its 266 241 lookups
+    assert info().hits > 10 * info().misses
+    # 5050 pairs (q, n mod q), q <= 100, fill it without growing it
+    for q in range(1, 101):
+        for n in range(q):
+            factored_a(q, n)
+    assert info().currsize == info().maxsize
+
+
+# (n, terms_used, residual, error_bound) as an evaluation with mpf objects
+# gives them: the libmp terms round each operation to nearest at the same
+# precision as mpf arithmetic does, so every bit must agree
+@pytest.mark.parametrize("n,terms,residual,error_bound", [
+    (2, 45, 0.0008148512802919061, 0.19818187670145365),
+    (200, 42, 0.0016515140810042794, 0.1984821766614425),
+    (1189, 48, 0.0003859420073695219, 0.19748385775318233),
+    (2392, 53, 0.00011705255064953235, 0.1996850558056405),
+    (4780, 63, 0.0003560393547559215, 0.19695632262712054),
+    (10 ** 6, 472, 7.1421118867931455e-06, 0.19876767605666648),
+])
+def test_results_are_pinned_to_the_bit(n, terms, residual, error_bound):
+    res = rademacher_p(n)
+    assert (res.n, res.terms_used) == (n, terms)
+    assert repr(res.residual) == repr(residual)
+    assert repr(res.error_bound) == repr(error_bound)
+    if n <= 10 ** 5:
+        assert res.value == partition_count_oracle(n)
+    else:
+        # p(10^6) has 1108 digits: 1471684986...15630003467104673818
+        digits = cli._int_str(res.value)
+        assert len(digits) == 1108
+        assert digits.startswith("147168498635822339863100476060")
+        assert digits.endswith("15630003467104673818")
+
+
+def _least_terms_by_scan(n):
+    """The least N from 32 up whose remainder bound is below the target,
+    counted one by one."""
+    terms = math.ceil((modular._REM_A / modular._REM_TARGET) ** 2)
+    while _remainder_bound(n, terms) >= modular._REM_TARGET:
+        terms += 1
+    return terms
+
+
+@pytest.mark.parametrize("n,terms", [
+    (2, 45), (200, 42), (4780, 63), (10 ** 6, 472), (10 ** 7, 1306),
+    (10 ** 8, 3710), (10 ** 9, 10_706), (10 ** 10, 31_220)])
+def test_term_count_search_matches_the_scan(n, terms):
+    assert modular._term_count(n) == _least_terms_by_scan(n) == terms
+
+
+def test_term_count_search_is_logarithmic(monkeypatch):
+    # N is the least count whose bound is below the target, found with at
+    # most two bound evaluations per doubling of the count
+    bound = modular._remainder_bound
+    rng = random.Random(71)
+    for n in [2, 3, 466_735_713_430_801] + [
+            int(10 ** rng.uniform(0.5, 14.6)) for _ in range(200)]:
+        calls = []
+        monkeypatch.setattr(modular, "_remainder_bound",
+                            lambda m, c: calls.append(c) or bound(m, c))
+        terms = modular._term_count(n)
+        assert bound(n, terms) < modular._REM_TARGET
+        if terms > 32:
+            assert bound(n, terms - 1) >= modular._REM_TARGET
+        assert len(calls) <= 2 * terms.bit_length(), (n, len(calls))
 
 
 @pytest.mark.parametrize("n,terms", [(2, 1), (2, 6), (30, 4), (100, 10),

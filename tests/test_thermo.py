@@ -286,6 +286,18 @@ def test_tanh_sinh_equals_mpmath_quadrature(f, lo, hi):
     assert _tanh_sinh(f, lo, hi) == mpmath.fp.quad(f, [lo, hi])
 
 
+@pytest.mark.parametrize("kind", list(MellinKind))
+@pytest.mark.parametrize("s,tol", [(107.0, 1e-14), (130.0, 1e-11),
+                                   (170.0, 1e-8)])
+def test_mellin_check_where_the_tail_power_overflows(kind, s, tol):
+    # u^(-s-1) overflows a double at the tail's nodes near u = 1/745 from
+    # s ~ 106.4 up; there the integrand is taken in logs
+    with pytest.raises(OverflowError):
+        (1.0 / 745.0) ** (-s - 1.0)
+    integral, closed = mellin_check(s, kind)
+    assert abs(integral - closed) <= tol * closed
+
+
 def test_mellin_domain_errors():
     with pytest.raises(DomainError):
         mellin_check(1.0, MellinKind.FREE_ENERGY)
