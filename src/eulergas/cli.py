@@ -2,8 +2,9 @@
 
 One subcommand per subsystem plus a generic sweep.  Data goes to stdout in
 table, CSV or JSON form (JSON carries ``schema: 1`` and floats with 17
-significant digits, so parsing the output recovers every value bit for
-bit); diagnostics go to stderr.  Exit codes: 0 success, 1 computation error
+significant digits and always a "." or an exponent, so parsing the output
+recovers every value bit for bit and as a float); diagnostics go to
+stderr.  Exit codes: 0 success, 1 computation error
 (the error's fields are serialized to stderr as JSON), 2 usage error.  A
 non-finite float (overflow, or an undefined value) is a computation error,
 never an `inf` or `nan` in the output.  So is a dependency that cannot be
@@ -53,7 +54,9 @@ def _fmt_num(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return _int_str(v)
-    return format(float(v), ".17g")
+    text = format(float(v), ".17g")
+    # an integral float gains ".0", so that JSON reads it back as a float
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 def _json_escape(s: str) -> str:
@@ -157,22 +160,23 @@ def _frac_str(f: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_partition(args) -> dict:
-    from . import modular
     row: dict = {"n": args.n, "method": args.method}
     # the oracle first, so that an n past its cap is refused before the
     # series is summed; a negative n is left to the method's own check
     oracle = (arith.partition_count_oracle(args.n)
               if args.oracle_check and args.n >= 0 else None)
-    if args.method == "rademacher":
-        res = modular.rademacher_p(args.n)
-        row.update(value=res.value, terms_used=res.terms_used,
-                   residual=res.residual, error_bound=res.error_bound)
-    elif args.method == "oracle":
+    if args.method == "oracle":
         row["value"] = arith.partition_count_oracle(args.n)
-    elif args.method == "leading":
-        row["value"] = modular.leading_term_p(args.n)
-    else:  # asymptotic
-        row["value"] = modular.asymptotic_p(args.n)
+    else:  # modular, and with it mpmath, only for the methods that use it
+        from . import modular
+        if args.method == "rademacher":
+            res = modular.rademacher_p(args.n)
+            row.update(value=res.value, terms_used=res.terms_used,
+                       residual=res.residual, error_bound=res.error_bound)
+        elif args.method == "leading":
+            row["value"] = modular.leading_term_p(args.n)
+        else:  # asymptotic
+            row["value"] = modular.asymptotic_p(args.n)
     if args.oracle_check:
         row["oracle"] = oracle
         exact = row["value"] if isinstance(row["value"], int) else round(row["value"])
@@ -413,8 +417,10 @@ def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
     """The grid variable of a sweep quantity and {model: f(value)} for its
     columns, in default column order."""
     if quantity == "partition":
-        from . import modular
-        return "n", {"rademacher": lambda n: modular.rademacher_p(int(n)).value,
+        def rademacher(n):
+            from . import modular  # and with it mpmath, for this column only
+            return modular.rademacher_p(int(n)).value
+        return "n", {"rademacher": rademacher,
                      "oracle": lambda n: arith.partition_count_oracle(int(n))}
     if quantity in _RADIATION_QUANTITIES:
         from . import radiation

@@ -28,9 +28,12 @@ bit, and compare with Gamma(s) zeta zeta from math.gamma and arith's
 Euler-Maclaurin zeta.  The Planck factor is written in e^{-x} form, so it
 vanishes instead of overflowing.
 
-eta(tau) and the weight-two Eisenstein series G2(tau) on the upper half
-plane, with eta's shift and inversion laws, are here too, after an SL2(Z)
-reduction to Im tau >= 0.05.  Nothing in this module imports mpmath.
+eta(tau) = e^{i pi tau/12} P(y) and the weight-two Eisenstein series
+G2(tau) = pi^2/3 + 8 pi^2 P_1/P on the upper half plane, with eta's shift
+and inversion laws, are here too: the same pentagonal sums at the complex
+y = e^{2 pi i tau}, after an SL2(Z) reduction to Im tau >= 0.9/(2 pi), so
+that |y| <= e^{-0.9} as for the per-mode sums.  Nothing in this module
+imports mpmath.
 """
 
 from __future__ import annotations
@@ -125,23 +128,48 @@ def _power_tails(d: int, r: float) -> tuple[float, float, float]:
             _exp_up(2 * log_d + log_head - math.log1p(-r2)))
 
 
-def _power_tail(d: int, r: float, k: int) -> float:
-    """The k-th of _power_tails(d, r)."""
-    return _power_tails(d, r)[k]
+def _pentagonal(y: float | complex) -> tuple[
+        float | complex, float | complex, float | complex, int, int]:
+    """Euler's pentagonal number theorem at |y| <= e^{-DUAL_SWITCH}:
+
+        P = prod_d (1 - y^d) = 1 + sum_{k>=1} (-1)^k (y^{a_k} + y^{b_k}),
+        a_k = k(3k-1)/2,  b_k = a_k + k,
+
+    with P_1 and P_2 the same series with each power y^p weighted by p and
+    p^2 (P_1 = y P'(y)).  Returns (P - 1, P_1, P_2, a, K) after K pairs,
+    a = a_{K+1}.  The exponents left are distinct and at least a >= 5, so
+    with r = |y| each dropped P_j tail is at most _power_tails(a - 1, r)[j],
+    for complex y too, by the triangle inequality.  Stops once that bound
+    for P_2 is below TAIL_EPS of r.
+    """
+    r = abs(y)
+    lim = TAIL_EPS * r
+    p0 = p1 = p2 = 0.0  # P - 1, P_1, P_2
+    ra, rk, gap, r3 = 1.0, 1.0, y, y * y * y  # y^{a_k}, y^k, y^{a_{k+1}-a_k}
+    k, a = 0, 1
+    while True:
+        k += 1
+        b = a + k
+        ra *= gap
+        rk *= y
+        rb = ra * rk
+        gap *= r3
+        sign = -1.0 if k & 1 else 1.0
+        p0 += sign * (ra + rb)
+        p1 += sign * (a * ra + b * rb)
+        p2 += sign * (a * a * ra + b * b * rb)
+        a = b + 2 * k + 1  # a_{k+1}
+        # _power_tails(a - 1, r)[2] <= lim, with |y^a| = |ra| |gap| in hand
+        if a * a * abs(ra) * abs(gap) <= lim * (1.0 - ((a + 1) / a) ** 2 * r):
+            return p0, p1, p2, a, k
 
 
 def _lambert(x: float, occupation: bool = False) -> tuple[
         float, float, float, float, int, float, float, float]:
     """The per-mode sums at x >= DUAL_SWITCH (or at the dual argument),
-    r = e^{-x}, from Euler's pentagonal number theorem
-
-        P = prod_d (1 - r^d) = 1 + sum_{k>=1} (-1)^k (r^{a_k} + r^{b_k}),
-        a_k = k(3k-1)/2,  b_k = a_k + k,
-
-    with P_1 and P_2 the same series with each power r^p weighted by p and
-    p^2, so that ln Z = -ln P, E/kT = -x P_1/P and
-    fluct = x^2 ((P_1/P)^2 - P_2/P); and, if occupation, N from Clausen's
-    identity
+    r = e^{-x}: ln Z = -ln P, E/kT = -x P_1/P and
+    fluct = x^2 ((P_1/P)^2 - P_2/P) from _pentagonal(r), and, if occupation,
+    N from Clausen's identity
 
         N = sum_d r^d/(1 - r^d) = sum_{m>=1} r^{m^2} (1 + r^m)/(1 - r^m).
 
@@ -149,17 +177,15 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
     tail of fluct); without occupation N is 0 and terms counts only the
     pentagonal pairs.
 
-    After K pairs the pentagonal exponents left are distinct and at least
-    a = a_{K+1} >= 5, so each dropped P_j tail is at most
-    t_j = _power_tails(a - 1, r)[j].  With P >= low = P_K - t_0 > 0, ln P
-    moves by at most t_0/low and P_j/P by at most (t_j + |P_j/P| t_0)/low
-    (du and dv for j = 1, 2), so ln Z, E and fluct move by at most t_0/low,
-    x du and x^2 (du (2 |P_1/P| + du) + dv).  After M Clausen
-    terms every factor (1 + r^m)/(1 - r^m) is at most (1 + r)/(1 - r) and
-    the gaps (m+1)^2 - m^2 grow, so the tail is at most
-    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Each loop stops once its
-    tail bound (the p^2 one for the pairs) is below TAIL_EPS of r, the
-    first term of every sum.
+    With the dropped P_j tails t_j = _power_tails(a - 1, r)[j] and
+    P >= low = P_K - t_0 > 0, ln P moves by at most t_0/low and P_j/P by at
+    most (t_j + |P_j/P| t_0)/low (du and dv for j = 1, 2), so ln Z, E and
+    fluct move by at most t_0/low, x du and x^2 (du (2 |P_1/P| + du) + dv).
+    After M Clausen terms every factor (1 + r^m)/(1 - r^m) is at most
+    (1 + r)/(1 - r) and the gaps (m+1)^2 - m^2 grow, so the tail is at most
+    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Clausen's sum stops, as the
+    pairs do, once its tail bound is below TAIL_EPS of r, the first term of
+    every sum.
 
     Where r is subnormal (or 0) every power past r underflows, so each sum
     is its first term and every tail is below the smallest double.  E and
@@ -172,25 +198,7 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
         h = math.exp(-0.5 * x)
         return (r, r if occupation else 0.0, x * h * h, x * (x * h) * h,
                 2 if occupation else 1, 0.0, 0.0, 0.0)
-    lim = TAIL_EPS * r
-    p0 = p1 = p2 = 0.0  # P - 1, P_1, P_2
-    ra, rk, gap, r3 = 1.0, 1.0, r, r * r * r  # r^{a_k}, r^k, r^{a_{k+1}-a_k}
-    k, a = 0, 1
-    while True:
-        k += 1
-        b = a + k
-        ra *= gap
-        rk *= r
-        rb = ra * rk
-        gap *= r3
-        sign = -1.0 if k & 1 else 1.0
-        p0 += sign * (ra + rb)
-        p1 += sign * (a * ra + b * rb)
-        p2 += sign * (a * a * ra + b * b * rb)
-        a = b + 2 * k + 1  # a_{k+1}
-        # _power_tails(a - 1, r)[2] <= lim, with r^a = ra * gap in hand
-        if a * a * ra * gap <= lim * (1.0 - ((a + 1) / a) ** 2 * r):
-            break
+    p0, p1, p2, a, k = _pentagonal(r)
     p = 1.0 + p0
     u, v = p1 / p, p2 / p
     t0, t1, t2 = _power_tails(a - 1, r)
@@ -209,7 +217,7 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
             odd *= r * r
             n_occ += rsq * (1.0 + rm) / (1.0 - rm)
             head, gaps = rsq * odd, 1.0 - odd * r * r  # r^{(M+1)^2}, 1 - r^{2M+3}
-            if ratio * head <= lim * gaps:
+            if ratio * head <= TAIL_EPS * r * gaps:
                 break
         if head >= sys.float_info.min:
             t_n = ratio * head / gaps
@@ -540,16 +548,14 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
 # eta and G2 on the upper half plane
 # ---------------------------------------------------------------------------
 
-# Target relative error of the Euler product of eta and of G2
-_REL_TOL = 1e-12
-# eta and G2 are summed from this Im(tau) up, where |y| <= 0.7304: at most
-# 93 factors of the product and 117 terms of G2; below it _reduce runs first
-_IM_DIRECT = 0.05
+# eta and G2 are summed from this Im(tau) up, where |y| <= e^{-DUAL_SWITCH},
+# the domain of _pentagonal; below it _reduce runs first
+_IM_DIRECT = DUAL_SWITCH / (2.0 * math.pi)
 
 
 def _reduce(tau: complex) -> tuple[complex, int, list[complex]] | None:
     """While Im tau < _IM_DIRECT, write tau = n + s, |Re s| <= 1/2, and go
-    on at -1/s, which multiplies Im by 1/|s|^2 > 3.96.  Returns the final
+    on at -1/s, which multiplies Im by 1/|s|^2 > 3.69.  Returns the final
     tau, the sum of the n mod 24 and the s; None where -1/s overflows, as
     only |s| < 1e-308 can, which puts Im(-1/s) above 1e293."""
     tau = complex(tau)
@@ -568,11 +574,12 @@ def _reduce(tau: complex) -> tuple[complex, int, list[complex]] | None:
 
 
 def eta(tau: complex) -> complex:
-    """eta(tau) = exp(i*pi*tau/12) * prod (1 - y^n) with y = exp(2*i*pi*tau).
+    """eta(tau) = exp(i*pi*tau/12) * P(y), P(y) = prod (1 - y^n) with
+    y = exp(2*i*pi*tau), by _pentagonal.
 
     Taken after _reduce with eta(s + n) = e^{i pi n/12} eta(s) and
     eta(s) = eta(-1/s)/sqrt(s/i); 0 where eta underflows a double.  Once
-    |y| underflows (Im tau above about 119) the product is exactly 1.
+    |y| underflows (Im tau above about 119) P is exactly 1.
     """
     reduced = _reduce(tau)
     if reduced is None:
@@ -581,18 +588,11 @@ def eta(tau: complex) -> complex:
     # eta(tau + 24) = eta(tau): reduce Re(tau) exactly, so that a huge real
     # part cannot overflow 2*pi*tau
     tau = complex(math.fmod(tau.real, 24.0), tau.imag)
-    y = cmath.exp(2j * math.pi * tau)
-    abs_y = abs(y)
-    # the smallest N with |y|^N below _REL_TOL*(1-|y|)
-    n_terms = 0 if abs_y == 0.0 else int(
-        math.log(_REL_TOL * (1.0 - abs_y)) / math.log(abs_y)) + 1
-    prod, yn = 1.0, y
-    for _ in range(n_terms):
-        prod *= 1.0 - yn
-        yn *= y
+    p0 = _pentagonal(cmath.exp(2j * math.pi * tau))[0]
     # 1/sqrt(s/i) in the exponent, so that eta underflows to 0 at once
     log_scale = -sum((cmath.log(s / 1j) for s in steps), 0j) / 2.0
-    return cmath.exp(1j * math.pi * (tau + shift) / 12.0 + log_scale) * prod
+    prefactor = cmath.exp(1j * math.pi * (tau + shift) / 12.0 + log_scale)
+    return prefactor * (1.0 + p0)
 
 
 class EtaTransform(Enum):
@@ -618,12 +618,12 @@ def eta_transform(tau: complex, which: EtaTransform) -> complex:
 def eisenstein_g2(tau: complex) -> complex:
     """Weight-two Eisenstein series from its Fourier expansion:
 
-        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n,
+        G2(tau) = 2*zeta(2) + 2*(2*i*pi)^2 * sum sigma_1(n) y^n
+                = pi^2/3 + 8*pi^2 * P_1/P,
 
-    with the divisor sum taken in Lambert form sum d y^d/(1 - y^d).
-    Truncated by the geometric tail bound sum_{d>D} d r^d/(1 - r^{D+1}),
-    after _reduce; unwound by G2(s) = (G2(-1/s) + 2*pi*i*s)/s^2.  Raises
-    DomainError where G2 overflows a double.
+    since sum sigma_1(n) y^n = -y P'(y)/P(y), with P and P_1 from
+    _pentagonal after _reduce; unwound by G2(s) = (G2(-1/s) + 2*pi*i*s)/s^2.
+    Raises DomainError where G2 overflows a double.
     """
     reduced = _reduce(tau)
     if reduced is None:  # |s| < 1e-308, so |G2| > (pi^2/3 - 2 pi |s|)/|s|^2
@@ -632,22 +632,8 @@ def eisenstein_g2(tau: complex) -> complex:
     # G2(tau + 1) = G2(tau): reduce Re(tau) exactly, so that a huge real
     # part cannot overflow 2*pi*tau
     top = complex(math.fmod(top.real, 1.0), top.imag)
-    y = cmath.exp(2j * math.pi * top)
-    r = abs(y)
-    const = math.pi ** 2 / 3.0  # 2*zeta(2)
-    omr, acc, yd, d = 1.0 - r, 0.0 + 0.0j, 1.0 + 0.0j, 0
-    while True:  # one term, of 0, once y underflows
-        d += 1
-        yd *= y
-        acc += d * yd / (1.0 - yd)
-        # sum_{m>d} m r^m = r^{d+1} ((d+1)/(1-r) + r/(1-r)^2), and every
-        # dropped denominator has |1 - y^m| >= 1 - r^{d+1}
-        tail = (r ** (d + 1) * ((d + 1) / omr + r / omr ** 2)
-                / (1.0 - r ** (d + 1)))
-        scale = max(abs(acc), const / (8.0 * math.pi ** 2))
-        if tail <= _REL_TOL * scale:
-            break
-    value = const - 8.0 * math.pi ** 2 * acc
+    p0, p1, *_ = _pentagonal(cmath.exp(2j * math.pi * top))
+    value = math.pi ** 2 / 3.0 + 8.0 * math.pi ** 2 * (p1 / (1.0 + p0))
     for s in reversed(steps):
         value = (value + 2j * math.pi * s) / s / s
     if not cmath.isfinite(value):

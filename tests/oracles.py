@@ -228,3 +228,30 @@ def eta_mp(tau, dps=50):
             factor *= mpmath.expjpi(mpmath.mpf(n) / 12) / mpmath.sqrt(s / 1j)
             t = -1 / s
         return factor * mpmath.eta(t)
+
+
+def g2_mp(tau, dps=50):
+    """G2 at the double tau to `dps` digits: tau is moved up to Im >= 1/2
+    as in eta_mp, the Lambert series pi^2/3 - 8 pi^2 sum d q^d/(1 - q^d),
+    q = e^{2 pi i tau}, is summed there until its terms are below
+    10^-(dps+5), and G2(s) = (G2(-1/s) + 2 pi i s)/s^2 unwinds the steps."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpc(tau.real, tau.imag)  # exact
+        steps = []
+        while t.imag < 0.5:
+            s = t - int(mpmath.nint(t.real))
+            steps.append(s)
+            t = -1 / s
+        q = mpmath.expjpi(2 * t)
+        total, qd, d = mpmath.mpc(0), mpmath.mpc(1), 0
+        while True:
+            d += 1
+            qd *= q
+            term = d * qd / (1 - qd)
+            total += term
+            if abs(term) < mpmath.mpf(10) ** (-dps - 5):
+                break
+        value = mpmath.pi ** 2 / 3 - 8 * mpmath.pi ** 2 * total
+        for s in reversed(steps):
+            value = (value + 2j * mpmath.pi * s) / (s * s)
+        return value

@@ -337,6 +337,45 @@ def test_json_round_trip_bit_identical(capsys):
     assert json.loads(out)["rows"][0]["value"] == asymptotic_p(321)
 
 
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0.0"), (-0.0, "-0.0"), (2e6, "2000000.0"), (1.0, "1.0"),
+    (1e16, "10000000000000000.0"), (1e17, "1e+17"), (0.5, "0.5"),
+    (-2.5e-300, "-2.5e-300"), (5e-324, "4.9406564584124654e-324"),
+    (0.1, "0.10000000000000001"), (7, "7"), (True, "true"),
+])
+def test_json_floats_carry_a_point_or_an_exponent(value, text):
+    # an integral float gains ".0" and keeps its type through json.loads;
+    # every other float keeps its 17-digit text, ints stay ints
+    assert _json_value(value) == text
+    back = json.loads(text)
+    assert type(back) is type(value) and back == value
+    assert repr(back) == repr(value)  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--tau", "0.301221,0.786085", "--check", "inversion"],
+    ["farey", "--order", "2"],
+    ["quartz", "--preset", "p5-5mhz"],
+    ["mellin-check", "--s", "2", "--kind", "free-energy"],
+])
+def test_library_floats_parse_as_floats(capsys, argv):
+    # each field the library hands over as a float parses back as a float,
+    # integral ones (a Farey value 0, q_factor 2e6, a residual 0.0) too
+    args = build_parser().parse_args(argv)
+    doc = args.handler(args)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    for want, row in zip([doc["params"], *doc["rows"]],
+                         [got["params"], *got["rows"]]):
+        assert list(row) == list(want)
+        for key, value in want.items():
+            assert type(row[key]) is type(value) and row[key] == value, key
+    if argv[0] == "eta":
+        residual = got["rows"][0]["check_residual"]
+        assert type(residual) is float and residual <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -788,6 +827,33 @@ for name in eulergas.__all__:
     assert proc.returncode == 0, proc.stderr
 
 
+def _without_mpmath(tmp_path, argv):
+    """Run the CLI in a fresh interpreter with an mpmath package that cannot
+    be imported first on the path."""
+    (tmp_path / "mpmath").mkdir()
+    (tmp_path / "mpmath" / "__init__.py").write_text(
+        'raise ImportError("mpmath is kept out of this test")\n')
+    src = str(Path(eulergas.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+    return subprocess.run([sys.executable, "-m", "eulergas.cli", *argv,
+                           "--format", "json"], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["partition", "--n", "50", "--method", "oracle"], [204226]),
+    (["sweep", "--quantity", "partition", "--start", "0", "--stop", "3",
+      "--models", "oracle"], [1, 1, 2, 3]),
+])
+def test_the_oracle_runs_without_mpmath(tmp_path, argv, values):
+    # the pentagonal oracle lives in arith: neither it nor its sweep column
+    # loads modular, so they answer without mpmath
+    proc = _without_mpmath(tmp_path, argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads(proc.stdout)["rows"]
+    assert [row.get("value", row.get("oracle")) for row in rows] == values
+
+
 @pytest.mark.parametrize("argv", [
     ["partition", "--n", "50"],
     ["sweep", "--quantity", "partition", "--start", "0", "--stop", "5"],
@@ -795,14 +861,7 @@ for name in eulergas.__all__:
 def test_exact_p_without_mpmath_is_a_computation_error(tmp_path, argv):
     # an mpmath package that cannot be imported, first on the path: one
     # JSON error line and exit 1, no traceback
-    (tmp_path / "mpmath").mkdir()
-    (tmp_path / "mpmath" / "__init__.py").write_text(
-        'raise ImportError("mpmath is kept out of this test")\n')
-    src = str(Path(eulergas.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
-    proc = subprocess.run([sys.executable, "-m", "eulergas.cli", *argv,
-                           "--format", "json"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _without_mpmath(tmp_path, argv)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [

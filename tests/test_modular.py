@@ -17,7 +17,7 @@ from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
                               leading_term_p, partition_generating,
                               rademacher_p)
-from oracles import eta_mp, level_sums_mp, rademacher_paper_literal
+from oracles import eta_mp, g2_mp, level_sums_mp, rademacher_paper_literal
 
 EPS = 2.0 ** -53
 
@@ -375,6 +375,29 @@ def test_eta_below_the_switch_matches_the_oracle():
         assert abs(got - want) <= tol * abs(want), tau
         checked += 1
     assert checked >= 150
+
+
+def test_eta_and_g2_match_50_digit_values():
+    # the pentagonal sums at y = e^{2 pi i tau} against 50-digit eta and
+    # Lambert-series G2 at Im tau from 0.02 to 4, log-uniform.  Where
+    # _reduce ran, -1/s is rounded, off by eps |tau| in tau: eta carries that
+    # as eps |tau| |G2|/(4 pi) relative (eta'/eta = i G2/(4 pi)), and G2's
+    # bound carries the same term
+    from eulergas.thermo import _IM_DIRECT
+    rng = random.Random(2026)
+    reduced = 0
+    for _ in range(400):
+        tau = complex(rng.uniform(-1.0, 1.0),
+                      math.exp(rng.uniform(math.log(0.02), math.log(4.0))))
+        want_eta, want_g2 = complex(eta_mp(tau)), complex(g2_mp(tau))
+        cond = 0.0
+        if tau.imag < _IM_DIRECT:
+            cond = EPS * abs(tau) * abs(want_g2) / (4 * math.pi)
+            reduced += 1
+        assert abs(eta(tau) - want_eta) <= (5e-15 + cond) * abs(want_eta), tau
+        assert (abs(eisenstein_g2(tau) - want_g2)
+                <= (2e-14 + cond) * abs(want_g2)), tau
+    assert 100 <= reduced <= 300
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from eulergas import thermo
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _bose, _lambert, _power_tail, _tanh_sinh,
+                             _bose, _lambert, _pentagonal, _power_tails,
+                             _tanh_sinh,
                              _wigert, entropy,
                              entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
@@ -422,12 +423,16 @@ def _mp_pentagonal(x, k_from, k_to):
     """Sums over k_from <= k < k_to of the pentagonal pairs at x, in mpmath:
     (-1)^k p^j (r^{a_k} + r^{b_k}) for j = 0, 1, 2, with r = e^{-x},
     a_k = k(3k-1)/2 and b_k = a_k + k."""
-    r = mpmath.exp(-mpmath.mpf(x))
-    sums = [mpmath.mpf(0)] * 3
+    return _mp_pentagonal_at(mpmath.exp(-mpmath.mpf(x)), k_from, k_to)
+
+
+def _mp_pentagonal_at(y, k_from, k_to):
+    """The same sums at a real or complex y (an mpf or mpc)."""
+    sums = [0 * y] * 3
     for k in range(k_from, k_to):
         a = k * (3 * k - 1) // 2
         for p in (a, a + k):
-            term = (-1) ** k * r ** p
+            term = (-1) ** k * y ** p
             sums = [s + p ** j * term for j, s in enumerate(sums)]
     return sums
 
@@ -491,7 +496,7 @@ def test_pentagonal_and_clausen_identities(x):
 
 def test_tail_bound_covers_dropped_terms():
     # direct route: K pentagonal pairs and M Clausen terms.  Each dropped
-    # P_j tail (pairs k > K) is within _power_tail from the first dropped
+    # P_j tail (pairs k > K) is within _power_tails from the first dropped
     # exponent; the three carried into ln Z, E and the fluctuation are within
     # their bounds, which the kernel evaluates to 1e-11; and tail_bound
     # covers them and the dropped Clausen terms m > M
@@ -504,7 +509,7 @@ def test_tail_bound_covers_dropped_terms():
         with mpmath.workdps(40):
             tails = _mp_pentagonal(x, k + 1, k + 30)
             for j, t in enumerate(tails):
-                assert _power_tail(a - 1, math.exp(-x), j) >= abs(t) > 0
+                assert _power_tails(a - 1, math.exp(-x))[j] >= abs(t) > 0
             dropped = [abs(t) for t in _mp_dropped(x, k)]
             for got, bound, t in zip((t_z, t_e, t_fl),
                                      _pentagonal_bounds_mp(x, k), dropped):
@@ -530,6 +535,51 @@ def test_tail_bound_covers_dropped_terms():
         assert all(tm.tail_bound >= t > 0 for t in dropped)
         remainder = abs(occupation_mp(x) - wigert_partial_mp(x, k_terms))
         assert tm.tail_bound >= remainder > 0
+
+
+# every ThermoPerMode field pinned to the bit, by repr: the dual route
+# (1e-12, 0.5), the pairs and Clausen's sum (0.9 to 30), subnormal powers
+# (700) and a subnormal r (745)
+PINNED_MODES = [
+    (1e-12, 'ThermoPerMode(f_over_kT=-1644934066833.492, n_occ=28208236780830.332, e_over_kT=1644934066847.7263, s_over_k=3289868133681.2183, fluct=3289868133695.9526, terms_used=2, tail_bound=5.902156259363353e-28)'),
+    (0.5, 'ThermoPerMode(f_over_kT=-2.003522676878474, n_occ=2.7872520178134574, e_over_kT=2.8107014670297863, s_over_k=4.814224143908261, fluct=6.079736267392906, terms_used=9, tail_bound=1.8980015837761135e-17)'),
+    (0.9, 'ThermoPerMode(f_over_kT=-0.8185857276866657, n_occ=1.0021594616993799, e_over_kT=1.3652045187202515, s_over_k=2.183790246406917, fluct=3.1554090374405033, terms_used=12, tail_bound=1.6688044227002262e-19)'),
+    (1.0, 'ThermoPerMode(f_over_kT=-0.684328866976887, n_occ=0.8202595115424169, e_over_kT=1.1866007335148925, s_over_k=1.8709296004917795, fluct=2.789868133696462, terms_used=11, tail_bound=6.206233070603318e-19)'),
+    (3.0, 'ThermoPerMode(f_over_kT=-0.05368089389292586, n_occ=0.05501049936453108, e_over_kT=0.173285995298587, s_over_k=0.22696688919151284, fluct=0.5969057209280618, terms_used=6, tail_bound=1.5745090122045362e-21)'),
+    (30.0, 'ThermoPerMode(f_over_kT=-9.357622968841489e-14, n_occ=9.357622968841925e-14, e_over_kT=2.807286890652841e-12, s_over_k=2.9008631203412558e-12, fluct=8.421860671960887e-11, terms_used=2, tail_bound=7.667648073731103e-53)'),
+    (700.0, 'ThermoPerMode(f_over_kT=-9.85967654375977e-305, n_occ=9.85967654375977e-305, e_over_kT=6.90177358063184e-302, s_over_k=6.911633257175599e-302, fluct=4.831241506442288e-299, terms_used=2, tail_bound=5e-324)'),
+    (745.0, 'ThermoPerMode(f_over_kT=-5e-324, n_occ=5e-324, e_over_kT=2.105e-321, s_over_k=2.11e-321, fluct=1.566475e-318, terms_used=2, tail_bound=5e-324)'),
+]
+
+
+@pytest.mark.parametrize("x, want", PINNED_MODES)
+def test_thermo_per_mode_is_pinned_to_the_bit(x, want):
+    assert repr(thermo_per_mode(x)) == want
+
+
+@pytest.mark.parametrize("turn", [i / 12 for i in range(12)] + [0.5 - 1e-9])
+def test_pentagonal_at_complex_y(turn):
+    # at |y| = e^{-DUAL_SWITCH}, the edge of the kernel's domain, around that
+    # circle: the K pairs summed in doubles agree with the same pairs in 40
+    # digits up to rounding, relative to the sums of their absolute values,
+    # and each dropped P_j tail (pairs k > K) is within
+    # _power_tails(a - 1, |y|)[j], as for real y
+    r = math.exp(-DUAL_SWITCH)
+    y = r * complex(math.cos(2 * math.pi * turn), math.sin(2 * math.pi * turn))
+    *sums, a, k = _pentagonal(y)
+    assert a == (k + 1) * (3 * k + 2) // 2 and 1 <= k <= 6
+    with mpmath.workdps(40):
+        y_mp = mpmath.mpc(y.real, y.imag)
+        kept = _mp_pentagonal_at(y_mp, 1, k + 1)
+        sizes = [mpmath.fsum(p ** j * abs(y_mp) ** p
+                             for i in range(1, k + 1)
+                             for p in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2))
+                 for j in range(3)]
+        for got, want, size in zip(sums, kept, sizes):
+            assert abs(mpmath.mpc(got) - want) <= 1e-15 * size, turn
+        tails = _mp_pentagonal_at(y_mp, k + 1, k + 30)
+        for j, t in enumerate(tails):
+            assert _power_tails(a - 1, abs(y))[j] >= abs(t) > 0, turn
 
 
 @pytest.mark.parametrize("x", [1000.0, 1e200, 1e-200])
