@@ -98,23 +98,24 @@ def partition_count_oracle(n: int) -> int:
     table = _partition_cache
     if n < len(table):
         return table[n]
-    # generalized pentagonal numbers up to n by the sign of their term:
-    # 1, 2, 12, 15, ... (k odd) are added and 5, 7, 22, 26, ... subtracted
-    plus: list[int] = []
-    minus: list[int] = []
+    # the generalized pentagonal numbers up to n, ascending, each with the sign
+    # of its term: 1, 2, 12, 15, ... (k odd) added, 5, 7, 22, ... subtracted
+    pentagonal: list[tuple[int, bool]] = []
     k = 1
     while k * (3 * k - 1) // 2 <= n:
-        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2,
-                                           k * (3 * k + 1) // 2))
+        add = k % 2 == 1
+        pentagonal += ((k * (3 * k - 1) // 2, add), (k * (3 * k + 1) // 2, add))
         k += 1
-    jp = jm = 0  # how many of plus and minus are <= m
     for m in range(len(table), n + 1):
-        while jp < len(plus) and plus[jp] <= m:
-            jp += 1
-        while jm < len(minus) and minus[jm] <= m:
-            jm += 1
-        table.append(sum([table[m - g] for g in plus[:jp]])
-                     - sum([table[m - g] for g in minus[:jm]]))
+        total = 0
+        for g, add in pentagonal:
+            if g > m:
+                break
+            if add:
+                total += table[m - g]
+            else:
+                total -= table[m - g]
+        table.append(total)
     return table[n]
 
 

@@ -101,14 +101,13 @@ def _emit(doc: dict, fmt: str) -> None:
             if key not in columns:
                 columns.append(key)
     if fmt == "csv":
-        sys.stdout.write(",".join(columns) + "\n")
+        import csv
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            cells = []
-            for key in columns:
-                v = row.get(key)
-                cells.append("" if v is None else
-                             (v if isinstance(v, str) else _fmt_num(v)))
-            sys.stdout.write(",".join(cells) + "\n")
+            cells = [row.get(key) for key in columns]
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else _fmt_num(v) for v in cells])
         return
     # table
     def cell(v) -> str:
@@ -149,6 +148,13 @@ def _constants_from(args):
     if args.constants:
         return PhysicalConstants.from_file(args.constants)
     return PhysicalConstants.si()
+
+
+def _refuse_flags(args, flags, caller: str) -> None:
+    """DomainError naming the first of the --flags that was given."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise DomainError(f"{caller} takes no --{flag}")
 
 
 def _frac_str(f: Fraction) -> str:
@@ -287,6 +293,8 @@ def _cmd_blackbody(args) -> dict:
 
 def _cmd_phonon(args) -> dict:
     from . import phonon
+    if args.c_ph is not None:
+        _refuse_flags(args, ("c-transverse", "c-longitudinal"), "phonon with --c-ph")
     constants = _constants_from(args)
     solid = phonon.SolidSpec(n_atoms=args.n_atoms, volume=args.volume,
                              temperature=args.temperature, c_ph=args.c_ph,
@@ -316,13 +324,13 @@ def _cmd_quartz(args) -> dict:
     from . import phonon
     constants = _constants_from(args)
     references: dict[str, float] = {}
+    flags = ("q-factor", "carrier", "volume", "temperature", "c-ph")
     if args.preset:
+        _refuse_flags(args, flags, "quartz with --preset")
         spec, references = phonon.load_resonator_preset(args.preset)
     else:
-        needed = {"q-factor": args.q_factor, "carrier": args.carrier,
-                  "volume": args.volume, "temperature": args.temperature,
-                  "c-ph": args.c_ph}
-        missing = [f"--{k}" for k, v in needed.items() if v is None]
+        missing = [f"--{flag}" for flag in flags
+                   if getattr(args, flag.replace("-", "_")) is None]
         if missing:
             raise DomainError(f"without --preset, give {', '.join(missing)}")
         spec = phonon.ResonatorSpec(q_factor=args.q_factor, carrier=args.carrier,
@@ -458,16 +466,16 @@ def _cmd_sweep(args) -> dict:
     unused = [] if quantity in _RADIATION_QUANTITIES else ["temperature", "volume"]
     if quantity == "partition":
         unused += ["points", "scale"]
-    for flag in unused:
-        if getattr(args, flag) is not None:
-            raise DomainError(f"{quantity} sweep takes no --{flag}")
+    _refuse_flags(args, unused, f"{quantity} sweep")
     var, columns = _sweep_columns(quantity, args)
     models = tuple(args.models.split(",")) if args.models else tuple(columns)
-    for m in models:
+    for i, m in enumerate(models):
         if m not in columns:
             raise DomainError(
                 f"model {m!r} not available for {quantity}; "
                 f"choose from {', '.join(columns)}")
+        if m in models[:i]:
+            raise DomainError(f"{quantity} sweep names model {m!r} twice")
     if quantity == "partition":
         if not (math.isfinite(args.start) and math.isfinite(args.stop)):
             raise DomainError("partition sweep needs finite --start and --stop")

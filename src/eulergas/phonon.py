@@ -11,7 +11,8 @@ fluctuations, and the 1/nu frequency-noise floor
 with the resonator spectrum S_omega(nu)/omega^2 = h_-1/nu on the caller
 side.  A_ph is defined so that S_u/u^2 = A_ph/(V nu); its numeric value is
 quoted bare, with the m^3 bookkeeping carried by V (see the unit audit in
-the tests).
+the tests).  Resonator presets are dict literals here, by name; a preset
+can also be a `key = value` file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -206,21 +206,26 @@ def flicker_floor(resonator: ResonatorSpec,
     return FlickerResult(a_ph, h_m1)
 
 
-PRESET_NAMES = ("p5-5mhz",)
+# p5-5mhz: a 5 MHz P5 quartz crystal at 300 K, active region ~3 mm x 3 cm^2;
+# the reference_* values are experimental orders of magnitude
+_PRESETS = {
+    "p5-5mhz": {"c_ph": 3.5e3, "q_factor": 2e6, "carrier": 5e6,
+                "active_volume": 1e-6, "temperature": 300.0,
+                "reference_a_ph": 5e-4, "reference_h_minus_1": 6e-24},
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def load_resonator_preset(name_or_path: str | Path) -> tuple[ResonatorSpec, dict[str, float]]:
-    """Resonator spec plus reference values from a packaged preset or a file.
+    """Resonator spec plus reference values from a named preset or a file.
 
     Preset files are `key = value` with keys c_ph, q_factor, carrier,
     active_volume, temperature and optional reference_* entries, which are
     returned separately for comparison columns.
     """
     name = str(name_or_path)
-    if name in PRESET_NAMES:
-        ref = resources.files("eulergas").joinpath(f"data/presets/{name}.cfg")
-        with resources.as_file(ref) as path:
-            values = load_key_value_file(path)
+    if name in _PRESETS:
+        values = _PRESETS[name]
     else:
         path = Path(name_or_path)
         if not path.exists():

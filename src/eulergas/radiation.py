@@ -6,8 +6,8 @@ ratio, and fractional energy-fluctuation spectra.  The density of states is
 the cubic-cavity D(nu) = 8 pi V nu^2 / c^3 with the polarization factor 2
 already embedded; it is never applied twice.
 
-Pinned SI constants live in a packaged data file and can be overridden from
-a `key = value` config file (keys h, k, c).
+`PhysicalConstants.si()` holds the SI defining constants as literals; a
+`key = value` config file (keys h, k, c) can override any of them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .arith import ZETA3
@@ -70,10 +69,7 @@ class PhysicalConstants:
 
     @classmethod
     def si(cls) -> "PhysicalConstants":
-        ref = resources.files("eulergas").joinpath("data/constants_si.cfg")
-        with resources.as_file(ref) as path:
-            values = load_key_value_file(path)
-        return cls(h=values["h"], k=values["k"], c=values["c"])
+        return cls(h=6.62607015e-34, k=1.380649e-23, c=2.99792458e8)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PhysicalConstants":

@@ -483,6 +483,10 @@ def _energy_head(s: float, c: float) -> float:
             + c ** s / (24.0 * s))
 
 
+# The largest s a Mellin check takes: Gamma(s), and with it the closed form,
+# passes the largest double at s = 171.6243...
+_MELLIN_MAX_S = 171.62
+
 # Per kind: the least s (exclusive); the series in the integrand, -ln Z, N
 # and sum sigma_1(n) e^{-nx} = (E/kT)/x; its integral times x^{s-1} over
 # [0, c] in closed small-x form; and the Gamma*zeta*zeta closed form.  The
@@ -510,7 +514,7 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     small-x form, and [c, 1] and the tail, mapped through u = 1/x onto
     [0, 1], by _tanh_sinh.  The tail is split once more at u = 1/4, near the
     integrand's peak; in one piece the rule's rounding leaves ~1e-15
-    relative error.
+    relative error.  s above 171.62 is refused with DomainError.
     """
     if not math.isfinite(s):
         raise DomainError(f"Mellin check needs finite s, got {s}")
@@ -519,6 +523,15 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     s_min, base, head, closed_form = _MELLIN[kind]
     if s <= s_min:
         raise DomainError(f"{kind.value} Mellin check needs s > {s_min:g}, got {s}")
+    if s > _MELLIN_MAX_S:
+        raise DomainError(f"{kind.value} Mellin check needs s <= {_MELLIN_MAX_S}, "
+                          f"where Gamma(s) nears the largest double; got {s}")
+    # The tail's integrand peaks near Gamma(s + 2) and the rule's sums reach
+    # 64 times the integral, which passes the largest double from s ~ 170.3:
+    # take the tail times 2^-e, which keeps Gamma(s) 2^-e below 2^512, and
+    # scale its integral back.  e = 0 up to s ~ 100.
+    e = max(0, int(math.lgamma(s) / math.log(2.0)) - 512)
+    scale = 2.0 ** -e
 
     def fx(x: float) -> float:
         return base(x) * x ** (s - 1.0)
@@ -530,18 +543,18 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
             return 0.0
         b = base(1.0 / u)
         try:
-            return b * u ** (-s - 1.0)
+            return b * u ** (-s - 1.0) * scale
         except OverflowError:  # s above ~106: the product in logs
             if b == 0.0:
                 return 0.0
-            return math.copysign(
-                math.exp(math.log(abs(b)) - (s + 1.0) * math.log(u)), b)
+            return math.copysign(math.exp(
+                math.log(abs(b)) - (s + 1.0) * math.log(u) - e * math.log(2.0)), b)
 
     c = LOWFREQ_SWITCH
     lo = head(s, c)
     mid = _tanh_sinh(fx, c, 1.0)
     top = _tanh_sinh(tail, 0.0, 0.25) + _tanh_sinh(tail, 0.25, 1.0)
-    return lo + mid + top, closed_form(s)
+    return lo + mid + top / scale, closed_form(s)
 
 
 # ---------------------------------------------------------------------------

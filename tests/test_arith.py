@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -110,6 +111,23 @@ def test_partition_oracle_refuses_past_its_cap():
             partition_count_oracle(n)
         assert time.monotonic() - start < 0.1
     assert len(arith._partition_cache) == size
+
+
+def test_partition_oracle_grown_in_steps_equals_a_cold_fill(monkeypatch):
+    # the table grows in place from its length: growing it to 10, then to
+    # 2000, then a lookup at 500 leave the same table as one fill to 2000;
+    # up to n = 5000 its digits hash to a pinned value
+    monkeypatch.setattr(arith, "_partition_cache", [1])
+    for n in (10, 2000, 500):
+        partition_count_oracle(n)
+    stepped = arith._partition_cache
+    monkeypatch.setattr(arith, "_partition_cache", [1])
+    partition_count_oracle(2000)
+    assert stepped == arith._partition_cache
+    partition_count_oracle(5000)
+    text = ",".join(map(str, arith._partition_cache))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0e219abe7556635f0ac5a6896a13b1034377b2cdf11ff64d61902bc16d4e1239")
 
 
 def test_partition_oracle_matches_product_coefficients():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -291,6 +292,33 @@ def test_sweeps_refuse_flags_they_do_not_use(capsys, argv, flag):
     assert err == f"error: {argv[0]} sweep takes no --{flag}\n"
 
 
+_QUARTZ_FLAGS = (("--q-factor", "3"), ("--carrier", "5e6"), ("--volume", "1e-6"),
+                 ("--temperature", "300"), ("--c-ph", "3500"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((("quartz", "--preset", "p5-5mhz", flag, value),
+       f"quartz with --preset takes no {flag}") for flag, value in _QUARTZ_FLAGS),
+    *((("phonon", "--n-atoms", "6e23", "--volume", "1e-5", "--temperature", "77",
+        "--c-ph", "3500", flag, "4000"), f"phonon with --c-ph takes no {flag}")
+      for flag in ("--c-transverse", "--c-longitudinal")),
+    (("sweep", "--quantity", "energy", "--start", "0.1", "--stop", "1",
+      "--points", "3", "--models", "exact,planck,exact"),
+     "energy sweep names model 'exact' twice"),
+    (("mellin-check", "--s", "172", "--kind", "energy"),
+     "energy Mellin check needs s <= 171.62"),
+    (("mellin-check", "--s", "1e308", "--kind", "occupation"),
+     "occupation Mellin check needs s <= 171.62"),
+])
+def test_flags_that_would_be_ignored_are_refused(capsys, argv, message):
+    # a value the command would drop, or a model column named twice, is a
+    # usage error on one line rather than a silent choice
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {message}")
+
+
 def test_oracle_cells_past_the_cap_go_null(capsys, monkeypatch):
     # the cap lowered to 50, so that the table stays small
     monkeypatch.setattr(eulergas.arith, "_ORACLE_MAX_N", 50)
@@ -335,6 +363,57 @@ def test_json_round_trip_bit_identical(capsys):
                            "--method", "asymptotic", "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0]["value"] == asymptotic_p(321)
+
+
+def test_csv_cells_holding_a_comma_are_quoted(capsys):
+    # the errors note at x = 0 holds commas; quoted, every row keeps the
+    # header's width and the note comes back whole
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "occupation",
+                           "--start", "0", "--stop", "1", "--points", "3",
+                           "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["x", "exact", "lowfreq", "conventional", "errors"]
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert rows[0][4] == ("exact=need finite x > 0, got 0.0; "
+                          "lowfreq=need finite x > 0, got 0.0; "
+                          "conventional=float division by zero")
+    assert [row[4] for row in rows[1:]] == ["", ""]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("farey", "--order", "3", "--format", "csv"),
+     "index,numerator,denominator,value\n0,0,1,0.0\n1,1,3,0.33333333333333331\n"
+     "2,1,2,0.5\n3,2,3,0.66666666666666663\n4,1,1,1.0\n"),
+    (("quartz", "--preset", "p5-5mhz", "--format", "json"),
+     '{"schema": 1, "command": "quartz", "params": {"preset": "p5-5mhz"}, '
+     '"rows": [{"q_factor": 2000000.0, "carrier": 5000000.0, '
+     '"active_volume": 9.9999999999999995e-07, "temperature": 300.0, '
+     '"c_ph": 3500.0, "a_ph": 0.00049772393399296819, '
+     '"h_minus_1": 7.7769364686401281e-24, '
+     '"reference_a_ph": 0.00050000000000000001, '
+     '"a_ph_over_reference": 0.99544786798593632, '
+     '"reference_h_minus_1": 5.9999999999999999e-24, '
+     '"h_minus_1_over_reference": 1.2961560781066881}]}\n'),
+    (("blackbody", "--nu", "1e12", "--temperature", "300", "--format", "json"),
+     '{"schema": 1, "command": "blackbody", "params": {"nu": 1000000000000.0, '
+     '"temperature": 300.0, "volume": 1.0}, "rows": [{"nu": 1000000000000.0, '
+     '"x": 0.15997476911220737, "u_conventional": 3.5627160143866626e-21, '
+     '"u_general": 3.7820403914503396e-20, '
+     '"e_b_planck": 2.6701884777723518e-13, '
+     '"e_b_rayleigh_jeans": 2.8956295495391357e-13, '
+     '"e_b_general": 2.8345679630204486e-12, '
+     '"e_b_general_lf": 2.9774193252114808e-12, '
+     '"frac_noise_rj": 1.0720677928512621, '
+     '"frac_noise_general_lf": 0.20852361330521171, '
+     '"frac_noise_einstein": 1.2580514671953062}]}\n'),
+])
+def test_output_bytes_are_pinned(capsys, argv, text):
+    # the SI constants and the p5-5mhz preset as literals, and CSV from the
+    # csv module, print the bytes the packaged files and the joined cells did
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == text
 
 
 @pytest.mark.parametrize("value, text", [

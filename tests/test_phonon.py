@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,12 +8,12 @@ from scipy import integrate
 
 from eulergas.arith import riemann_zeta
 from eulergas.errors import DomainError
-from eulergas.phonon import (DEBYE_SWITCH, DebyeModel, ResonatorSpec,
-                             SolidSpec, debye_frequency, debye_function,
-                             debye_function_series, debye_temperature,
-                             debye_velocity, energy_fluctuation,
-                             flicker_floor, load_resonator_preset,
-                             specific_heat)
+from eulergas.phonon import (DEBYE_SWITCH, PRESET_NAMES, DebyeModel,
+                             ResonatorSpec, SolidSpec, debye_frequency,
+                             debye_function, debye_function_series,
+                             debye_temperature, debye_velocity,
+                             energy_fluctuation, flicker_floor,
+                             load_resonator_preset, specific_heat)
 
 
 def make_solid(temperature, n_atoms=6.022e23, volume=1e-5, c_ph=3500.0):
@@ -285,3 +286,18 @@ def test_preset_loading(tmp_path):
     incomplete.write_text("c_ph = 4000\n")
     with pytest.raises(DomainError):
         load_resonator_preset(incomplete)
+
+
+def test_named_preset_is_a_literal(monkeypatch):
+    # p5-5mhz's pinned values, built with no file read
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr("builtins.open", refuse)
+    spec, refs = load_resonator_preset("p5-5mhz")
+    assert spec == ResonatorSpec(q_factor=2e6, carrier=5e6, active_volume=1e-6,
+                                 temperature=300.0, c_ph=3.5e3)
+    assert type(spec.temperature) is float
+    assert refs == {"reference_a_ph": 5e-4, "reference_h_minus_1": 6e-24}
+    assert list(refs) == ["reference_a_ph", "reference_h_minus_1"]
+    assert PRESET_NAMES == ("p5-5mhz",)

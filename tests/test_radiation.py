@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def test_si_constants_are_the_defining_values(si):
     assert si.h == 6.62607015e-34
     assert si.k == 1.380649e-23
     assert si.c == 2.99792458e8
+
+
+def test_si_constants_read_no_file(monkeypatch):
+    # the defining values are literals: no file is opened to build them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr("builtins.open", refuse)
+    assert PhysicalConstants.si() == PhysicalConstants(
+        h=6.62607015e-34, k=1.380649e-23, c=2.99792458e8)
 
 
 def test_constants_file_override(tmp_path, si):

@@ -299,6 +299,23 @@ def test_mellin_check_where_the_tail_power_overflows(kind, s, tol):
     assert abs(integral - closed) <= tol * closed
 
 
+@pytest.mark.parametrize("kind", list(MellinKind))
+@pytest.mark.parametrize("s", [170.5, 171.0, 171.6])
+def test_mellin_check_up_to_the_largest_double(kind, s):
+    # the tail's integrand and the rule's sums pass the largest double from
+    # s ~ 170.3, while Gamma(s) zeta zeta fits one up to s ~ 171.62
+    integral, closed = mellin_check(s, kind)
+    assert math.isfinite(closed)
+    assert abs(integral - closed) <= 1e-8 * closed
+
+
+@pytest.mark.parametrize("kind", list(MellinKind))
+@pytest.mark.parametrize("s", [171.7, 1e308])
+def test_mellin_check_past_the_largest_double_is_refused(kind, s):
+    with pytest.raises(DomainError, match="s <= 171.62"):
+        mellin_check(s, kind)
+
+
 def test_mellin_domain_errors():
     with pytest.raises(DomainError):
         mellin_check(1.0, MellinKind.FREE_ENERGY)
