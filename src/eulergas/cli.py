@@ -271,24 +271,22 @@ def _cmd_blackbody(args) -> dict:
     from . import radiation
     constants = _constants_from(args)
     cavity = radiation.CavitySpec(volume=args.volume, temperature=args.temperature)
-    pt = radiation.spectral_point(args.nu, cavity, constants)
-    x = radiation.mode_x(args.nu, args.temperature, constants)
-    row = {"nu": pt.nu, "x": x,
-           "u_conventional": pt.u_conventional, "u_general": pt.u_general,
-           "e_b_planck": pt.e_b_planck,
-           "e_b_rayleigh_jeans": radiation.emissivity(
-               args.nu, cavity, constants, radiation.EmissivityModel.RAYLEIGH_JEANS),
-           "e_b_general": pt.e_b_general,
-           "e_b_general_lf": radiation.emissivity(
-               args.nu, cavity, constants, radiation.EmissivityModel.GENERAL_LOW_FREQ),
-           "frac_noise_rj": pt.frac_noise_rj,
-           "frac_noise_general_lf": pt.frac_noise_general_lf,
-           "frac_noise_einstein": radiation.fluctuation_spectrum(
-               args.nu, cavity, constants, radiation.NoiseModel.EINSTEIN_FULL)}
+    nu = args.nu
+    x = radiation.mode_x(nu, args.temperature, constants)
+    u_conventional = radiation.planck_spectral_density(nu, cavity, constants)
+    e_b = {f"e_b_{m.value}": radiation.emissivity(nu, cavity, constants, m)
+           for m in radiation.EmissivityModel}
+    # u = (4V/c) e_b, by the emissivity definition e_b = (c/4V) u
+    u_general = 4.0 * cavity.volume / constants.c * e_b["e_b_general"]
+    row = {"nu": nu, "x": x, "u_conventional": u_conventional,
+           "u_general": u_general, **e_b}
+    for m in radiation.NoiseModel:
+        row[f"frac_noise_{m.value}"] = radiation.fluctuation_spectrum(
+            nu, cavity, constants, m)
     return {"command": "blackbody",
-            "params": {"nu": args.nu, "temperature": args.temperature,
+            "params": {"nu": nu, "temperature": args.temperature,
                        "volume": args.volume},
-            "rows": [row]}
+            "rows": [{key.replace("-", "_"): v for key, v in row.items()}]}
 
 
 def _cmd_phonon(args) -> dict:
@@ -340,12 +338,11 @@ def _cmd_quartz(args) -> dict:
     row = {"q_factor": spec.q_factor, "carrier": spec.carrier,
            "active_volume": spec.active_volume, "temperature": spec.temperature,
            "c_ph": spec.c_ph, "a_ph": result.a_ph, "h_minus_1": result.h_minus_1}
-    if "reference_a_ph" in references:
-        row["reference_a_ph"] = references["reference_a_ph"]
-        row["a_ph_over_reference"] = result.a_ph / references["reference_a_ph"]
-    if "reference_h_minus_1" in references:
-        row["reference_h_minus_1"] = references["reference_h_minus_1"]
-        row["h_minus_1_over_reference"] = result.h_minus_1 / references["reference_h_minus_1"]
+    for field in phonon.FlickerResult._fields:
+        reference = references.get(f"reference_{field}")
+        if reference is not None:
+            row[f"reference_{field}"] = reference
+            row[f"{field}_over_reference"] = getattr(result, field) / reference
     return {"command": "quartz",
             "params": {"preset": args.preset or ""}, "rows": [row]}
 

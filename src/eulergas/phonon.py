@@ -12,7 +12,8 @@ with the resonator spectrum S_omega(nu)/omega^2 = h_-1/nu on the caller
 side.  A_ph is defined so that S_u/u^2 = A_ph/(V nu); its numeric value is
 quoted bare, with the m^3 bookkeeping carried by V (see the unit audit in
 the tests).  Resonator presets are dict literals here, by name; a preset
-can also be a `key = value` file.
+can also be a `key = value` file, which holds the five spec keys and
+optionally the two reference keys, and nothing else.
 """
 
 from __future__ import annotations
@@ -214,14 +215,17 @@ _PRESETS = {
                 "reference_a_ph": 5e-4, "reference_h_minus_1": 6e-24},
 }
 PRESET_NAMES = tuple(_PRESETS)
+_SPEC_KEYS = {"c_ph", "q_factor", "carrier", "active_volume", "temperature"}
+_REFERENCE_KEYS = {f"reference_{field}" for field in FlickerResult._fields}
 
 
 def load_resonator_preset(name_or_path: str | Path) -> tuple[ResonatorSpec, dict[str, float]]:
     """Resonator spec plus reference values from a named preset or a file.
 
-    Preset files are `key = value` with keys c_ph, q_factor, carrier,
-    active_volume, temperature and optional reference_* entries, which are
-    returned separately for comparison columns.
+    Preset files are `key = value` with exactly the keys c_ph, q_factor,
+    carrier, active_volume and temperature, and optionally reference_a_ph
+    and reference_h_minus_1, which are returned separately for the
+    comparison columns; any other key is a DomainError.
     """
     name = str(name_or_path)
     if name in _PRESETS:
@@ -231,13 +235,12 @@ def load_resonator_preset(name_or_path: str | Path) -> tuple[ResonatorSpec, dict
         if not path.exists():
             raise DomainError(
                 f"unknown preset {name!r} (packaged: {', '.join(PRESET_NAMES)})")
-        values = load_key_value_file(path)
-    required = {"c_ph", "q_factor", "carrier", "active_volume", "temperature"}
-    missing = required - set(values)
+        values = load_key_value_file(path, _SPEC_KEYS | _REFERENCE_KEYS)
+    missing = _SPEC_KEYS - set(values)
     if missing:
         raise DomainError(f"preset missing keys: {sorted(missing)}")
     spec = ResonatorSpec(q_factor=values["q_factor"], carrier=values["carrier"],
                          active_volume=values["active_volume"],
                          temperature=values["temperature"], c_ph=values["c_ph"])
-    references = {k: v for k, v in values.items() if k.startswith("reference_")}
+    references = {k: v for k, v in values.items() if k in _REFERENCE_KEYS}
     return spec, references

@@ -7,7 +7,9 @@ the cubic-cavity D(nu) = 8 pi V nu^2 / c^3 with the polarization factor 2
 already embedded; it is never applied twice.
 
 `PhysicalConstants.si()` holds the SI defining constants as literals; a
-`key = value` config file (keys h, k, c) can override any of them.
+`key = value` config file (keys h, k, c and no others) can override any of
+them.  `load_key_value_file` reads these files and the resonator preset
+files, and refuses any key its caller does not allow.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ __all__ = [
     "stefan_boltzmann", "PhotonModel", "photon_density",
     "planck_spectral_density", "EmissivityModel", "emissivity",
     "EinsteinModel", "einstein_AB",
-    "NoiseModel", "fluctuation_spectrum", "einstein_fluctuation_from_u",
-    "SpectralPoint", "spectral_point",
+    "NoiseModel", "fluctuation_spectrum",
 ]
 
 
-def load_key_value_file(path: str | Path) -> dict[str, float]:
-    """Parse a `key = value` file with '#' comments into floats; a file that
-    cannot be read as text is a DomainError."""
+def load_key_value_file(path: str | Path, keys: set[str]) -> dict[str, float]:
+    """Parse a `key = value` file with '#' comments into floats.  A file that
+    cannot be read as text, a malformed line or a key outside `keys` is a
+    DomainError."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -48,6 +50,9 @@ def load_key_value_file(path: str | Path) -> dict[str, float]:
         if "=" not in line:
             raise DomainError(f"bad config line (expected key = value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise DomainError(f"unknown key {key!r} in {path} "
+                              f"(allowed: {', '.join(sorted(keys))})")
         try:
             out[key] = float(value)
         except ValueError as exc:
@@ -75,10 +80,7 @@ class PhysicalConstants:
     def from_file(cls, path: str | Path) -> "PhysicalConstants":
         """SI defaults overlaid with any of h, k, c found in the file."""
         base = cls.si()
-        values = load_key_value_file(path)
-        unknown = set(values) - {"h", "k", "c"}
-        if unknown:
-            raise DomainError(f"unknown constants keys: {sorted(unknown)}")
+        values = load_key_value_file(path, {"h", "k", "c"})
         return cls(h=values.get("h", base.h), k=values.get("k", base.k),
                    c=values.get("c", base.c))
 
@@ -207,27 +209,14 @@ class NoiseModel(Enum):
     EINSTEIN_FULL = "einstein"
 
 
-def einstein_fluctuation_from_u(nu: float, u: float, cavity: CavitySpec,
-                                constants: PhysicalConstants) -> float:
-    """Full fluctuation law S_u/u^2 = h nu / u + c^3/(8 pi nu^2 V) for a
-    given spectral energy density u (J/Hz).
-
-    The wave term reproduces the Rayleigh-Jeans spectrum identically; the
-    shot term dominates in the Wien regime.
-    """
-    if not u > 0.0:
-        raise DomainError(f"need u > 0, got {u}")
-    return (constants.h * nu / u
-            + constants.c ** 3 / (8.0 * math.pi * nu ** 2 * cavity.volume))
-
-
 def fluctuation_spectrum(nu: float, cavity: CavitySpec,
                          constants: PhysicalConstants, model: NoiseModel) -> float:
     """Fractional energy-noise spectral density S_u/u^2.
 
     RAYLEIGH_JEANS:   c^3/(8 pi V) * 1/nu^2        (random-walk 1/nu^2)
     GENERAL_LOW_FREQ: (3/2) h c^3/(pi^3 V) * 1/(kT nu)   (1/nu)
-    EINSTEIN_FULL:    h nu/u + c^3/(8 pi nu^2 V) with the conventional u
+    EINSTEIN_FULL:    h nu/u + c^3/(8 pi nu^2 V) with the conventional u;
+                      the shot term h nu/u dominates in the Wien regime
 
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.
     """
@@ -244,38 +233,9 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
             # e^{-x} underflowed, so the shot term h nu/u exceeds every double
             raise OverflowError(f"shot term h*nu/u overflows: u underflows "
                                 f"to 0 at nu={nu:g}")
-        return einstein_fluctuation_from_u(nu, u, cavity, constants)
+        # the wave term is the RAYLEIGH_JEANS value, but in this operand
+        # order, which rounds apart from that branch's at V != 1
+        return (constants.h * nu / u
+                + constants.c ** 3 / (8.0 * math.pi * nu ** 2 * v))
     raise DomainError(f"unknown noise model {model!r}")
 
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One frequency sample with both models side by side."""
-
-    nu: float
-    u_conventional: float
-    u_general: float
-    e_b_planck: float
-    e_b_general: float
-    frac_noise_rj: float
-    frac_noise_general_lf: float
-
-
-def spectral_point(nu: float, cavity: CavitySpec,
-                   constants: PhysicalConstants) -> SpectralPoint:
-    """Assemble the standard comparison row at one frequency."""
-    u_conv = planck_spectral_density(nu, cavity, constants)
-    e_general = emissivity(nu, cavity, constants, EmissivityModel.GENERAL)
-    # u_general = (4V/c) e_b by the emissivity definition e_b = (c/4V) u
-    u_general = 4.0 * cavity.volume / constants.c * e_general
-    return SpectralPoint(
-        nu=nu,
-        u_conventional=u_conv,
-        u_general=u_general,
-        e_b_planck=emissivity(nu, cavity, constants, EmissivityModel.PLANCK),
-        e_b_general=e_general,
-        frac_noise_rj=fluctuation_spectrum(nu, cavity, constants,
-                                           NoiseModel.RAYLEIGH_JEANS),
-        frac_noise_general_lf=fluctuation_spectrum(nu, cavity, constants,
-                                                   NoiseModel.GENERAL_LOW_FREQ),
-    )

@@ -126,6 +126,24 @@ def test_quartz_preset_reference_columns(capsys):
     assert 0.5 < row["h_minus_1_over_reference"] < 2.0
 
 
+_PRESET = ("c_ph = 3500\nq_factor = 2e6\ncarrier = 5e6\n"
+           "active_volume = 1e-6\ntemperature = 300\n")
+
+
+@pytest.mark.parametrize("extra, key", [("q_factr = 3\n", "q_factr"),
+                                        ("reference_foo = 1\n", "reference_foo")])
+def test_preset_file_with_an_unknown_key_is_a_usage_error(capsys, tmp_path,
+                                                          extra, key):
+    # a typo beside the five spec keys is refused, as --constants refuses one
+    preset = tmp_path / "typo.cfg"
+    preset.write_text(_PRESET + extra)
+    code, out, err = run_cli(capsys, "quartz", "--preset", str(preset))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert repr(key) in err
+
+
 def test_mellin_check_command(capsys):
     code, out, _ = run_cli(capsys, "mellin-check", "--s", "2",
                            "--kind", "occupation", "--format", "json")
@@ -407,6 +425,33 @@ def test_csv_cells_holding_a_comma_are_quoted(capsys):
      '"frac_noise_rj": 1.0720677928512621, '
      '"frac_noise_general_lf": 0.20852361330521171, '
      '"frac_noise_einstein": 1.2580514671953062}]}\n'),
+    # at V != 1 the two operand orders of the Rayleigh-Jeans term round apart
+    (("blackbody", "--nu", "1e12", "--temperature", "300", "--volume", "1e-3",
+      "--format", "json"),
+     '{"schema": 1, "command": "blackbody", "params": {"nu": 1000000000000.0, '
+     '"temperature": 300.0, "volume": 0.001}, "rows": [{"nu": 1000000000000.0, '
+     '"x": 0.15997476911220737, "u_conventional": 3.5627160143866617e-24, '
+     '"u_general": 3.7820403914503396e-23, '
+     '"e_b_planck": 2.6701884777723518e-13, '
+     '"e_b_rayleigh_jeans": 2.8956295495391357e-13, '
+     '"e_b_general": 2.8345679630204486e-12, '
+     '"e_b_general_lf": 2.9774193252114808e-12, '
+     '"frac_noise_rj": 1072.0677928512619, '
+     '"frac_noise_general_lf": 208.52361330521168, '
+     '"frac_noise_einstein": 1258.0514671953063}]}\n'),
+    (("blackbody", "--nu", "1e11", "--temperature", "300", "--volume", "0.37",
+      "--format", "json"),
+     '{"schema": 1, "command": "blackbody", "params": {"nu": 100000000000.0, '
+     '"temperature": 300.0, "volume": 0.37}, "rows": [{"nu": 100000000000.0, '
+     '"x": 0.015997476911220738, "u_conventional": 1.4180958085660849e-23, '
+     '"u_general": 1.4627391021133132e-21, '
+     '"e_b_planck": 2.8725299197940814e-15, '
+     '"e_b_rayleigh_jeans": 2.8956295495391362e-15, '
+     '"e_b_general": 2.9629604786166431e-13, '
+     '"e_b_general_lf": 2.9774193252114805e-13, '
+     '"frac_noise_rj": 289.74805212196264, '
+     '"frac_noise_general_lf": 5.6357733325732893, '
+     '"frac_noise_einstein": 294.42056445150689}]}\n'),
 ])
 def test_output_bytes_are_pinned(capsys, argv, text):
     # the SI constants and the p5-5mhz preset as literals, and CSV from the
@@ -639,7 +684,7 @@ def test_non_finite_result_is_a_computation_error(capsys):
     assert "x_m" in json.loads(err.splitlines()[-1])["error"]["message"]
 
 
-def test_choice_lists_match_the_library_enums():
+def test_choice_lists_match_the_library_enums(capsys):
     # the parser spells its choices out, so that building it imports no
     # subsystem; they must stay the values of the enums the handlers build
     from eulergas.modular import EtaTransform
@@ -664,6 +709,14 @@ def test_choice_lists_match_the_library_enums():
              "--temperature", "300"])
         assert tuple(_sweep_columns(quantity, args)[1]) == columns
         assert tuple(m.value for m in enum) == columns
+    # the blackbody row has a column per model, in the enums' order
+    code, out, _ = run_cli(capsys, "blackbody", "--nu", "1e12", "--temperature",
+                           "300", "--format", "json")
+    assert code == 0
+    keys = ["nu", "x", "u_conventional", "u_general",
+            *(f"e_b_{m.value}" for m in EmissivityModel),
+            *(f"frac_noise_{m.value}" for m in NoiseModel)]
+    assert list(json.loads(out)["rows"][0]) == [k.replace("-", "_") for k in keys]
 
 
 def test_overflowed_planck_prefactor_is_a_computation_error(capsys):
