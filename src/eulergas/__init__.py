@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": ("DedekindConvention", "DedekindValue", "FordCircle",
               "TangencyPoint", "dedekind_sum", "divisor_sigma", "divisors",
-              "euler_gamma", "farey_sequence", "ford_circle", "ford_tangency",
-              "gamma_fn", "partition_count_oracle", "reduced_fraction",
-              "riemann_zeta"),
+              "farey_sequence", "ford_circle", "ford_tangency",
+              "partition_count_oracle", "reduced_fraction"),
     "errors": ("ConvergenceError", "DomainError", "PrecisionError"),
     "modular": ("RademacherResult", "asymptotic_p", "functional_equation_rhs",
                 "leading_term_p", "partition_generating", "rademacher_p"),
@@ -34,10 +33,11 @@ _EXPORTS = {
                   "mode_x", "photon_density", "stefan_boltzmann"),
     "thermo": ("EtaTransform", "MellinKind", "PlanckVariant", "ThermoPerMode",
                "eisenstein_g2", "entropy", "eta", "eta_transform",
-               "free_energy", "free_energy_lowfreq", "internal_energy",
-               "internal_energy_lowfreq", "mellin_check", "occupation",
-               "occupation_lowfreq", "per_mode_energy_fluctuation",
-               "planck_factor", "thermo_per_mode"),
+               "euler_gamma", "free_energy", "free_energy_lowfreq", "gamma_fn",
+               "internal_energy", "internal_energy_lowfreq", "mellin_check",
+               "occupation", "occupation_lowfreq",
+               "per_mode_energy_fluctuation", "planck_factor", "riemann_zeta",
+               "thermo_per_mode"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

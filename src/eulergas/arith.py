@@ -1,22 +1,21 @@
-"""Exact arithmetic primitives and scalar special functions.
+"""Exact arithmetic primitives.
 
 Divisor power sums, a partition-count table built by Euler's pentagonal
 number recurrence, Farey sequences, Ford circles with their tangency
-geometry, Dedekind sums in two conventions, the root-of-unity sums A_q(n)
-of the exact partition series factored over the prime powers of q, and
-float-valued zeta / gamma / Euler-constant evaluators.
+geometry, Dedekind sums in two conventions, and the root-of-unity sums
+A_q(n) of the exact partition series factored over the prime powers of q.
 
-All geometry here is exact: ints and ``fractions.Fraction`` only.  Floats
-appear solely in the special functions, behind domain checks: zeta by
-Euler-Maclaurin summation, gamma from ``math``.  Nothing here imports
-mpmath.
+Everything here is exact: ints and ``fractions.Fraction`` only, with no
+floats but FactoredA's double-precision value.  The float-valued zeta,
+gamma and Euler constant live in thermo, beside their users, so that a
+float subcommand loads neither this module nor fractions.  Nothing here
+imports mpmath.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,7 +29,6 @@ __all__ = [
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
     "DedekindConvention", "DedekindValue", "dedekind_sum",
     "FactoredA", "factored_a",
-    "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
 
 
@@ -156,8 +154,7 @@ def farey_sequence(order: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class FordCircle:
+class FordCircle(NamedTuple):
     """Circle tangent to the real axis at p/q: center (p/q, 1/(2q^2)),
     radius 1/(2q^2), all exact rationals."""
 
@@ -229,8 +226,7 @@ class DedekindConvention(Enum):
     CLASSICAL_SAWTOOTH = "classical-sawtooth"
 
 
-@dataclass(frozen=True)
-class DedekindValue:
+class DedekindValue(NamedTuple):
     value: Fraction
     convention: DedekindConvention
 
@@ -405,67 +401,3 @@ def _factored_a(q: int, n: int) -> FactoredA:
         num *= k
         cospi.append(arg)
     return FactoredA(sign, num, den, tuple(cospi))
-
-
-# ---------------------------------------------------------------------------
-# Scalar special functions
-# ---------------------------------------------------------------------------
-
-# Bernoulli numbers B_2, B_4, ..., B_42 (exact), for the Debye function's
-# Bernoulli series in phonon, Wigert's expansion of N in thermo and
-# riemann_zeta's Euler-Maclaurin correction.
-_BERNOULLI_2K = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
-    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
-    Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
-    Fraction(-23749461029, 870), Fraction(8615841276005, 14322),
-    Fraction(-7709321041217, 510), Fraction(2577687858367, 6),
-    Fraction(-26315271553053477373, 1919190), Fraction(2929993913841559, 6),
-    Fraction(-261082718496449122051, 13530),
-    Fraction(1520097643918070802691, 1806),
-)
-
-
-# Apery's constant zeta(3), correctly rounded; equal to mpmath.fp.zeta(3.0)
-ZETA3 = 1.2020569031595942
-
-# B_2k/(2k)! for k = 1..11, the coefficients of riemann_zeta's correction
-_ZETA_EM = tuple(float(b / math.factorial(2 * k))
-                 for k, b in enumerate(_BERNOULLI_2K[:11], 1))
-
-
-def riemann_zeta(s: float) -> float:
-    """zeta(s) for finite real s > 1 by Euler-Maclaurin summation from N = 10:
-
-        zeta(s) = sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2
-                  + sum_{k=1}^{11} B_2k/(2k)! s(s+1)...(s+2k-2) N^{1-s-2k} + R.
-
-    For real s, |R| is below the first dropped term (k = 12), under
-    1e-20 of zeta(s).  The terms are added by fsum; against 40-digit zeta
-    the result is within 2.5e-16 relative on (1, 100].
-    """
-    if not (s > 1.0 and math.isfinite(s)):
-        raise DomainError(f"riemann_zeta needs finite s > 1, got {s}")
-    n = 10
-    n_s = n ** -s
-    terms = [k ** -s for k in range(1, n)]
-    terms += (n ** (1.0 - s) / (s - 1.0), 0.5 * n_s)
-    rising = s * n_s / n  # s(s+1)...(s+2k-2) N^{1-s-2k}
-    for k, c in enumerate(_ZETA_EM, 1):
-        terms.append(c * rising)
-        # one factor at a time, so that huge s cannot make 0 * inf
-        rising = rising * ((s + 2 * k - 1) / n) * ((s + 2 * k) / n)
-    return math.fsum(terms)
-
-
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for finite real s > 0 (math.gamma)."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"gamma_fn needs finite s > 0, got {s}")
-    return math.gamma(s)
-
-
-def euler_gamma() -> float:
-    """Euler's constant gamma = 0.5772156649015329 to double precision."""
-    return 0.5772156649015329

@@ -10,8 +10,10 @@ non-finite float (overflow, or an undefined value) is a computation error,
 never an `inf` or `nan` in the output.  So is a dependency that cannot be
 imported (mpmath, for exact p(n)).
 
-Only `arith` and `errors` are imported up front; each handler imports the
-subsystem it calls, so a call loads no module its subcommand does not use.
+Only `errors` is imported up front; each handler imports the subsystem it
+calls, so a call loads no module its subcommand does not use: `arith`, and
+with it `fractions`, only for partition counts, Farey sequences, Ford
+circles and Dedekind sums.
 """
 
 from __future__ import annotations
@@ -19,11 +21,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-from . import arith
-from .arith import DedekindConvention
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 
@@ -131,7 +130,9 @@ def _emit(doc: dict, fmt: str) -> None:
 # Argument helpers
 # ---------------------------------------------------------------------------
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    """The reduced fraction P/Q that text spells, as a Fraction."""
+    from . import arith
     parts = text.split("/")
     if len(parts) != 2:
         raise DomainError(f"expected P/Q, got {text!r}")
@@ -157,7 +158,7 @@ def _refuse_flags(args, flags, caller: str) -> None:
             raise DomainError(f"{caller} takes no --{flag}")
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -166,6 +167,7 @@ def _frac_str(f: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_partition(args) -> dict:
+    from . import arith
     row: dict = {"n": args.n, "method": args.method}
     # the oracle first, so that an n past its cap is refused before the
     # series is summed; a negative n is left to the method's own check
@@ -192,6 +194,7 @@ def _cmd_partition(args) -> dict:
 
 
 def _cmd_farey(args) -> dict:
+    from . import arith
     seq = arith.farey_sequence(args.order)
     rows = [{"index": i, "numerator": f.numerator, "denominator": f.denominator,
              "value": f.numerator / f.denominator} for i, f in enumerate(seq)]
@@ -199,6 +202,7 @@ def _cmd_farey(args) -> dict:
 
 
 def _cmd_ford(args) -> dict:
+    from . import arith
     if (args.fraction is None) == (args.triple is None):
         raise DomainError("give exactly one of --fraction or --triple")
     if args.fraction is not None:
@@ -225,8 +229,10 @@ def _cmd_ford(args) -> dict:
 
 
 def _cmd_dedekind(args) -> dict:
+    from . import arith
     # "classical" and "paper": the first words of the conventions' values
-    conventions = {c.value.partition("-")[0]: c for c in DedekindConvention}
+    conventions = {c.value.partition("-")[0]: c
+                   for c in arith.DedekindConvention}
     which = sorted(conventions) if args.convention == "both" else [args.convention]
     rows = []
     for name in which:
@@ -371,24 +377,28 @@ def _require_sweep_points(points: int) -> None:
                           f"points, got {points}")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class _GridFields(NamedTuple):
     start: float
     stop: float
     points: int
     scale: str  # linear | log
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError(f"need finite start and stop, got "
-                              f"{self.start}, {self.stop}")
-        if not self.start < self.stop:
-            raise DomainError(f"need start < stop, got {self.start} >= {self.stop}")
-        if self.points < 2:
-            raise DomainError(f"need points >= 2, got {self.points}")
-        _require_sweep_points(self.points)
-        if self.scale == "log" and self.start <= 0.0:
+
+class SweepGrid(_GridFields):
+    __slots__ = ()
+
+    def __new__(cls, start: float, stop: float, points: int,
+                scale: str) -> SweepGrid:
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"need finite start and stop, got {start}, {stop}")
+        if not start < stop:
+            raise DomainError(f"need start < stop, got {start} >= {stop}")
+        if points < 2:
+            raise DomainError(f"need points >= 2, got {points}")
+        _require_sweep_points(points)
+        if scale == "log" and start <= 0.0:
             raise DomainError("log scale needs start > 0")
+        return super().__new__(cls, start, stop, points, scale)
 
     def values(self) -> list[float]:
         """start, points - 2 inner values and stop, each finite."""
@@ -422,6 +432,8 @@ def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
     """The grid variable of a sweep quantity and {model: f(value)} for its
     columns, in default column order."""
     if quantity == "partition":
+        from . import arith
+
         def rademacher(n):
             from . import modular  # and with it mpmath, for this column only
             return modular.rademacher_p(int(n)).value

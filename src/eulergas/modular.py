@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
                           mpf_cos_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int,
@@ -115,8 +115,7 @@ def leading_term_p(n: int) -> float:
     return math.exp(k * lam) * (k * lam - 1.0) / (4.0 * math.pi * math.sqrt(2.0) * lam ** 3)
 
 
-@dataclass(frozen=True)
-class RademacherResult:
+class RademacherResult(NamedTuple):
     """Outcome of the exact series: the certified value and its certificate.
 
     residual    -- |sum - round(sum)|

@@ -19,15 +19,13 @@ optionally the two reference keys, and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import _BERNOULLI_2K, ZETA3
 from .errors import DomainError, require_positive
 from .radiation import PhysicalConstants, load_key_value_file
-from .thermo import _bose
+from .thermo import _BERNOULLI_2K, ZETA3, _bose
 
 __all__ = [
     "SolidSpec", "ResonatorSpec",
@@ -46,43 +44,56 @@ def debye_velocity(c_transverse: float, c_longitudinal: float) -> float:
     return (3.0 / (2.0 / c_transverse ** 3 + 1.0 / c_longitudinal ** 3)) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class SolidSpec:
+class _SolidFields(NamedTuple):
+    n_atoms: float
+    volume: float
+    temperature: float
+    c_ph: float | None
+    c_transverse: float | None
+    c_longitudinal: float | None
+
+
+class SolidSpec(_SolidFields):
     """Isotropic solid: atom count, volume, temperature and sound speed.
 
     Give either c_ph directly or both c_transverse and c_longitudinal, in
     which case c_ph is derived.
     """
 
-    n_atoms: float
-    volume: float
-    temperature: float
-    c_ph: float | None = None
-    c_transverse: float | None = None
-    c_longitudinal: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n_atoms", "volume", "temperature"):
-            require_positive(name, getattr(self, name))
-        if self.c_ph is None:
-            if self.c_transverse is None or self.c_longitudinal is None:
+    def __new__(cls, n_atoms: float, volume: float, temperature: float,
+                c_ph: float | None = None, c_transverse: float | None = None,
+                c_longitudinal: float | None = None) -> SolidSpec:
+        for name, value in zip(cls._fields, (n_atoms, volume, temperature)):
+            require_positive(name, value)
+        if c_ph is None:
+            if c_transverse is None or c_longitudinal is None:
                 raise DomainError("give c_ph or both c_transverse and c_longitudinal")
-            object.__setattr__(self, "c_ph",
-                               debye_velocity(self.c_transverse, self.c_longitudinal))
-        require_positive("c_ph", self.c_ph)
+            c_ph = debye_velocity(c_transverse, c_longitudinal)
+        require_positive("c_ph", c_ph)
+        return super().__new__(cls, n_atoms, volume, temperature, c_ph,
+                               c_transverse, c_longitudinal)
 
 
-@dataclass(frozen=True)
-class ResonatorSpec:
+class _ResonatorFields(NamedTuple):
     q_factor: float
     carrier: float        # Hz
     active_volume: float  # m^3
     temperature: float    # K
     c_ph: float           # m/s
 
-    def __post_init__(self) -> None:
-        for name in ("q_factor", "carrier", "active_volume", "temperature", "c_ph"):
-            require_positive(name, getattr(self, name))
+
+class ResonatorSpec(_ResonatorFields):
+    __slots__ = ()
+
+    def __new__(cls, q_factor: float, carrier: float, active_volume: float,
+                temperature: float, c_ph: float) -> ResonatorSpec:
+        for name, value in zip(cls._fields, (q_factor, carrier, active_volume,
+                                             temperature, c_ph)):
+            require_positive(name, value)
+        return super().__new__(cls, q_factor, carrier, active_volume,
+                               temperature, c_ph)
 
 
 def debye_frequency(solid: SolidSpec) -> float:
@@ -97,8 +108,8 @@ def debye_temperature(solid: SolidSpec, constants: PhysicalConstants) -> float:
 
 
 # Coefficient of a^{2k} in D(a) = 1 - 3a/8 + sum_k 3 B_2k a^{2k}/((2k)! (2k+3))
-_DEBYE_TAYLOR = tuple(float(3 * b / (math.factorial(2 * k) * (2 * k + 3)))
-                      for k, b in enumerate(_BERNOULLI_2K, start=1))
+_DEBYE_TAYLOR = tuple(3 * num / (den * math.factorial(2 * k) * (2 * k + 3))
+                      for k, (num, den) in enumerate(_BERNOULLI_2K, start=1))
 DEBYE_SWITCH = 2.5          # Bernoulli series below, exponential series above
 _PI4_OVER_15 = 6.493939402266829  # Gamma(4) zeta(4) correctly rounded;
                                   # math.pi ** 4 / 15 is 1.3 ulp low

@@ -9,23 +9,23 @@ already embedded; it is never applied twice.
 `PhysicalConstants.si()` holds the SI defining constants as literals; a
 `key = value` config file (keys h, k, c and no others) can override any of
 them.  `load_key_value_file` reads these files and the resonator preset
-files, and refuses any key its caller does not allow.
+files, and refuses any key its caller does not allow and any key given
+twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
-from .arith import ZETA3
 from .errors import DomainError, require_positive
-from .thermo import _bose, internal_energy
+from .thermo import ZETA3, _bose, internal_energy
 
 __all__ = [
     "PhysicalConstants", "CavitySpec", "load_key_value_file",
-    "mode_x", "density_of_states",
+    "mode_x",
     "stefan_boltzmann", "PhotonModel", "photon_density",
     "planck_spectral_density", "EmissivityModel", "emissivity",
     "EinsteinModel", "einstein_AB",
@@ -35,8 +35,8 @@ __all__ = [
 
 def load_key_value_file(path: str | Path, keys: set[str]) -> dict[str, float]:
     """Parse a `key = value` file with '#' comments into floats.  A file that
-    cannot be read as text, a malformed line or a key outside `keys` is a
-    DomainError."""
+    cannot be read as text, a malformed line, a key outside `keys` or a key
+    given twice is a DomainError."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -53,6 +53,8 @@ def load_key_value_file(path: str | Path, keys: set[str]) -> dict[str, float]:
         if key not in keys:
             raise DomainError(f"unknown key {key!r} in {path} "
                               f"(allowed: {', '.join(sorted(keys))})")
+        if key in out:
+            raise DomainError(f"key {key!r} given twice in {path}")
         try:
             out[key] = float(value)
         except ValueError as exc:
@@ -60,24 +62,28 @@ def load_key_value_file(path: str | Path, keys: set[str]) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Pinned h (J s), k (J/K), c (m/s); sole source of dimensional numbers."""
-
+class _ConstantsFields(NamedTuple):
     h: float
     k: float
     c: float
 
-    def __post_init__(self) -> None:
-        for name in ("h", "k", "c"):
-            require_positive(f"constant {name}", getattr(self, name))
+
+class PhysicalConstants(_ConstantsFields):
+    """Pinned h (J s), k (J/K), c (m/s); sole source of dimensional numbers."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: float, k: float, c: float) -> PhysicalConstants:
+        for name, value in zip(cls._fields, (h, k, c)):
+            require_positive(f"constant {name}", value)
+        return super().__new__(cls, h, k, c)
 
     @classmethod
-    def si(cls) -> "PhysicalConstants":
+    def si(cls) -> PhysicalConstants:
         return cls(h=6.62607015e-34, k=1.380649e-23, c=2.99792458e8)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PhysicalConstants":
+    def from_file(cls, path: str | Path) -> PhysicalConstants:
         """SI defaults overlaid with any of h, k, c found in the file."""
         base = cls.si()
         values = load_key_value_file(path, {"h", "k", "c"})
@@ -85,14 +91,18 @@ class PhysicalConstants:
                    c=values.get("c", base.c))
 
 
-@dataclass(frozen=True)
-class CavitySpec:
+class _CavityFields(NamedTuple):
     volume: float       # m^3
     temperature: float  # K
 
-    def __post_init__(self) -> None:
-        require_positive("volume", self.volume)
-        require_positive("temperature", self.temperature)
+
+class CavitySpec(_CavityFields):
+    __slots__ = ()
+
+    def __new__(cls, volume: float, temperature: float) -> CavitySpec:
+        require_positive("volume", volume)
+        require_positive("temperature", temperature)
+        return super().__new__(cls, volume, temperature)
 
 
 def mode_x(nu: float, temperature: float, constants: PhysicalConstants) -> float:
@@ -100,11 +110,6 @@ def mode_x(nu: float, temperature: float, constants: PhysicalConstants) -> float
     require_positive("nu", nu)
     require_positive("T", temperature)
     return constants.h * nu / (constants.k * temperature)
-
-
-def density_of_states(nu: float, volume: float, constants: PhysicalConstants) -> float:
-    """D(nu) = 8 pi V nu^2 / c^3 (two polarizations included)."""
-    return 8.0 * math.pi * volume * nu * nu / constants.c ** 3
 
 
 def stefan_boltzmann(constants: PhysicalConstants) -> tuple[float, float]:

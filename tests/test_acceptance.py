@@ -13,8 +13,7 @@ import pytest
 from scipy import integrate
 
 from eulergas.arith import (DedekindConvention, farey_sequence, ford_circle,
-                            ford_tangency, partition_count_oracle,
-                            riemann_zeta)
+                            ford_tangency, partition_count_oracle)
 from eulergas.cli import main as cli_main
 from eulergas.modular import (asymptotic_p, functional_equation_rhs,
                               partition_generating, rademacher_p)
@@ -28,7 +27,8 @@ from eulergas.radiation import (CavitySpec, EmissivityModel, NoiseModel,
 from eulergas.thermo import (MellinKind, entropy, free_energy,
                              free_energy_lowfreq, internal_energy,
                              internal_energy_lowfreq, mellin_check,
-                             occupation, occupation_lowfreq, thermo_per_mode)
+                             occupation, occupation_lowfreq, riemann_zeta,
+                             thermo_per_mode)
 from oracles import rademacher_paper_literal
 
 CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH

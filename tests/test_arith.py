@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergas import arith
-from eulergas.arith import (_BERNOULLI_2K, ZETA3, DedekindConvention,
-                            dedekind_sum, divisor_sigma, divisors,
-                            euler_gamma, farey_sequence, ford_circle,
-                            ford_tangency, gamma_fn, partition_count_oracle,
-                            reduced_fraction, riemann_zeta)
+from eulergas.arith import (DedekindConvention, dedekind_sum, divisor_sigma,
+                            divisors, farey_sequence, ford_circle,
+                            ford_tangency, partition_count_oracle,
+                            reduced_fraction)
 from eulergas.errors import DomainError
+from eulergas.phonon import _DEBYE_TAYLOR
+from eulergas.thermo import (_BERNOULLI_2K, _WIGERT, _ZETA_EM, ZETA3,
+                             euler_gamma, gamma_fn, riemann_zeta)
 from oracles import kloosterman_A, kloosterman_phases, sigma_table
 
 CLASSICAL = DedekindConvention.CLASSICAL_SAWTOOTH
@@ -461,8 +463,25 @@ def test_gamma_domain():
 
 
 def test_bernoulli_table_is_exact():
+    # reduced (numerator, denominator) int pairs, denominators positive
     for k, b in enumerate(_BERNOULLI_2K, start=1):
-        assert b == Fraction(*mpmath.bernfrac(2 * k))
+        assert b == mpmath.bernfrac(2 * k)
+        assert all(type(v) is int for v in b)
+
+
+def test_bernoulli_float_tables_are_correctly_rounded():
+    # each table divides ints, which rounds as float() of the exact rational
+    bern = [Fraction(*b) for b in _BERNOULLI_2K]
+    want = {
+        "zeta": [b / math.factorial(2 * k) for k, b in enumerate(bern[:11], 1)],
+        "wigert": [(b / (2 * k)) ** 2 / math.factorial(2 * k - 1)
+                   for k, b in enumerate(bern, 1)],
+        "debye": [3 * b / (math.factorial(2 * k) * (2 * k + 3))
+                  for k, b in enumerate(bern, 1)],
+    }
+    got = {"zeta": _ZETA_EM, "wigert": _WIGERT, "debye": _DEBYE_TAYLOR}
+    for name, exact in want.items():
+        assert [v.hex() for v in got[name]] == [float(v).hex() for v in exact], name
 
 
 def test_euler_gamma_value():

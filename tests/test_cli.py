@@ -144,6 +144,29 @@ def test_preset_file_with_an_unknown_key_is_a_usage_error(capsys, tmp_path,
     assert repr(key) in err
 
 
+def test_preset_file_with_a_repeated_key_is_a_usage_error(capsys, tmp_path):
+    # the last line does not silently win over the first
+    preset = tmp_path / "twice.cfg"
+    preset.write_text(_PRESET + "q_factor = 3\n")
+    code, out, err = run_cli(capsys, "quartz", "--preset", str(preset))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "'q_factor' given twice" in err
+
+
+def test_constants_file_with_a_repeated_key_is_a_usage_error(capsys, tmp_path):
+    constants = tmp_path / "twice.cfg"
+    constants.write_text("h = 1e-33\nh = 6.62607015e-34\n")
+    code, out, err = run_cli(capsys, "blackbody", "--nu", "1e12",
+                             "--temperature", "300", "--constants",
+                             str(constants))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "'h' given twice" in err
+
+
 def test_mellin_check_command(capsys):
     code, out, _ = run_cli(capsys, "mellin-check", "--s", "2",
                            "--kind", "occupation", "--format", "json")
@@ -881,13 +904,13 @@ _SUBCOMMAND_ARGVS = [
 ]
 
 
-# What each call loads besides eulergas.arith, .errors and .cli: the other
-# eulergas submodules, and whether mpmath is loaded.  A sweep loads what its
-# quantity uses.
+# What each call loads besides eulergas.cli and .errors: the other eulergas
+# submodules, and whether mpmath is loaded.  A sweep loads what its quantity
+# uses.  Only the exact-arithmetic calls load arith, and with it fractions.
 _LOADS = {
-    "farey": ((), False),
-    "ford": ((), False),
-    "dedekind": ((), False),
+    "farey": (("arith",), False),
+    "ford": (("arith",), False),
+    "dedekind": (("arith",), False),
     "thermo": (("thermo",), False),
     "sweep energy": (("thermo",), False),
     "blackbody": (("radiation", "thermo"), False),
@@ -896,8 +919,8 @@ _LOADS = {
     "quartz": (("phonon", "radiation", "thermo"), False),
     "mellin-check": (("thermo",), False),
     "eta": (("thermo",), False),
-    "partition": (("modular", "thermo"), True),
-    "sweep partition": (("modular", "thermo"), True),
+    "partition": (("arith", "modular", "thermo"), True),
+    "sweep partition": (("arith", "modular", "thermo"), True),
 }
 _SWEEP_ARGVS = [
     ["sweep", "--quantity", "frac-noise", "--start", "1e4", "--stop", "1e6",
@@ -916,7 +939,7 @@ def test_cli_runs_without_scipy():
     for argv in _SUBCOMMAND_ARGVS + _SWEEP_ARGVS:
         key = f"sweep {argv[2]}" if argv[0] == "sweep" else argv[0]
         extra, mpmath = _LOADS[key]
-        modules = sorted(f"eulergas.{m}" for m in ("arith", "cli", "errors", *extra))
+        modules = sorted(f"eulergas.{m}" for m in ("cli", "errors", *extra))
         cases.append((argv, modules, mpmath))
     script = f"""
 import io, sys
@@ -927,8 +950,9 @@ def loaded():
             "mpmath" in sys.modules)
 
 def forget():
-    for name in [m for m in sys.modules
-                 if m.partition(".")[0] in ("eulergas", "mpmath")]:
+    # and the two stdlib modules a float subcommand must not load
+    for name in [m for m in sys.modules if m.partition(".")[0] in
+                 ("eulergas", "mpmath", "dataclasses", "fractions")]:
         del sys.modules[name]
 
 import eulergas
@@ -939,6 +963,10 @@ for argv, modules, mpmath in {cases!r}:
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert loaded() == (modules, mpmath), (argv, loaded())
+    if "eulergas.arith" not in modules:
+        # a float subcommand builds no dataclass and no Fraction
+        for name in ("dataclasses", "fractions"):
+            assert name not in sys.modules, (argv, name)
 assert "scipy" not in sys.modules, "scipy was imported"
 assert "numpy" not in sys.modules, "numpy was imported"
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from eulergas.arith import riemann_zeta
 from eulergas.errors import DomainError
 from eulergas.phonon import (DEBYE_SWITCH, PRESET_NAMES, DebyeModel,
                              ResonatorSpec, SolidSpec, debye_frequency,
@@ -14,6 +13,7 @@ from eulergas.phonon import (DEBYE_SWITCH, PRESET_NAMES, DebyeModel,
                              debye_temperature, debye_velocity,
                              energy_fluctuation, flicker_floor,
                              load_resonator_preset, specific_heat)
+from eulergas.thermo import riemann_zeta
 
 
 def make_solid(temperature, n_atoms=6.022e23, volume=1e-5, c_ph=3500.0):

@@ -12,8 +12,7 @@ from eulergas.radiation import (CavitySpec, EinsteinModel, EmissivityModel,
                                 einstein_AB, emissivity, fluctuation_spectrum,
                                 load_key_value_file, mode_x, photon_density,
                                 planck_spectral_density, stefan_boltzmann)
-from eulergas.arith import riemann_zeta
-from eulergas.thermo import free_energy, occupation
+from eulergas.thermo import free_energy, occupation, riemann_zeta
 
 
 # ---------------------------------------------------------------------------
