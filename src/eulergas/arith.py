@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 __all__ = [
     "divisors", "divisor_sigma",
@@ -86,8 +86,10 @@ def partition_count_oracle(n: int) -> int:
     O(sqrt(m)) exact big-integer additions per entry, independent of the
     Rademacher series.  The table is the recurrence's working memory: it is
     kept and grows to the largest n asked, so sweeps over a range of n pay
-    the cost once.  n above 10^5 is refused with DomainError.
+    the cost once.  n above 10^5, negative n and non-integer n are refused
+    with DomainError.
     """
+    n = require_integer("n", n)
     if n < 0:
         raise DomainError(f"partition count needs n >= 0, got {n}")
     if n > _ORACLE_MAX_N:

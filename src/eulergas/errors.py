@@ -4,12 +4,14 @@ Three failure classes cover every contract in the library: bad inputs
 (DomainError), a series past its term budget (PrecisionError), and
 sums that fail their certificate (ConvergenceError).  Computation errors
 carry their diagnostic fields so front ends can serialize them.  require_positive is the
-one check of a physical input: finite and > 0.
+one check of a physical input: finite and > 0; require_integer that of a
+count such as n in p(n).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -20,6 +22,15 @@ def require_positive(name: str, value: float) -> None:
     """DomainError unless value is a finite number > 0 (nan fails too)."""
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int (operator.index: ints, bools and integer types such
+    as numpy's), or DomainError for anything else, such as 5.0 or nan."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class PrecisionError(RuntimeError):

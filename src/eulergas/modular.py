@@ -7,13 +7,14 @@ transforms and the weight-two Eisenstein series live in thermo, next to
 the per-mode kernel, and are imported back here.
 
 The exact series needs working precision beyond 53 bits once p(n) outgrows
-doubles (n around 300): its large terms run on mpmath.libmp's raw values
-(sign, mantissa, exponent, bit count), each with the bits its own size
-needs and every operation rounded to nearest, and its small terms in
-doubles, all under an explicit error bound.  This is the only module that
-imports mpmath, and it does so at import, so that loading it (not the
-first p(n)) pays that cost.  The A_q(n) factors come from arith's cache,
-keyed by (q, n mod q).
+doubles (n around 300).  Its large terms are fixed-point Python ints, each
+with the fractional bits its own size needs, every product truncated once
+and the error of each term a proved count of units; its small terms are
+doubles, under an explicit bound.  Only pi, exp and cos(pi x) come from
+mpmath.libmp, each converted once to an int.  This is the only module
+that imports mpmath, and it does so at import, so that loading it (not
+the first p(n)) pays that cost.  The A_q(n) factors come from arith's
+cache, keyed by (q, n mod q).
 Everything else is double precision: Z(e^{-x}) on 0 < y < 1 is exp(-F/kT)
 from thermo, and Z elsewhere is from eta.
 """
@@ -24,14 +25,12 @@ import cmath
 import math
 from typing import NamedTuple
 
-from mpmath.libmp import (from_float, from_int, fzero, mpf_abs, mpf_add,
-                          mpf_cos_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int,
-                          mpf_nint, mpf_pi, mpf_rdiv_int, mpf_sqrt, mpf_sub,
-                          round_nearest, to_float, to_int)
+from mpmath.libmp import from_man_exp, mpf_cos_pi, mpf_exp, mpf_pi, to_fixed
 
 from . import thermo
 from .arith import FactoredA, factored_a
-from .errors import ConvergenceError, DomainError, PrecisionError
+from .errors import (ConvergenceError, DomainError, PrecisionError,
+                     require_integer)
 # eta and G2 live in thermo; these names keep eulergas.modular.eta working
 from .thermo import EtaTransform, eisenstein_g2, eta, eta_transform  # noqa: F401
 
@@ -47,6 +46,11 @@ _MAX_TERMS = 5_000_000
 # Z(e^{-x}) exceeds the largest double below this x: the root of
 # -x/24 + ln(x/2pi)/2 + pi^2/(6x) = ln(DBL_MAX), rounded up
 Z_OVERFLOW_X = 2.3047e-3
+# The largest n whose leading term and crude estimate of p(n) fit a double:
+# both logs pass ln(DBL_MAX) between n = 79 445 and 79 446
+ESTIMATE_MAX_N = 79_445
+# ln(DBL_MAX): the largest v for which math.exp(v) does not overflow
+_LOG_DBL_MAX = 709.782712893384
 
 
 def partition_generating(y: complex | float) -> complex | float:
@@ -97,22 +101,47 @@ def functional_equation_rhs(x: float) -> float:
 # Closed forms and the exact series for p(n)
 # ---------------------------------------------------------------------------
 
-def asymptotic_p(n: int) -> float:
-    """Crude exponential estimate exp(pi*sqrt(2n/3))/(4n*sqrt(3))."""
+def _exp_ratio(v: float, num: float, den: float) -> float:
+    """e^v * num / den for 0 < num/den < 1: the product as written wherever
+    it stays finite, so that those values do not depend on the overflow
+    handling, and exp(v + ln(num/den)) where e^v or e^v * num overflows."""
+    if v <= _LOG_DBL_MAX:
+        value = math.exp(v) * num / den
+        if value < math.inf:
+            return value
+    return math.exp(v + math.log(num / den))
+
+
+def _estimate_n(n: int, name: str) -> int:
+    """n as an int for the estimate `name` of p(n), or DomainError unless
+    it is an integer from 1 to ESTIMATE_MAX_N."""
+    n = require_integer("n", n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * n * math.sqrt(3.0))
+    if n > ESTIMATE_MAX_N:
+        raise DomainError(f"the {name} of p({n}) overflows a double; it "
+                          f"fits only for n <= {ESTIMATE_MAX_N}")
+    return n
+
+
+def asymptotic_p(n: int) -> float:
+    """Crude exponential estimate exp(pi*sqrt(2n/3))/(4n*sqrt(3)).  Raises
+    DomainError for non-integer n, n < 1 and n > ESTIMATE_MAX_N."""
+    n = _estimate_n(n, "crude estimate")
+    return _exp_ratio(math.pi * math.sqrt(2.0 * n / 3.0), 1.0,
+                      4.0 * n * math.sqrt(3.0))
 
 
 def leading_term_p(n: int) -> float:
     """Dominant closed-form term (1/(2*pi*sqrt(2))) d/dn exp(K*lam)/lam,
     K = pi*sqrt(2/3), lam = sqrt(n - 1/24), with the derivative in closed
-    form: exp(K*lam)*(K*lam - 1)/(4*pi*sqrt(2)*lam^3)."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    form: exp(K*lam)*(K*lam - 1)/(4*pi*sqrt(2)*lam^3).  Raises DomainError
+    for non-integer n, n < 1 and n > ESTIMATE_MAX_N."""
+    n = _estimate_n(n, "leading term")
     k = math.pi * math.sqrt(2.0 / 3.0)
     lam = math.sqrt(n - 1.0 / 24.0)
-    return math.exp(k * lam) * (k * lam - 1.0) / (4.0 * math.pi * math.sqrt(2.0) * lam ** 3)
+    return _exp_ratio(k * lam, k * lam - 1.0,
+                      4.0 * math.pi * math.sqrt(2.0) * lam ** 3)
 
 
 class RademacherResult(NamedTuple):
@@ -132,8 +161,7 @@ class RademacherResult(NamedTuple):
 
 
 _K = math.pi * math.sqrt(2.0 / 3.0)
-# the rounding of every high-precision operation, that of mpf arithmetic
-_RND = round_nearest
+_LN2 = math.log(2.0)
 # Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
 # |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
 _REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
@@ -187,37 +215,77 @@ def _term_count(n: int) -> int:
     return hi
 
 
-def _term_double(q: int, lam: float, a: FactoredA) -> float:
-    """Term q of the series in doubles."""
-    kq = _K / q
-    e = math.exp(kq * lam)
-    # K_q cosh(u) - sinh(u)/lam with cosh and sinh from one exponential
-    deriv = ((kq - 1.0 / lam) * e + (kq + 1.0 / lam) / e) / (4.0 * lam * lam)
-    return math.sqrt(q) * deriv / (math.pi * math.sqrt(2.0)) * float(a)
+# The high-precision terms are fixed-point ints: x at scale 2^b is the int
+# X with X/2^b = x up to the errors counted in _fixed_units.  Their sum is
+# one int at the scale 2^top of the q = 1 term, the largest; each term's
+# own scale 2^b, b <= top, is shifted up to it exactly.
+
+def _scale(n: int, top: int) -> tuple[int, int, int, int]:
+    """(top, g, U, Z): the sum's scale 2^top and the two constants every
+    fixed-point term of p(n) shares, both at scale 2^(top + g):
+
+        U = K*lam = pi*sqrt(24n - 1)/6,   Z = 1/(U*(24n - 1)).
+
+    U is off by less than sqrt(24n - 1)/3 + 2 units (pi from mpf_pi to
+    within 2, the root exact to 1) and Z by less than 2.  The g =
+    2*bitlen(24n - 1) + 8 guard bits leave less than 2^-8 of a unit of
+    2^-b, and 2^-8 of Z's size, in what a term at scale 2^b takes from them.
+    """
+    m = 24 * n - 1
+    g = 2 * m.bit_length() + 8
+    w = top + g
+    big_u = to_fixed(mpf_pi(w + 2), w) * math.isqrt(m << 2 * w) // (6 << w)
+    return top, g, big_u, (1 << 2 * w) // (big_u * m)
 
 
-def _term_mp(q: int, lam: tuple, k: tuple, a: FactoredA, prec: int) -> tuple:
-    """Term q of the series as a raw mpmath.libmp value at prec bits, from
-    lam and K = pi*sqrt(2/3) given at least as precise.  Each operation
-    rounds to nearest at prec bits, as mpf arithmetic would."""
-    kq = mpf_div(k, from_int(q), prec, _RND)
-    e = mpf_exp(mpf_mul(kq, lam, prec, _RND), prec, _RND)
-    inv = mpf_rdiv_int(1, lam, prec, _RND)
-    # (K_q - 1/lam) e + (K_q + 1/lam)/e over 4 lam^2
-    deriv = mpf_div(
-        mpf_add(mpf_mul(mpf_sub(kq, inv, prec, _RND), e, prec, _RND),
-                mpf_div(mpf_add(kq, inv, prec, _RND), e, prec, _RND),
-                prec, _RND),
-        mpf_mul(mpf_mul_int(lam, 4, prec, _RND), lam, prec, _RND), prec, _RND)
-    # sqrt(q)/(pi*sqrt(2)) * A_q(n), with sqrt(q) and sqrt(num/den) in one
-    root = mpf_sqrt(mpf_div(from_int(q * a.num, prec, _RND),
-                            from_int(2 * a.den), prec, _RND), prec, _RND)
-    term = mpf_mul(mpf_div(mpf_mul_int(root, a.sign, prec, _RND),
-                           mpf_pi(prec, _RND), prec, _RND), deriv, prec, _RND)
+def _term(q: int, a: FactoredA, bits: int, scale: tuple) -> int:
+    """Term q of the series for p(n) as an int at scale 2^bits,
+
+        sign * sqrt(12*q*num/den) * D * prod cos(pi*r/s) / (U*(24n - 1)),
+        D = (u - 1)*e^u + (u + 1)*e^-u,   u = K_q*lam = U/q,
+
+    which is rademacher_p's closed-form derivative over lam = sqrt(24n -
+    1)/sqrt(24), K_q = u/lam and A_q(n) = sign*sqrt(num/den)*prod cos.  u
+    and the cosine arguments keep the scale's g guard bits; e^u and each
+    cosine are libmp's at `bits` bits, e^-u is an integer reciprocal, and
+    every product is truncated once.  _fixed_units counts the error.
+    """
+    top, g, big_u, big_z = scale
+    k = top - bits
+    w = bits + g
+    u = (big_u >> k) // q
+    e = to_fixed(mpf_exp(from_man_exp(u, -w), bits), bits)
+    one = 1 << w
+    d = ((u - one) * e + (u + one) * ((1 << 2 * bits) // e)) >> w
+    root = math.isqrt((12 * q * a.num << 2 * bits) // a.den)
+    t = (d * root * (big_z >> k) * a.sign) >> (2 * bits + g)
     for r, s in a.cospi:
-        arg = mpf_div(from_int(r, prec, _RND), from_int(s), prec, _RND)
-        term = mpf_mul(term, mpf_cos_pi(arg, prec, _RND), prec, _RND)
-    return term
+        c = mpf_cos_pi(from_man_exp((r << w) // s, -w), bits)
+        t = (t * to_fixed(c, bits)) >> bits
+    return t
+
+
+def _fixed_units(log2_size: float, n_cos: int) -> float:
+    """log2 of the count of units of 2^-bits by which _term can be off,
+    over the term's size bound 2^log2_size, for any bits >= 64.
+
+    Every truncation is off by less than one unit, and a product by each
+    factor's error times the other factors' bounds, with e^u <= e,
+    e^-u <= 1, |u - 1| <= u + 1 and |cos| <= 1 (u's and Z's guard bits
+    add under 2^-8 of a unit each):
+      e^u     libmp rounds down from 14 guard bits: under 2 ulp, 4e units;
+      e^-u    the floor of 2^2b/E: under 4.1 + 1 units;
+      D       4.1|u - 1|e + 5.1(u + 1) + 1, at most 5.1 times its bound
+              2(u + 1)e;
+      root    1 unit of sqrt(12q*num/den) >= 2: half its size;
+      product 5.1 + 0.5 + 0.01 times the size, plus 1 for its truncation;
+      cosine  2 ulp from libmp (10 guard bits), 1 for the conversion and
+              pi*2^-g from its argument: 5.01 units times the size of the
+              rest, plus 1 for each product's truncation.
+    So the term is off by less than (1 + n_cos)*(6*size + 1) units; the
+    slack also covers the sizes' own rounding in doubles.
+    """
+    return math.log2((1 + n_cos) * (6.0 + 2.0 ** -log2_size))
 
 
 def rademacher_p(n: int) -> RademacherResult:
@@ -237,18 +305,22 @@ def rademacher_p(n: int) -> RademacherResult:
 
     N is fixed before any term is summed: the smallest N whose Rademacher
     remainder bound is below 1/5, found by doubling and bisection.  Term
-    q, of size about exp(K_1*lam/q), gets only the bits it needs to keep
-    its absolute error below 2^-24/N, and never fewer than 64; a term
-    small enough for that in doubles is evaluated in doubles under the
-    same explicit bound.  The sum is
-    accumulated at the precision of the q = 1 term.  The result's
-    error_bound is the remainder bound plus the evaluation error, and the
-    value is certified only when residual + error_bound < 1/2; otherwise
+    q, of size about exp(K_1*lam/q), must be off by less than 2^-24/N.  A
+    term small enough for that in doubles is evaluated in doubles; every
+    other term is a fixed-point Python int with the fractional bits its
+    size and its counted error need (_fixed_units), never fewer than 64,
+    with e^u and the cosines from mpmath.libmp.  Those ints are summed
+    exactly at the scale of the q = 1 term, and the doubles' fsum is added
+    to them and the sum rounded.  The result's error_bound is the
+    remainder bound plus the counted evaluation error, and the value is
+    certified only when residual + error_bound < 1/2; otherwise
     ConvergenceError is raised.  PrecisionError is raised up front when N
-    would exceed 5e6 terms (n above about 4.7e14).
+    would exceed 5e6 terms (n above about 4.7e14), and DomainError for
+    non-integer or negative n.
 
     p(0) = p(1) = 1 are returned directly: the remainder bound needs n >= 2.
     """
+    n = require_integer("n", n)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if n <= 1:
@@ -256,15 +328,20 @@ def rademacher_p(n: int) -> RademacherResult:
     n_terms = _term_count(n)
     guard = _EVAL_BITS + n_terms.bit_length()
     lam = math.sqrt(n - 1.0 / 24.0)
+    inv_lam = 1.0 / lam
+    size_den = 2.0 * lam * lam * math.pi * math.sqrt(2.0)
 
-    # Per term: log2 of a bound on its size, and of the number of units of
-    # 2^-bits by which its evaluation can be off.  The argument u = K_q*lam
-    # carries a relative error of a few units, which cosh and sinh magnify
-    # by u; the rest is a few dozen roundings plus a few units per cosine,
-    # each of an argument in [0, pi].  |A_q(n)| is at most
-    # |sign|*sqrt(num/den), as every cosine is at most 1 in size.  Doubles
-    # count as 52 bits, to cover libm's last-bit errors.
-    plan = []
+    # Per term: log2 of a bound on its size, |A_q(n)| being at most
+    # |sign|*sqrt(num/den).  In doubles the argument u = K_q*lam carries a
+    # relative error of a few units, which cosh and sinh magnify by u; the
+    # rest is a few dozen roundings plus a few units per cosine, each of an
+    # argument in [0, pi], all within 16*(u + cosines + 4) units of 2^-52
+    # (52 bits, to cover libm's last-bit errors).  A term that this keeps
+    # below 2^-guard is summed in doubles.
+    eval_err = 0.0
+    doubles: list[float] = []
+    doubles_size = 0.0
+    top, total, scale = _WORK_BITS, 0, None
     for q in range(1, n_terms + 1):
         a = factored_a(q, n)
         if not a.sign:
@@ -272,48 +349,44 @@ def rademacher_p(n: int) -> RademacherResult:
         a_bound = abs(a.sign) * math.sqrt(a.num / a.den)
         kq = _K / q
         u = kq * lam
-        log2_size = (u + math.log(math.sqrt(q) * a_bound * (kq + 1.0 / lam)
-                                  / (2.0 * lam * lam * math.pi * math.sqrt(2.0)))
-                     ) / math.log(2.0)
+        root_q = math.sqrt(q)
+        log2_size = (u + math.log(root_q * a_bound * (kq + inv_lam)
+                                  / size_den)) / _LN2
         log2_units = math.log2(16.0 * (u + len(a.cospi) + 4.0))
-        need = math.ceil(log2_size + log2_units) + guard
-        bits = 0 if need <= 52 else max(need, _WORK_BITS)
-        plan.append((q, a, bits, log2_size, log2_units))
-    sum_bits = max(_WORK_BITS, plan[0][2])
-
-    eval_err = 0.0
-    doubles: list[float] = []
-    doubles_size = 0.0
-    total = fzero
-    lam_mp = mpf_sqrt(mpf_div(from_int(24 * n - 1, sum_bits, _RND),
-                              from_int(24), sum_bits, _RND), sum_bits, _RND)
-    k_mp = mpf_mul(mpf_pi(sum_bits, _RND),
-                   mpf_sqrt(mpf_div(from_int(2), from_int(3), sum_bits, _RND),
-                            sum_bits, _RND), sum_bits, _RND)
-    for q, a, bits, log2_size, log2_units in plan:
-        eval_err += 2.0 ** (log2_size + log2_units - (bits or 52))
-        if not bits:
-            doubles.append(_term_double(q, lam, a))
+        if math.ceil(log2_size + log2_units) + guard <= 52:
+            e = math.exp(u)
+            deriv = (((kq - inv_lam) * e + (kq + inv_lam) / e)
+                     / (4.0 * lam * lam))
+            a_q = a_bound if a.sign > 0 else -a_bound
+            for r, s in a.cospi:
+                a_q *= math.cos(math.pi * r / s)
+            doubles.append(root_q * deriv / (math.pi * math.sqrt(2.0)) * a_q)
             doubles_size += 2.0 ** log2_size
+            eval_err += 2.0 ** (log2_size + log2_units - 52)
             continue
-        total = mpf_add(total, _term_mp(q, lam_mp, k_mp, a, bits),
-                        sum_bits, _RND)
-    total = mpf_add(total, from_float(math.fsum(doubles)), sum_bits, _RND)
-    rounded = mpf_nint(total, sum_bits, _RND)
-    residual = to_float(mpf_abs(mpf_sub(total, rounded, sum_bits, _RND),
-                                sum_bits, _RND), rnd=_RND)
-    # fsum rounds once, by at most 2^-53 of the doubles' sizes; each of the
-    # other additions by at most 2^-sum_bits of a partial sum, itself below
-    # the sum of all the sizes
-    log2_total = max(p[3] for p in plan) + n_terms.bit_length()
-    additions = len(plan) - len(doubles) + 1
-    eval_err += doubles_size * 2.0 ** -53 \
-        + additions * 2.0 ** (log2_total - sum_bits)
+        log2_units = _fixed_units(log2_size, len(a.cospi))
+        bits = max(math.ceil(log2_size + log2_units) + guard, _WORK_BITS)
+        if q == 1:
+            # No later term needs more bits, and none is high-precision
+            # while this one is not: term q is about e^(-u(1 - 1/q)) times
+            # this one, u >= 14 once it is high-precision (n >= 31), and
+            # every n up to 10^5 was checked.
+            top, scale = bits, _scale(n, bits)
+        total += _term(q, a, bits, scale) << (top - bits)
+        eval_err += 2.0 ** (log2_size + log2_units - bits)
+
+    # The ints add exactly.  fsum rounds once, by at most 2^-53 of the
+    # doubles' sizes, and its conversion to scale 2^top by under 2^-top.
+    frac, exp2 = math.frexp(math.fsum(doubles))
+    mant, shift = int(math.ldexp(frac, 53)), exp2 - 53 + top
+    total += mant << shift if shift >= 0 else mant >> -shift
+    eval_err += doubles_size * 2.0 ** -53 + 2.0 ** -top
+    value = (total + (1 << (top - 1))) >> top
+    residual = abs(total - (value << top)) / (1 << top)
 
     error_bound = _remainder_bound(n, n_terms) + eval_err
     if residual + error_bound < 0.5:
-        return RademacherResult(n, int(to_int(rounded)), n_terms, residual,
-                                error_bound)
+        return RademacherResult(n, value, n_terms, residual, error_bound)
     raise ConvergenceError(
         f"series for p({n}) is not certified: residual {residual:.3g} + "
         f"error bound {error_bound:.3g} >= 1/2 after {n_terms} terms",

@@ -48,6 +48,21 @@ def test_partition_with_oracle_check(capsys):
     assert 0.0 <= row["residual"] < 0.25
 
 
+@pytest.mark.parametrize("method", ["leading", "asymptotic"])
+def test_partition_estimate_past_a_double_is_a_usage_error(capsys, method):
+    # the estimate at n = 79 445 is above 1e308; from 79 446 on it is refused
+    # naming that limit, with one line and exit 2 instead of an OverflowError
+    code, out, _ = run_cli(capsys, "partition", "--n", "79445", "--method",
+                           method, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["value"] > 1e308
+    for n in ("79446", "1000000"):
+        code, out, err = run_cli(capsys, "partition", "--n", n, "--method",
+                                 method, "--format", "json")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "n <= 79445" in err
+
+
 def test_thermo_json_keys(capsys):
     code, out, _ = run_cli(capsys, "thermo", "--x", "1", "--format", "json")
     assert code == 0

@@ -5,11 +5,13 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulergas import modular
 from eulergas.arith import (DedekindConvention, dedekind_sum,
                             partition_count_oracle)
 from eulergas.errors import DomainError
@@ -499,3 +501,57 @@ def test_asymptotic_trend_continues_at_ten_thousand():
     r_atK = asymptotic_p(1000) / partition_count_oracle(1000)
     r_at10K = asymptotic_p(10000) / partition_count_oracle(10000)
     assert abs(r_at10K - 1.0) < abs(r_atK - 1.0)
+
+
+def _estimates_mp(n):
+    """The leading term and the crude estimate of p(n) in 30 digits."""
+    with mpmath.workdps(30):
+        k = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
+        lam = mpmath.sqrt(n - mpmath.mpf(1) / 24)
+        leading = (mpmath.exp(k * lam) * (k * lam - 1)
+                   / (4 * mpmath.pi * mpmath.sqrt(2) * lam ** 3))
+        crude = (mpmath.exp(mpmath.pi * mpmath.sqrt(mpmath.mpf(2) * n / 3))
+                 / (4 * n * mpmath.sqrt(3)))
+    return {leading_term_p: leading, asymptotic_p: crude}
+
+
+@pytest.mark.parametrize("estimate", [leading_term_p, asymptotic_p])
+def test_estimates_answer_while_they_fit_a_double(estimate):
+    # the leading term read inf from n = 75 160 and both raised a bare
+    # OverflowError from 76 568; they fit a double up to n = 79 445, and
+    # past it are refused naming it
+    assert modular.ESTIMATE_MAX_N == 79_445
+    for n in (1000, 75_159, 75_160, 76_567, 76_568, 79_445):
+        want = _estimates_mp(n)[estimate]
+        assert abs(estimate(n) - want) <= 1e-12 * want, n
+    assert estimate(79_445) > 1e308
+    for n in (79_446, 10 ** 6, 10 ** 400):
+        with pytest.raises(DomainError, match="fits only for n <= 79445"):
+            estimate(n)
+
+
+def test_estimates_keep_their_bits_where_e_to_the_k_lam_fits():
+    for n in (4, 100, 1000, 10 ** 4, 70_000, 75_159):
+        k = math.pi * math.sqrt(2.0 / 3.0)
+        lam = math.sqrt(n - 1.0 / 24.0)
+        leading = (math.exp(k * lam) * (k * lam - 1.0)
+                   / (4.0 * math.pi * math.sqrt(2.0) * lam ** 3))
+        crude = (math.exp(math.pi * math.sqrt(2.0 * n / 3.0))
+                 / (4.0 * n * math.sqrt(3.0)))
+        assert (leading_term_p(n), asymptotic_p(n)) == (leading, crude)
+
+
+@pytest.mark.parametrize("n", [5.0, 2.5, math.nan, math.inf, -math.inf, "7",
+                               Fraction(7, 1), None])
+@pytest.mark.parametrize("func", [rademacher_p, partition_count_oracle,
+                                  leading_term_p, asymptotic_p])
+def test_non_integer_n_is_a_domain_error(func, n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        func(n)
+
+
+def test_integer_types_are_taken_as_n():
+    assert rademacher_p(np.int64(100)).value == 190569292
+    assert partition_count_oracle(np.int32(100)) == 190569292
+    assert leading_term_p(np.int64(100)) == leading_term_p(100)
+    assert rademacher_p(True).value == 1

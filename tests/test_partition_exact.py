@@ -163,16 +163,16 @@ def test_a_cache_is_bounded_and_serves_runs_of_n():
     assert info().currsize == info().maxsize
 
 
-# (n, terms_used, residual, error_bound) as an evaluation with mpf objects
-# gives them: the libmp terms round each operation to nearest at the same
-# precision as mpf arithmetic does, so every bit must agree
+# (n, terms_used, residual, error_bound) as the fixed-point evaluation gives
+# them: every high-precision term is an int built from the same truncations
+# in the same order, so every bit must agree
 @pytest.mark.parametrize("n,terms,residual,error_bound", [
-    (2, 45, 0.0008148512802919061, 0.19818187670145365),
-    (200, 42, 0.0016515140810042794, 0.1984821766614425),
-    (1189, 48, 0.0003859420073695219, 0.19748385775318233),
-    (2392, 53, 0.00011705255064953235, 0.1996850558056405),
-    (4780, 63, 0.0003560393547559215, 0.19695632262712054),
-    (10 ** 6, 472, 7.1421118867931455e-06, 0.19876767605666648),
+    (2, 45, 0.0008148512802919061, 0.19818187670145362),
+    (200, 42, 0.0016515140371831344, 0.19848217660056802),
+    (1189, 48, 0.0003859420679214096, 0.1974838573496157),
+    (2392, 53, 0.00011705276554153621, 0.1996850563727164),
+    (4780, 63, 0.0003560392061154927, 0.1969563212756122),
+    (10 ** 6, 472, 7.142083849317474e-06, 0.19876767541510257),
 ])
 def test_results_are_pinned_to_the_bit(n, terms, residual, error_bound):
     res = rademacher_p(n)
@@ -187,6 +187,64 @@ def test_results_are_pinned_to_the_bit(n, terms, residual, error_bound):
         assert len(digits) == 1108
         assert digits.startswith("147168498635822339863100476060")
         assert digits.endswith("15630003467104673818")
+
+
+def _fixed_point_terms(monkeypatch, n):
+    """rademacher_p(n) and its fixed-point terms as (q, A_q(n), bits, int)."""
+    terms = []
+    term = modular._term
+
+    def recording(q, a, bits, scale):
+        value = term(q, a, bits, scale)
+        terms.append((q, a, bits, value))
+        return value
+
+    monkeypatch.setattr(modular, "_term", recording)
+    return rademacher_p(n), terms
+
+
+def _check_counted_units(monkeypatch, n):
+    # each fixed-point term against the series term in mpmath at twice its
+    # bits, from the original form: within its counted units of 2^-bits
+    res, terms = _fixed_point_terms(monkeypatch, n)
+    assert terms and terms[0][0] == 1
+    for q, a, bits, value in terms:
+        with mp.workprec(2 * bits):
+            lam = mp.sqrt(n - mp.mpf(1) / 24)
+            kq = mp.pi * mp.sqrt(mp.mpf(2) / 3) / q
+            e = mp.exp(kq * lam)
+            deriv = ((kq - 1 / lam) * e + (kq + 1 / lam) / e) / (4 * lam ** 2)
+            a_bound = abs(a.sign) * mp.sqrt(mp.mpf(a.num) / a.den)
+            a_q = mp.sign(a.sign) * a_bound
+            for r, s in a.cospi:
+                a_q *= mp.cospi(mp.mpf(r) / s)
+            exact = mp.sqrt(q) * a_q * deriv / (mp.pi * mp.sqrt(2))
+            # |deriv| <= (kq + 1/lam) * 2e / (4 lam^2)
+            size = (mp.sqrt(q) * a_bound * (kq + 1 / lam) * e
+                    / (2 * lam ** 2 * mp.pi * mp.sqrt(2)))
+            log2_size = float(mp.log(size, 2))
+            units = mp.mpf(2) ** (log2_size + modular._fixed_units(
+                log2_size, len(a.cospi)))
+            assert abs(value - exact * 2 ** bits) <= units, (n, q, bits)
+    assert res.residual <= res.error_bound
+    return res
+
+
+@pytest.mark.parametrize("n", [200, 4780, 10 ** 5])
+def test_fixed_point_terms_are_within_their_counted_units(monkeypatch, n):
+    res = _check_counted_units(monkeypatch, n)
+    # the sum is off from p(n) by its residual, as it rounds to p(n)
+    assert res.value == partition_count_oracle(n)
+
+
+@pytest.mark.slow
+def test_fixed_point_terms_are_within_their_counted_units_at_ten_to_the_6(
+        monkeypatch):
+    res = _check_counted_units(monkeypatch, 10 ** 6)
+    digits = cli._int_str(res.value)
+    assert len(digits) == 1108
+    assert digits.startswith("147168498635822339863100476060")
+    assert digits.endswith("15630003467104673818")
 
 
 def _least_terms_by_scan(n):
