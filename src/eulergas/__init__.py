@@ -20,7 +20,7 @@ _EXPORTS = {
               "TangencyPoint", "dedekind_sum", "divisor_sigma", "divisors",
               "farey_sequence", "ford_circle", "ford_tangency",
               "partition_count_oracle", "reduced_fraction"),
-    "errors": ("ConvergenceError", "DomainError", "PrecisionError"),
+    "errors": ("ConvergenceError", "DomainError"),
     "modular": ("RademacherResult", "asymptotic_p", "functional_equation_rhs",
                 "leading_term_p", "partition_generating", "rademacher_p"),
     "phonon": ("DebyeModel", "FlickerResult", "ResonatorSpec", "SolidSpec",

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, require_integer
+from .errors import DomainError, int_text, require_integer
 
 __all__ = [
     "divisors", "divisor_sigma",
@@ -39,7 +39,7 @@ __all__ = [
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in increasing order (trial division)."""
     if n < 1:
-        raise DomainError(f"divisors needs n >= 1, got {n}")
+        raise DomainError(f"divisors needs n >= 1, got {int_text(n)}")
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -60,7 +60,7 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
     sigma_1(n)/n.  Integers come back for k >= 0.
     """
     if n < 1:
-        raise DomainError(f"divisor_sigma needs n >= 1, got {n}")
+        raise DomainError(f"divisor_sigma needs n >= 1, got {int_text(n)}")
     if k >= 0:
         return sum(d ** k for d in divisors(n))
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))
@@ -91,10 +91,10 @@ def partition_count_oracle(n: int) -> int:
     """
     n = require_integer("n", n)
     if n < 0:
-        raise DomainError(f"partition count needs n >= 0, got {n}")
+        raise DomainError(f"partition count needs n >= 0, got {int_text(n)}")
     if n > _ORACLE_MAX_N:
         raise DomainError(f"the partition oracle takes n <= {_ORACLE_MAX_N}, "
-                          f"got {n}")
+                          f"got {int_text(n)}")
     table = _partition_cache
     if n < len(table):
         return table[n]
@@ -126,9 +126,9 @@ def partition_count_oracle(n: int) -> int:
 def reduced_fraction(num: int, den: int) -> Fraction:
     """Build a Fraction from a pair required to be already in lowest terms."""
     if den < 1:
-        raise DomainError(f"denominator must be >= 1, got {den}")
+        raise DomainError(f"denominator must be >= 1, got {int_text(den)}")
     if math.gcd(num, den) != 1:
-        raise DomainError(f"{num}/{den} is not reduced")
+        raise DomainError(f"{int_text(num)}/{int_text(den)} is not reduced")
     return Fraction(num, den)
 
 
@@ -144,9 +144,10 @@ def farey_sequence(order: int) -> list[Fraction]:
     enumeration.  order above 1000 is refused with DomainError.
     """
     if order < 1:
-        raise DomainError(f"farey order must be >= 1, got {order}")
+        raise DomainError(f"farey order must be >= 1, got {int_text(order)}")
     if order > _FAREY_MAX_ORDER:
-        raise DomainError(f"farey order must be <= {_FAREY_MAX_ORDER}, got {order}")
+        raise DomainError(f"farey order must be <= {_FAREY_MAX_ORDER}, "
+                          f"got {int_text(order)}")
     out = [Fraction(0, 1)]
     a, b, c, d = 0, 1, 1, order
     while c <= order:
@@ -242,11 +243,11 @@ def dedekind_sum(p: int, q: int, convention: DedekindConvention) -> DedekindValu
     The paper-literal version adds (q-1)/4.
     """
     if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+        raise DomainError(f"q must be >= 1, got {int_text(q)}")
     if not 0 <= p < q and not (p == 0 and q == 1):
-        raise DomainError(f"need 0 <= p < q, got p={p}, q={q}")
+        raise DomainError(f"need 0 <= p < q, got p={int_text(p)}, q={int_text(q)}")
     if math.gcd(p, q) != 1:
-        raise DomainError(f"p and q must be coprime, got p={p}, q={q}")
+        raise DomainError(f"p and q must be coprime, got p={int_text(p)}, q={int_text(q)}")
     value, sign, a, b = Fraction(0), 1, p, q
     while a:
         value += sign * (Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4))

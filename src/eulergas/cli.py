@@ -4,11 +4,11 @@ One subcommand per subsystem plus a generic sweep.  Data goes to stdout in
 table, CSV or JSON form (JSON carries ``schema: 1`` and floats with 17
 significant digits and always a "." or an exponent, so parsing the output
 recovers every value bit for bit and as a float); diagnostics go to
-stderr.  Exit codes: 0 success, 1 computation error
-(the error's fields are serialized to stderr as JSON), 2 usage error.  A
-non-finite float (overflow, or an undefined value) is a computation error,
-never an `inf` or `nan` in the output.  So is a dependency that cannot be
-imported (mpmath, for exact p(n)).
+stderr.  Exit codes: 0 success, 2 usage error (an input past a size limit
+included), 1 a computation that failed: a sum that misses its certificate,
+a non-finite float (overflow, or an undefined value; never an `inf` or
+`nan` in the output) or a dependency that cannot be imported (mpmath, for
+exact p(n)).  A failed computation's fields go to stderr as JSON.
 
 Only `errors` is imported up front; each handler imports the subsystem it
 calls, so a call loads no module its subcommand does not use: `arith`, and
@@ -23,7 +23,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PrecisionError
+from .errors import ConvergenceError, DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def _sweep_columns(quantity: str, args) -> tuple[str, dict]:
 
 def _cmd_sweep(args) -> dict:
     quantity = args.quantity
-    unused = [] if quantity in _RADIATION_QUANTITIES else ["temperature", "volume"]
+    unused = [] if quantity in _RADIATION_QUANTITIES else ["temperature", "volume", "constants"]
     if quantity == "partition":
         unused += ["points", "scale"]
     _refuse_flags(args, unused, f"{quantity} sweep")
@@ -486,8 +486,9 @@ def _cmd_sweep(args) -> dict:
         if m in models[:i]:
             raise DomainError(f"{quantity} sweep names model {m!r} twice")
     if quantity == "partition":
-        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-            raise DomainError("partition sweep needs finite --start and --stop")
+        for flag, v in (("start", args.start), ("stop", args.stop)):
+            if not v.is_integer():  # nan and inf included
+                raise DomainError(f"partition sweep needs an integer --{flag}, got {v!r}")
         start, stop = int(args.start), int(args.stop)
         if start >= stop:
             raise DomainError("need start < stop")
@@ -508,8 +509,7 @@ def _cmd_sweep(args) -> dict:
                 row[m] = _check_finite(m, columns[m](v))
             # ValueError: DomainError, or the math domain error of a
             # conventional comparator outside x > 0
-            except (PrecisionError, ConvergenceError, ValueError,
-                    ArithmeticError) as exc:
+            except (ConvergenceError, ValueError, ArithmeticError) as exc:
                 row[m] = None
                 errors.append(f"{m}={exc}")
         if quantity == "partition" and "rademacher" in row and "oracle" in row:
@@ -538,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default="table")
-    common.add_argument("--constants", default=None, metavar="FILE",
-                        help="key = value file overriding h, k, c")
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument("--constants", default=None, metavar="FILE",
+                           help="key = value file overriding h, k, c")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partition", parents=[common],
@@ -579,14 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(handler=_cmd_thermo)
 
-    p = sub.add_parser("blackbody", parents=[common],
+    p = sub.add_parser("blackbody", parents=[common, constants],
                        help="spectral quantities in both models")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--temperature", type=float, required=True)
     p.add_argument("--volume", type=float, default=1.0)
     p.set_defaults(handler=_cmd_blackbody)
 
-    p = sub.add_parser("phonon", parents=[common],
+    p = sub.add_parser("phonon", parents=[common, constants],
                        help="Debye solid in both models")
     p.add_argument("--n-atoms", type=float, required=True)
     p.add_argument("--volume", type=float, required=True)
@@ -596,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-longitudinal", type=float, default=None)
     p.set_defaults(handler=_cmd_phonon)
 
-    p = sub.add_parser("quartz", parents=[common],
+    p = sub.add_parser("quartz", parents=[common, constants],
                        help="resonator flicker floor")
     p.add_argument("--preset", default=None)
     p.add_argument("--q-factor", type=float, default=None)
@@ -613,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.set_defaults(handler=_cmd_mellin)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, constants],
                        help="grid sweeps with models side by side")
     p.add_argument("--quantity", choices=_SWEEP_QUANTITIES, required=True)
     p.add_argument("--start", type=float, required=True)
@@ -647,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (PrecisionError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         sys.stderr.write(_json_value({"schema": 1, "error": exc.fields()}) + "\n")
         return 1
     # overflow, division by zero, inf or nan; or mpmath, which exact p(n)

@@ -1,11 +1,11 @@
 """Error types shared by all modules.
 
-Three failure classes cover every contract in the library: bad inputs
-(DomainError), a series past its term budget (PrecisionError), and
-sums that fail their certificate (ConvergenceError).  Computation errors
-carry their diagnostic fields so front ends can serialize them.  require_positive is the
-one check of a physical input: finite and > 0; require_integer that of a
-count such as n in p(n).
+Two failure classes cover every contract in the library: inputs outside
+an operation's domain, size limits included (DomainError), and sums that
+fail their certificate (ConvergenceError), which carries its diagnostic
+fields so front ends can serialize it.  require_positive is the one check
+of a physical input: finite and > 0; require_integer that of a count such
+as n in p(n); int_text spells an int of any size in a message.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ def require_integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-class PrecisionError(RuntimeError):
-    """The exact p(n) series needs more terms than its 5e6-term budget."""
-
-    def __init__(self, message: str, terms_attempted: int = 0):
-        super().__init__(message)
-        self.terms_attempted = terms_attempted
-
-    def fields(self) -> dict:
-        return {"type": "PrecisionError", "message": str(self),
-                "terms_attempted": self.terms_attempted}
+def int_text(n: int) -> str:
+    """n in decimal, or its sign and bit length where n is too long for
+    Python's int-to-str limit (4300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        sign = "a negative" if n < 0 else "an"
+        return f"{sign} integer of {abs(n).bit_length()} bits"
 
 
 class ConvergenceError(RuntimeError):

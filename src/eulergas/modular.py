@@ -29,8 +29,7 @@ from mpmath.libmp import from_man_exp, mpf_cos_pi, mpf_exp, mpf_pi, to_fixed
 
 from . import thermo
 from .arith import FactoredA, factored_a
-from .errors import (ConvergenceError, DomainError, PrecisionError,
-                     require_integer)
+from .errors import ConvergenceError, DomainError, int_text, require_integer
 # eta and G2 live in thermo; these names keep eulergas.modular.eta working
 from .thermo import EtaTransform, eisenstein_g2, eta, eta_transform  # noqa: F401
 
@@ -39,16 +38,17 @@ __all__ = [
     "RademacherResult", "rademacher_p", "leading_term_p", "asymptotic_p",
 ]
 
-# Least working precision of the exact p(n) series, and the most terms it
-# may take before PrecisionError
+# Least working precision of the exact p(n) series
 _WORK_BITS = 64
-_MAX_TERMS = 5_000_000
 # Z(e^{-x}) exceeds the largest double below this x: the root of
 # -x/24 + ln(x/2pi)/2 + pi^2/(6x) = ln(DBL_MAX), rounded up
 Z_OVERFLOW_X = 2.3047e-3
 # The largest n whose leading term and crude estimate of p(n) fit a double:
 # both logs pass ln(DBL_MAX) between n = 79 445 and 79 446
 ESTIMATE_MAX_N = 79_445
+# The largest n taken by the exact series: the largest n whose remainder
+# bound at 5*10^6 terms is below 1/5
+EXACT_MAX_N = 466_735_713_430_801
 # ln(DBL_MAX): the largest v for which math.exp(v) does not overflow
 _LOG_DBL_MAX = 709.782712893384
 
@@ -117,10 +117,10 @@ def _estimate_n(n: int, name: str) -> int:
     it is an integer from 1 to ESTIMATE_MAX_N."""
     n = require_integer("n", n)
     if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+        raise DomainError(f"need n >= 1, got {int_text(n)}")
     if n > ESTIMATE_MAX_N:
-        raise DomainError(f"the {name} of p({n}) overflows a double; it "
-                          f"fits only for n <= {ESTIMATE_MAX_N}")
+        raise DomainError(f"the {name} of p({int_text(n)}) overflows a "
+                          f"double; it fits only for n <= {ESTIMATE_MAX_N}")
     return n
 
 
@@ -190,22 +190,16 @@ def _remainder_bound(n: int, terms: int) -> float:
 
 def _term_count(n: int) -> int:
     """N for p(n), n >= 2: the least number of terms whose remainder bound
-    is below _REM_TARGET.  PrecisionError if that exceeds _MAX_TERMS."""
+    is below _REM_TARGET."""
     # The bound falls strictly as N grows: d/dN of sqrt(N) sinh(a), with
-    # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0.  So if it
-    # is not below the target at the budget, no N within the budget will
-    # do; and where it is, the search below can bisect.
-    if _remainder_bound(n, _MAX_TERMS) >= _REM_TARGET:
-        raise PrecisionError(f"series for p({n}) needs more than "
-                             f"{_MAX_TERMS} terms, budget is {_MAX_TERMS}",
-                             _MAX_TERMS + 1)
-    # The first part of the bound alone exceeds the target at every count
-    # up to lo.  Double from there until the bound is below it (at the
-    # budget at the latest), then bisect (lo, hi].
+    # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0, so the
+    # search can bisect.  The first part of the bound alone exceeds the
+    # target at every count up to lo.  Double from there until the bound
+    # is below it, then bisect (lo, hi].
     lo = math.ceil((_REM_A / _REM_TARGET) ** 2) - 1
     hi = lo + 1
     while _remainder_bound(n, hi) >= _REM_TARGET:
-        lo, hi = hi, min(2 * hi, _MAX_TERMS)
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _remainder_bound(n, mid) < _REM_TARGET:
@@ -314,15 +308,18 @@ def rademacher_p(n: int) -> RademacherResult:
     to them and the sum rounded.  The result's error_bound is the
     remainder bound plus the counted evaluation error, and the value is
     certified only when residual + error_bound < 1/2; otherwise
-    ConvergenceError is raised.  PrecisionError is raised up front when N
-    would exceed 5e6 terms (n above about 4.7e14), and DomainError for
-    non-integer or negative n.
+    ConvergenceError is raised.  DomainError is raised for non-integer or
+    negative n, and up front for n > EXACT_MAX_N (about 4.7e14, where N
+    would pass 5e6 terms).
 
     p(0) = p(1) = 1 are returned directly: the remainder bound needs n >= 2.
     """
     n = require_integer("n", n)
     if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
+        raise DomainError(f"need n >= 0, got {int_text(n)}")
+    if n > EXACT_MAX_N:
+        raise DomainError(f"exact p(n) takes n <= {EXACT_MAX_N}, "
+                          f"got {int_text(n)}")
     if n <= 1:
         return RademacherResult(n, 1, 0, 0.0, 0.0)
     n_terms = _term_count(n)

@@ -55,6 +55,11 @@ def test_divisor_sigma_rejects_zero():
         divisor_sigma(1, 0)
     with pytest.raises(DomainError):
         divisors(0)
+    # an int past the int-to-str limit is named by its bit length
+    with pytest.raises(DomainError, match="negative integer of 16610 bits"):
+        divisor_sigma(1, -10 ** 5000)
+    with pytest.raises(DomainError, match="negative integer of 16610 bits"):
+        divisors(-10 ** 5000)
 
 
 def test_sigma_multiplicative_for_coprime_pairs():
@@ -220,6 +225,9 @@ def test_reduced_fraction_rejects_unreduced():
         reduced_fraction(2, 4)
     with pytest.raises(DomainError):
         reduced_fraction(1, 0)
+    for num, den in ((2 * 10 ** 5000, 4), (1, -10 ** 5000)):
+        with pytest.raises(DomainError, match="integer of 1661[01] bits"):
+            reduced_fraction(num, den)
     assert reduced_fraction(3, 7) == Fraction(3, 7)
 
 
@@ -328,6 +336,10 @@ def test_dedekind_rejects_bad_input():
         dedekind_sum(3, 2, CLASSICAL)
     with pytest.raises(DomainError):
         dedekind_sum(0, 2, CLASSICAL)
+    big = 10 ** 5000
+    for p, q in ((1, -big), (-big, 3), (2 * big, 4 * big + 2)):
+        with pytest.raises(DomainError, match="integer of 166"):
+            dedekind_sum(p, q, CLASSICAL)
 
 
 def test_classical_reciprocity():

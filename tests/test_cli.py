@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eulergas
+from eulergas import modular
 from eulergas.cli import _json_value, _sweep_columns, build_parser, main
 
 
@@ -214,6 +215,21 @@ def test_partition_sweep_matches(capsys):
     rows = csv_rows(out)
     assert len(rows) == 40
     assert all(r["match"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("start, stop, err", [
+    ("0.5", "3.7", "error: partition sweep needs an integer --start, got 0.5\n"),
+    ("5", "5.5", "error: partition sweep needs an integer --stop, got 5.5\n"),
+])
+def test_partition_sweep_refuses_non_integral_bounds(capsys, start, stop, err):
+    # 0.5..3.7 used to sweep n = 0..3 while echoing 0.5 and 3.7
+    assert run_cli(capsys, "sweep", "--quantity", "partition",
+                   "--start", start, "--stop", stop) == (2, "", err)
+    # an integral float is an integer
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "partition",
+                           "--start", "1e3", "--stop", "1002", "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == [1000, 1001, 1002]
 
 
 def test_noise_sweep_slopes(capsys):
@@ -553,14 +569,19 @@ def test_unreduced_fraction_is_usage_error(capsys):
     assert "not reduced" in err
 
 
-def test_computation_error_serialized(capsys):
-    # p(10^30) needs more Rademacher terms than the 5e6 budget allows
-    code, _, err = run_cli(capsys, "partition", "--n", str(10 ** 30))
-    assert code == 1
-    payload = json.loads(err)
-    assert payload["error"]["type"] == "PrecisionError"
-    assert payload["error"]["terms_attempted"] == 5000001
-    assert "budget is 5000000" in payload["error"]["message"]
+def test_computation_error_serialized(capsys, monkeypatch):
+    # every remainder bound 0.55 under a target of 0.6 stops the series at
+    # 4 terms, whose residual + error bound cannot fall below 1/2
+    monkeypatch.setattr(modular, "_REM_TARGET", 0.6)
+    monkeypatch.setattr(modular, "_remainder_bound", lambda n, terms: 0.55)
+    code, out, err = run_cli(capsys, "partition", "--n", "100")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert list(error) == ["type", "message", "terms_used", "residual"]
+    assert error["type"] == "ConvergenceError"
+    assert "not certified" in error["message"]
+    assert error["terms_used"] == 4 and 0.0 <= error["residual"] <= 0.5
 
 
 @pytest.mark.parametrize("argv", [
@@ -677,11 +698,29 @@ def test_bad_constants_file_is_a_usage_error(capsys, tmp_path, argv):
 
 
 def test_constants_read_only_where_used(capsys, tmp_path):
-    # thermo quantities take no h, k or c, so a sweep of one ignores the file
-    code, _, _ = run_cli(capsys, "sweep", "--quantity", "energy", "--start", "1",
-                         "--stop", "2", "--points", "2",
-                         "--constants", str(tmp_path / "missing.cfg"))
-    assert code == 0
+    # thermo quantities take no h, k or c, so a sweep of one refuses the file
+    code, out, err = run_cli(capsys, "sweep", "--quantity", "energy",
+                             "--start", "1", "--stop", "2", "--points", "2",
+                             "--constants", str(tmp_path / "missing.cfg"))
+    assert code == 2 and out == ""
+    assert err == "error: energy sweep takes no --constants\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "--n", "50"),
+    ("farey", "--order", "3"),
+    ("ford", "--fraction", "1/2"),
+    ("dedekind", "--p", "1", "--q", "3"),
+    ("eta", "--tau", "0.1,0.9"),
+    ("thermo", "--x", "1"),
+    ("mellin-check", "--s", "3", "--kind", "energy"),
+])
+def test_constants_is_unknown_where_h_k_and_c_are_not_used(capsys, tmp_path,
+                                                           argv):
+    code, out, err = run_cli(capsys, *argv, "--constants",
+                             str(tmp_path / "missing.cfg"))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --constants" in err
 
 
 _QUARTZ = ("quartz", "--carrier", "5e6", "--volume", "1e-6",
@@ -869,14 +908,15 @@ def _cli_argv(draw):
             start = draw(st.integers(-3, _MAX_N))
             stop = start + draw(st.integers(-2, _MAX_SPAN))
             argv += [f"--start={start}", f"--stop={stop}",
-                     draw(st.sampled_from(("--start=nan", "--stop=inf", "")))]
+                     draw(st.sampled_from(("--start=nan", "--stop=inf",
+                                           "--stop=2.5", "")))]
         else:
             argv += [num("start"), num("stop"), integer("points", -1, _MAX_POINTS),
                      choice("scale", ("linear", "log"))]
             if quantity in ("emissivity", "frac-noise"):
                 argv += [num("temperature"), num("volume")]
     constants = draw(st.sampled_from(_CONSTANTS))
-    if constants is not None:
+    if command in ("blackbody", "phonon", "quartz", "sweep") and constants:
         argv.append(f"--constants={constants}")
     return [command, *[a for a in argv if a], "--format=json"]
 
@@ -987,7 +1027,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
 
 forget()
 import eulergas
-assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 66
+assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 65
 for name in eulergas.__all__:
     value = getattr(eulergas, name)
     home = sys.modules[value.__module__]

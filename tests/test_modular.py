@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eulergas import modular
 from eulergas.arith import (DedekindConvention, dedekind_sum,
-                            partition_count_oracle)
+                            farey_sequence, partition_count_oracle)
 from eulergas.errors import DomainError
 from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
@@ -548,6 +548,16 @@ def test_estimates_keep_their_bits_where_e_to_the_k_lam_fits():
 def test_non_integer_n_is_a_domain_error(func, n):
     with pytest.raises(DomainError, match="must be an integer"):
         func(n)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("func", [rademacher_p, partition_count_oracle,
+                                  leading_term_p, asymptotic_p,
+                                  farey_sequence])
+def test_integers_past_the_int_to_str_limit_are_a_domain_error(func, sign):
+    # the message gives 10^5000's bit length, as such an int has no str
+    with pytest.raises(DomainError, match="integer of 16610 bits"):
+        func(sign * 10 ** 5000)
 
 
 def test_integer_types_are_taken_as_n():

@@ -4,8 +4,8 @@ The pentagonal-recurrence oracle checks every n up to 3000; the factored
 A_q(n) is checked against Selberg's formula and the Dedekind-phase sums,
 and Selberg's against the Dedekind-phase sums; Rademacher's remainder
 bound against 200-bit partial sums; and p(n) beyond the oracle's reach
-against the recurrence mod 2^64 and Ramanujan's congruences.  Past the
-term budget the series is refused at once, and a sum that misses its
+against the recurrence mod 2^64 and Ramanujan's congruences.  Past
+EXACT_MAX_N the series is refused at once, and a sum that misses its
 certificate raises ConvergenceError.
 """
 
@@ -23,7 +23,7 @@ import pytest
 from eulergas import arith, cli, modular
 from eulergas.arith import (DedekindConvention, factored_a,
                             partition_count_oracle)
-from eulergas.errors import ConvergenceError, DomainError, PrecisionError
+from eulergas.errors import ConvergenceError, DomainError
 from eulergas.modular import _remainder_bound, rademacher_p
 from oracles import kloosterman_A, rademacher_partial_sum, selberg_A
 
@@ -335,7 +335,7 @@ def _one_json_error(err):
 
 @pytest.mark.parametrize("n", [2, 100, 10 ** 6, 10 ** 14])
 def test_remainder_bound_falls_with_the_term_count(n):
-    # the premise of refusing up front: sqrt(N) sinh(K sqrt(n)/N) falls
+    # the premise of the bisection for N: sqrt(N) sinh(K sqrt(n)/N) falls
     # strictly as N grows (where it overflows the bound reads inf)
     counts = [1, 2, 3, 5, 10, 31, 100, 10 ** 3, 10 ** 4, 10 ** 5,
               10 ** 6, 5 * 10 ** 6, 10 ** 7]
@@ -345,27 +345,26 @@ def test_remainder_bound_falls_with_the_term_count(n):
 
 
 def test_series_past_the_term_budget_is_refused_at_once():
-    # the bound at the 5e6-term budget decides, so there is no search
-    last = 466_735_713_430_801  # the largest n whose bound there is < 1/5
-    assert _remainder_bound(last, modular._MAX_TERMS) < modular._REM_TARGET
-    # 10^400 is past the range of a double, where the bound reads inf
+    # EXACT_MAX_N is the largest n whose bound at 5e6 terms is < 1/5
+    last = 466_735_713_430_801
+    assert modular.EXACT_MAX_N == last
+    assert (_remainder_bound(last, 5_000_000) < 1 / 5
+            <= _remainder_bound(last + 1, 5_000_000))
+    # 10^400 is past the range of a double
     for n in (last + 1, 10 ** 16, 10 ** 30, 10 ** 400):
         start = time.monotonic()
-        with pytest.raises(PrecisionError, match="budget is 5000000") as info:
+        with pytest.raises(DomainError, match=f"n <= {last}, got"):
             rademacher_p(n)
         assert time.monotonic() - start < 1.0
-        assert info.value.terms_attempted == modular._MAX_TERMS + 1
 
 
 def test_cli_refuses_past_the_term_budget_at_once():
     start = time.monotonic()
     code, out, err = _run_cli(["partition", "--n", str(10 ** 30)])
     assert time.monotonic() - start < 1.0
-    assert code == 1 and out == ""
-    error = _one_json_error(err)
-    assert error["type"] == "PrecisionError"
-    assert error["terms_attempted"] == modular._MAX_TERMS + 1
-    assert "needs more than 5000000 terms" in error["message"]
+    assert code == 2 and out == ""
+    assert err == ("error: exact p(n) takes n <= 466735713430801, "
+                   f"got {10 ** 30}\n")
 
 
 def test_uncertified_sum_raises_convergence_error(monkeypatch):
