@@ -36,10 +36,22 @@ __all__ = [
 # Divisor sums
 # ---------------------------------------------------------------------------
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in increasing order (trial division)."""
+# The largest n divisors and divisor_sigma take: trial division to sqrt(n)
+# takes about 0.07 s at 10^12 and ten times that at 10^14
+_DIVISORS_MAX_N = 10 ** 12
+
+
+def _require_divisor_n(name: str, n: int) -> None:
     if n < 1:
-        raise DomainError(f"divisors needs n >= 1, got {int_text(n)}")
+        raise DomainError(f"{name} needs n >= 1, got {int_text(n)}")
+    if n > _DIVISORS_MAX_N:
+        raise DomainError(f"{name} takes n <= 10**12, got {int_text(n)}")
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n <= 10^12 in increasing order (trial
+    division)."""
+    _require_divisor_n("divisors", n)
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -54,13 +66,12 @@ def divisors(n: int) -> list[int]:
 
 
 def divisor_sigma(k: int, n: int) -> int | Fraction:
-    """Sum of k-th powers of the divisors of n, exactly.
+    """Sum of k-th powers of the divisors of n <= 10^12, exactly.
 
     Negative k is allowed and returns a Fraction; sigma_{-1}(n) equals
     sigma_1(n)/n.  Integers come back for k >= 0.
     """
-    if n < 1:
-        raise DomainError(f"divisor_sigma needs n >= 1, got {int_text(n)}")
+    _require_divisor_n("divisor_sigma", n)
     if k >= 0:
         return sum(d ** k for d in divisors(n))
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))

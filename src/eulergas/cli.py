@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_quartz)
 
     p = sub.add_parser("mellin-check", parents=[common],
-                       help="quadrature vs Gamma*zeta*zeta closed form")
+                       help="Mellin integral vs Gamma*zeta*zeta closed form")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--kind", choices=("free-energy", "occupation", "energy"),
                    required=True)

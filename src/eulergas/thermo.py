@@ -22,14 +22,13 @@ terms, and a contour bound on Wigert's remainder.  There is no term budget:
 every finite x > 0 gives finite values, except below x ~ 3.9e-306, where N
 exceeds the largest double and OverflowError is raised.
 
-The Mellin checks integrate [0, 1e-3] in closed small-x form and the rest
-by a double-precision tanh-sinh rule, the same as mpmath.fp.quad's to the
-bit, and compare with Gamma(s) zeta zeta from math.gamma and an
-Euler-Maclaurin zeta.  Those two, zeta(3), Euler's constant and the exact
-Bernoulli numbers B_2..B_42 live here, beside their users: the Mellin
-closed forms and Wigert's expansion, and phonon's Debye series and
-radiation's zeta(3) factors, which import this module anyway.  The Planck
-factor is written in e^{-x} form, so it vanishes instead of overflowing.
+The Mellin checks take [0, 0.9] in closed small-x form and the rest term by
+term as incomplete gamma functions, with a bound on the error, against
+Gamma(s) zeta zeta from math.gamma and an Euler-Maclaurin zeta.  Those two,
+zeta(3), Euler's constant and the Bernoulli numbers B_2..B_42 live here,
+beside their users, Wigert's expansion, phonon's Debye series and
+radiation's zeta(3) factors.  The Planck factor is written in e^{-x} form,
+so it vanishes instead of overflowing.
 
 eta(tau) = e^{i pi tau/12} P(y) and the weight-two Eisenstein series
 G2(tau) = pi^2/3 + 8 pi^2 P_1/P on the upper half plane, with eta's shift
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from enum import Enum
 from functools import lru_cache
@@ -63,8 +63,6 @@ __all__ = [
     "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
 ]
 
-LOWFREQ_SWITCH = 1e-3    # Mellin integrands are integrated in closed
-                         # small-x form below this x
 DUAL_SWITCH = 0.9        # below this x: the dual scale for F, E and the
                          # fluctuation, Wigert's expansion for N
 TAIL_EPS = 2.0 ** -56    # the pentagonal and Clausen sums stop once their
@@ -72,6 +70,8 @@ TAIL_EPS = 2.0 ** -56    # the pentagonal and Clausen sums stop once their
                          # pentagonal) are below this fraction of their first
                          # term r, Wigert's once its remainder bound is below
                          # it times the leading term
+_U = 2.0 ** -53          # the unit roundoff: one rounding moves a double by
+                         # at most this fraction of it
 # Tail bounds are rounded up by this factor, which covers the relative error
 # of evaluating them in floating point (below 1e-14 for every x)
 _BOUND_ROUNDING = 1.0 + 1e-12
@@ -461,167 +461,166 @@ def planck_factor(x: float, variant: PlanckVariant) -> float:
 # Mellin-transform checks
 # ---------------------------------------------------------------------------
 
-# mpmath.fp.quad's stop: the estimated error at most eps/8
-_QUAD_EPS = 2.0 ** -55
-
-
-@lru_cache(maxsize=6)
-def _tanh_sinh_nodes(degree: int) -> list[tuple[float, float]]:
-    """The tanh-sinh nodes x = tanh(pi/2 sinh t) and weights
-    w = pi/2 cosh t / cosh^2(pi/2 sinh t) on [-1, 1] that step 2^-degree
-    adds: t = +-2^-degree (2k + 1), and at degree 1 also t = 0 and every
-    multiple of 1/2.  e^{pi/2 sinh t} = e^{a - b}, with a = pi/4 e^t and
-    b = pi/4 e^{-t} stepped by multiplication, until x rounds to 1 (by
-    t ~ 3.2, long before mpmath's cap of 20 2^degree steps)."""
-    t0 = math.ldexp(1.0, -degree)
-    nodes = [(0.0, math.pi / 2)] if degree == 1 else []
-    up = math.exp(t0 if degree == 1 else 2 * t0)
-    down = 1 / up
-    a, b = math.pi / 4 * math.exp(t0), math.pi / 4 / math.exp(t0)
-    while True:
-        c = math.exp(a - b)
-        d = 1 / c
-        co = (c + d) / 2
-        x = (c - d) / 2 / co
-        if x == 1.0:  # mpmath's |x - 1| <= 2^-63 in doubles
-            break
-        w = (a + b) / co ** 2
-        nodes += ((x, w), (-x, w))
-        a *= up
-        b *= down
-    return nodes
-
-
-def _tanh_sinh(f, lo: float, hi: float) -> float:
-    """The integral of f over [lo, hi] by tanh-sinh quadrature (Takahasi and
-    Mori 1974), as mpmath.fp.quad takes it, to the bit: degrees 1 to 6, each
-    halving the step and reusing the last sum, until the error extrapolated
-    from the last three sums (Bailey, Borwein and Girgensohn) is at most
-    _QUAD_EPS."""
-    half, mid = (hi - lo) / 2, (hi + lo) / 2
-    sums: list[float] = []
-    for degree in range(1, 7):
-        h = 2.0 ** -degree
-        total = sums[-1] / (h * 2) if sums else 0.0
-        total += sum([half * w * f(mid + half * x)
-                      for x, w in _tanh_sinh_nodes(degree)], 0.0)
-        sums.append(h * total)
-        if degree == 1:
-            continue
-        if degree == 2:
-            err = abs(sums[0] - sums[1])
-        elif sums[-1] == sums[-2] == sums[-3]:
-            err = 0.0
-        elif sums[-1] == sums[-2] or sums[-1] == sums[-3]:
-            err = _QUAD_EPS  # log of 0
-        else:
-            d1 = math.log(abs(sums[-1] - sums[-2]), 10)
-            d2 = math.log(abs(sums[-1] - sums[-3]), 10)
-            err = 10.0 ** int(min(0, max(d1 ** 2 / d2, 2 * d1, -53)))
-        if err <= _QUAD_EPS:
-            break
-    return sums[-1]
-
-
 class MellinKind(Enum):
     FREE_ENERGY = "free-energy"
     OCCUPATION = "occupation"
     ENERGY = "energy"
 
 
-def _free_energy_head(s: float, c: float) -> float:
-    return (math.pi ** 2 / 6.0 * c ** (s - 1.0) / (s - 1.0)
-            + 0.5 * c ** s * (math.log(c / (2.0 * math.pi)) / s - 1.0 / s ** 2)
-            - c ** (s + 1.0) / (24.0 * (s + 1.0)))
+def _mellin_head(s: float, k: int, c: float) -> tuple[list[float], float]:
+    """The integral over [0, c] of x^{s-1} times the closed small-x form of
+    -F/kT, N or (E/kT)/x (k = -1, 0, 1) as parts to add, and a bound on what
+    the form drops, at most its value at c times c^s/s: ln Z(4 pi^2/x) <=
+    q/(1 - q)^2 and E(4 pi^2/x)/x <= (4 pi^2/x^2) q (1 + q)/(1 - q)^3 grow with
+    x < 2 pi^2, q = e^{-4 pi^2/x}.  N's K Wigert terms leave c^s/(s + 2K)
+    times their remainder bound at c, as it grows like x^{2K}, and make two
+    roundings more than _mellin_integral counts for a head part."""
+    c_s = c ** s
+    if k == 0:
+        _, terms, bound = _wigert(c)
+        lead = c ** (s - 1.0)
+        wigert = [w * c ** (2 * j - 1) * c_s / (2 * j - 1 + s)
+                  for j, w in enumerate(_WIGERT[:terms], 1)]
+        return ([lead * (euler_gamma() - math.log(c)) / (s - 1.0),
+                 lead / (s - 1.0) ** 2, c_s / (4.0 * s)] + [-v for v in wigert],
+                bound * c_s / (s + 2 * terms) + 2.0 * _U * sum(wigert))
+    q = math.exp(-4.0 * math.pi ** 2 / c)
+    if k == -1:
+        return ([math.pi ** 2 / 6.0 * c ** (s - 1.0) / (s - 1.0),
+                 0.5 * c_s * math.log(c / (2.0 * math.pi)) / s,
+                 -0.5 * c_s / s / s, -c ** (s + 1.0) / (24.0 * (s + 1.0))],
+                q / (1.0 - q) ** 2 * c_s / s)
+    return ([math.pi ** 2 / 6.0 * c ** (s - 2.0) / (s - 2.0),
+             -0.5 * c ** (s - 1.0) / (s - 1.0), c_s / (24.0 * s)],
+            4.0 * math.pi ** 2 / c ** 2 * q * (1.0 + q) / (1.0 - q) ** 3 * c_s / s)
 
 
-def _occupation_head(s: float, c: float) -> float:
-    _, k_terms, _ = _wigert(c)
-    return (c ** (s - 1.0) * ((euler_gamma() - math.log(c)) / (s - 1.0)
-                              + 1.0 / (s - 1.0) ** 2)
-            + c ** s / (4.0 * s)
-            - sum(w * c ** (2 * k - 1 + s) / (2 * k - 1 + s)
-                  for k, w in enumerate(_WIGERT[:k_terms], 1)))
+def _mellin_integral(s: float, k: int) -> tuple[float, float]:
+    """The integral of x^{s-1} sum_n sigma_k(n) e^{-nx} over x > 0, for
+    k = -1, 0 or 1 and s > k + 1, and a bound on its error.
+
+    Below a = DUAL_SWITCH it is _mellin_head's, with bound R.  Above, term n
+    is sigma_k(n) n^{-s} Gamma(s, na) = sigma_k(n) a^s r^n h_n, r = e^{-a},
+    h_n = Gamma(s, x) x^{-s} e^x at x = na.  Below x = s + 2 it is taken as
+    n^{-s} Gamma(s) - a^s r^n S, with S = sum p_j, p_j = x^j/(s (s+1) ... (s+j)),
+    stopped once p_J < _U S and rho = x/(s + J + 1) <= 1/2; its rest is at
+    most p_J rho/(1 - rho).  Above, Lentz's method gives h at
+    s' = s - m in [1/2, 3/2] from the Stieltjes fraction
+    1/(x + (1 - s')/(1 + 1/(x + (2 - s')/(1 + 2/(x + ...))))), positive after
+    its second element, so h lies between successive approximants f_j and
+    f_j/delta_j; m steps of h(s + 1) = (1 + s h(s))/x, which shrink every
+    error, raise it to s.  h_n <= h_{n-1} bounds a term before it is taken,
+    so the fraction needs fewer digits as the terms fall.
+
+    The bound adds R, the rests of the series and fractions, and
+    - the dropped terms: h_n = int_0^inf (1 + t)^{s-1} e^{-xt} dt falls with
+      x and sigma_k(n) <= 2 n^g, g = max(k, 0) + 1/2, so the terms past n
+      add at most 2 a^s r^n h_n sum_{m>n} m^g r^{m-n}, a geometric series of
+      ratio at most 1.5^g r < 1.  The sum stops once this is below _U/4 of
+      the sum so far, by n = 52, as a^s r^n h_n <= r^{n-1} a^s r h_1;
+    - the rounding, to first order, part by part, with fsum's one rounding:
+      a rounding is at most _U, pow, exp and log 1 ulp (2 _U), math.gamma
+      10 ulps (as CPython states).  A head part makes 7 _U, and |y ln a| _U
+      for the rounded exponent y <= s + 1 of its power of a; r^n (3n - 1) _U;
+      sigma_k(n) n^{-s} Gamma(s) 10 ulps of Gamma(s), and 5 _U from n = 2;
+      a lower-series part (3n + 6) _U and (4j + 1) _U on p_j; a fraction's
+      part (15i + 3m + 3n + 7) _U after i pairs of elements of 15 roundings:
+      where the elements are positive, the error a rounding leaves on the
+      later deltas alternates in sign and shrinks, so it moves their product
+      by at most its own size.  The rounded x = na moves h by at most
+      x/(x - s + 1) _U, as h'/h >= -1/(x - s + 1).
+    The total is rounded up by _BOUND_ROUNDING for the second-order terms.
+    """
+    a = DUAL_SWITCH
+    parts, bound = _mellin_head(s, k, a)
+    bound += (7.0 - math.log(a) * (s + 1.0)) * _U * sum(map(abs, parts))
+    gamma_s, r, a_s = math.gamma(s), math.exp(-a), a ** s
+    gamma_ulps = 10.0 * math.ulp(gamma_s)
+    m = round(s) - 1
+    s_low = s - m
+    g = max(k, 0) + 0.5
+    drop_factor = 2.0 * r / (1.0 - 1.5 ** g * r)
+    sigma = [0] * 52  # sigma_k(n) for n <= 52, sigma_1(n) for k = -1
+    for div in range(1, 53):
+        for i in range(div - 1, 52, div):
+            sigma[i] += 1 if k == 0 else div
+    total, rn, h = sum(parts), 1.0, math.inf
+    for n, w in enumerate(sigma, 1):
+        w = w / n if k == -1 else w  # sigma_{-1}(n), rounded once
+        rn *= r
+        x, a_rn = n * a, a_s * rn
+        if x < s + 2.0:
+            p_j = partial = 1.0 / s
+            series, j = [p_j], 0
+            while p_j > _U * partial or s + j + 1.0 < 2.0 * x:
+                j += 1
+                p_j *= x / (s + j)
+                series.append(p_j)
+                partial += p_j
+            rho = x / (s + j + 1.0)
+            err = 4.0 * math.fsum(map(operator.mul, range(j + 1), series)) + partial
+            full, low = gamma_s * n ** -s * w, w * a_rn * math.fsum(series)
+            parts += (full, -low)
+            t = full - low
+            bound += (gamma_ulps * n ** -s * w
+                      + (0.0 if n == 1 else 5.0) * _U * full + (3 * n + 6) * _U * low
+                      + w * a_rn * (_U * err + p_j * rho / (1.0 - rho)))
+        else:
+            tol = max(_U, _U * total / (64.0 * w * a_rn * h))
+            h = d = 1.0 / x
+            c, i = math.inf, 0  # c = A_1/A_0 with A_0 = 0
+            while True:
+                i += 1
+                e = i - s_low
+                d = 1.0 / (1.0 + e * d)
+                c = 1.0 + e / c
+                h *= c * d
+                d = 1.0 / (x + i * d)
+                c = x + i / c
+                delta = c * d
+                h *= delta
+                if abs(delta - 1.0) <= tol:
+                    break
+            for j in range(m):
+                h = (1.0 + (s_low + j) * h) / x
+            t = w * a_rn * h
+            parts.append(t)
+            bound += ((15 * i + 3 * (n + m) + 7 + x / (x - s + 1.0)) * _U * t
+                      + abs(t - t / delta))
+        total += t
+        drop = t / w * (n + 1) ** g * drop_factor
+        if drop <= 0.25 * _U * total:
+            break
+    integral = math.fsum(parts)
+    return integral, _BOUND_ROUNDING * (bound + drop + _U * abs(integral))
 
 
-def _energy_head(s: float, c: float) -> float:
-    return (math.pi ** 2 / 6.0 * c ** (s - 2.0) / (s - 2.0)
-            - 0.5 * c ** (s - 1.0) / (s - 1.0)
-            + c ** s / (24.0 * s))
+_MELLIN_MAX_S = 171.62  # Gamma(s) overflows a double from s = 171.6243...
 
-
-# The largest s a Mellin check takes: Gamma(s), and with it the closed form,
-# passes the largest double at s = 171.6243...
-_MELLIN_MAX_S = 171.62
-
-# Per kind: the least s (exclusive); the series in the integrand, -ln Z, N
-# and sum sigma_1(n) e^{-nx} = (E/kT)/x; its integral times x^{s-1} over
-# [0, c] in closed small-x form; and the Gamma*zeta*zeta closed form.  The
-# free-energy and energy heads are exact up to e^{-4 pi^2 / c}; the
-# occupation head integrates Wigert's expansion termwise, with as many terms
-# as it takes at x = c, so its remainder is as small.
-_MELLIN = {
-    MellinKind.FREE_ENERGY: (
-        1.0, lambda x: -free_energy(x), _free_energy_head,
-        lambda s: gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s + 1.0)),
-    MellinKind.OCCUPATION: (
-        1.0, occupation, _occupation_head,
-        lambda s: gamma_fn(s) * riemann_zeta(s) ** 2),
-    MellinKind.ENERGY: (
-        2.0, lambda x: internal_energy(x) / x, _energy_head,
-        lambda s: gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s - 1.0)),
-}
+# Per kind: k of the divisor sums sigma_k(n) in the integrand, -ln Z, N and
+# (E/kT)/x, whose Mellin transform is Gamma(s) zeta(s) zeta(s - k)
+_MELLIN = {MellinKind.FREE_ENERGY: -1, MellinKind.OCCUPATION: 0, MellinKind.ENERGY: 1}
 
 
 def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
-    """Quadrature of the Mellin integral against its Gamma*zeta closed form.
-
-    Returns (integral, closed_form) for the caller to compare.  The integral
-    is split at x = c and x = 1: the head on [0, c] is integrated in closed
-    small-x form, and [c, 1] and the tail, mapped through u = 1/x onto
-    [0, 1], by _tanh_sinh.  The tail is split once more at u = 1/4, near the
-    integrand's peak; in one piece the rule's rounding leaves ~1e-15
-    relative error.  s above 171.62 is refused with DomainError.
-    """
+    """(integral, closed_form): _mellin_integral's Mellin integral of a
+    per-mode series and its Gamma*zeta*zeta closed form, which meet only if
+    the dual-scale law holds below DUAL_SWITCH.  s above 171.62 is refused
+    with DomainError."""
     if not math.isfinite(s):
         raise DomainError(f"Mellin check needs finite s, got {s}")
     if kind not in _MELLIN:
         raise DomainError(f"unknown Mellin kind {kind!r}")
-    s_min, base, head, closed_form = _MELLIN[kind]
+    k = _MELLIN[kind]
+    s_min = max(1.0, k + 1.0)
     if s <= s_min:
         raise DomainError(f"{kind.value} Mellin check needs s > {s_min:g}, got {s}")
     if s > _MELLIN_MAX_S:
         raise DomainError(f"{kind.value} Mellin check needs s <= {_MELLIN_MAX_S}, "
                           f"where Gamma(s) nears the largest double; got {s}")
-    # The tail's integrand peaks near Gamma(s + 2) and the rule's sums reach
-    # 64 times the integral, which passes the largest double from s ~ 170.3:
-    # take the tail times 2^-e, which keeps Gamma(s) 2^-e below 2^512, and
-    # scale its integral back.  e = 0 up to s ~ 100.
-    e = max(0, int(math.lgamma(s) / math.log(2.0)) - 512)
-    scale = 2.0 ** -e
-
-    def fx(x: float) -> float:
-        return base(x) * x ** (s - 1.0)
-
-    def tail(u: float) -> float:
-        # the integrand vanishes once e^{-1/u} underflows; stop before u^{-s-1}
-        # can overflow at the rule's nodes next to u = 0
-        if u * 745.0 < 1.0:
-            return 0.0
-        b = base(1.0 / u)
-        try:
-            return b * u ** (-s - 1.0) * scale
-        except OverflowError:  # s above ~106: the product in logs
-            if b == 0.0:
-                return 0.0
-            return math.copysign(math.exp(
-                math.log(abs(b)) - (s + 1.0) * math.log(u) - e * math.log(2.0)), b)
-
-    c = LOWFREQ_SWITCH
-    lo = head(s, c)
-    mid = _tanh_sinh(fx, c, 1.0)
-    top = _tanh_sinh(tail, 0.0, 0.25) + _tanh_sinh(tail, 0.25, 1.0)
-    return lo + mid + top / scale, closed_form(s)
+    closed = (gamma_fn(s) * riemann_zeta(s) ** 2 if k == 0
+              else gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s - k))
+    return _mellin_integral(s, k)[0], closed
 
 
 # ---------------------------------------------------------------------------

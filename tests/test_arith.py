@@ -62,6 +62,24 @@ def test_divisor_sigma_rejects_zero():
         divisors(-10 ** 5000)
 
 
+def test_divisors_answer_up_to_their_limit():
+    # 10^12 = 2^12 5^12 has 13^2 divisors
+    assert len(divisors(10 ** 12)) == 169
+    assert divisor_sigma(0, 10 ** 12) == 169
+    assert divisor_sigma(1, 10 ** 12) == (2 ** 13 - 1) * (5 ** 13 - 1) // 4
+
+
+@pytest.mark.parametrize("n", [10 ** 12 + 1, 10 ** 20, 10 ** 5000],
+                         ids=["1e12+1", "1e20", "1e5000"])
+def test_divisors_past_their_limit_are_refused_at_once(n):
+    # trial division to sqrt(10^20) would run for hours
+    for call in (divisors, lambda n: divisor_sigma(1, n)):
+        start = time.monotonic()
+        with pytest.raises(DomainError, match=r"takes n <= 10\*\*12"):
+            call(n)
+        assert time.monotonic() - start < 0.05
+
+
 def test_sigma_multiplicative_for_coprime_pairs():
     for m in range(1, 51):
         for n in range(1, 51):

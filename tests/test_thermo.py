@@ -8,9 +8,8 @@ import pytest
 from eulergas import thermo
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _bose, _lambert, _pentagonal, _power_tails,
-                             _tanh_sinh,
-                             _wigert, entropy,
+                             _bose, _lambert, _mellin_integral, _pentagonal,
+                             _power_tails, _wigert, entropy,
                              entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
                              internal_energy, internal_energy_lowfreq,
@@ -263,50 +262,69 @@ def test_mellin_reference_values():
     assert closed == pytest.approx(2.7058, abs=1e-4)
 
 
+def _gamma_zeta_zeta_mp(s, kind):
+    # the closed form Gamma(s) zeta(s) zeta(s - k) at 40 digits
+    k = thermo._MELLIN[kind]
+    with mpmath.workdps(40):
+        return mpmath.gamma(s) * mpmath.zeta(s) * mpmath.zeta(s - k)
+
+
 @pytest.mark.parametrize("kind", list(MellinKind))
-def test_mellin_integrals_equal_mpmath_quadrature_bit_for_bit(kind, monkeypatch):
-    # _tanh_sinh is mpmath.fp.quad's rule and stop; with fp.quad put in its
-    # place, every integral of a grid of s has the same bits
-    s_min = thermo._MELLIN[kind][0]
-    grid = [s_min + d for d in (1e-3, 0.05, 0.3, 0.8, 1.0, 1.7, 2.5, 4.0,
-                                7.5, 15.0, 40.0)]
-    ours = [mellin_check(s, kind)[0] for s in grid]
-    monkeypatch.setattr(thermo, "_tanh_sinh",
-                        lambda f, lo, hi: mpmath.fp.quad(f, [lo, hi]))
-    assert [mellin_check(s, kind)[0] for s in grid] == ours
+def test_mellin_integral_within_its_bound(kind):
+    # 40 s from just above the least s to where Gamma(s) nears the largest
+    # double, denser at small s, where the head and the cancelling lower
+    # series weigh most, and two s just above s_min + 1, where Gamma(s) is
+    # just above a power of 2 and its 10 ulps weigh most; the bound must
+    # hold and stay below 4e-15
+    k = thermo._MELLIN[kind]
+    s_min = max(1.0, k + 1.0)
+    grid = [s_min + 1e-3 + (171.62 - s_min - 1e-3) * (i / 39) ** 2
+            for i in range(40)]
+    for s in grid + [s_min + 1.0, s_min + 1.0125]:
+        integral, bound = _mellin_integral(s, k)
+        exact = _gamma_zeta_zeta_mp(s, kind)
+        assert abs(integral - exact) <= bound <= 4e-15 * exact, s
 
 
-@pytest.mark.parametrize("f,lo,hi", [
-    (math.sin, 0.0, 3.0),
-    (math.sqrt, 0.0, 1.0),
-    (lambda x: 1.0 / (1.0 + x * x), -1.0, 2.0),
-    (lambda x: 1.0, 0.0, 1.0),       # equal sums: a zero estimated error
-    (lambda x: x ** 7, -1.0, 1.0),   # every sum 0
+@pytest.mark.parametrize("s,kind", [
+    (29.81, MellinKind.FREE_ENERGY), (29.82, MellinKind.FREE_ENERGY),
+    (127.92, MellinKind.FREE_ENERGY), (29.71, MellinKind.OCCUPATION),
+    (29.91, MellinKind.OCCUPATION), (30.0, MellinKind.OCCUPATION),
+    (127.95, MellinKind.OCCUPATION), (29.81, MellinKind.ENERGY),
+    (127.89, MellinKind.ENERGY), (127.91, MellinKind.ENERGY),
 ])
-def test_tanh_sinh_equals_mpmath_quadrature(f, lo, hi):
-    assert _tanh_sinh(f, lo, hi) == mpmath.fp.quad(f, [lo, hi])
+def test_mellin_check_where_the_quadrature_divided_by_zero(s, kind):
+    # the tanh-sinh rule's error estimate divided by log10 |S6 - S4|, which
+    # is 0 where that difference is 1.0: at these s, depending on the libm,
+    # it raised ZeroDivisionError
+    integral, closed = mellin_check(s, kind)
+    _, bound = _mellin_integral(s, thermo._MELLIN[kind])
+    exact = _gamma_zeta_zeta_mp(s, kind)
+    assert abs(integral - exact) <= bound <= 4e-15 * exact
+    assert abs(closed - exact) <= 4e-15 * exact
 
 
 @pytest.mark.parametrize("kind", list(MellinKind))
 @pytest.mark.parametrize("s,tol", [(107.0, 1e-14), (130.0, 1e-11),
                                    (170.0, 1e-8)])
 def test_mellin_check_where_the_tail_power_overflows(kind, s, tol):
-    # u^(-s-1) overflows a double at the tail's nodes near u = 1/745 from
-    # s ~ 106.4 up; there the integrand is taken in logs
+    # u^(-s-1) overflows a double at u = 1/745 from s ~ 106.4 up, where the
+    # tanh-sinh rule's tail took it in logs and left an error of up to tol;
+    # the incomplete-gamma terms raise no such power and meet 1e-15
     with pytest.raises(OverflowError):
         (1.0 / 745.0) ** (-s - 1.0)
     integral, closed = mellin_check(s, kind)
-    assert abs(integral - closed) <= tol * closed
+    assert abs(integral - closed) <= 1e-15 * closed < tol * closed
 
 
 @pytest.mark.parametrize("kind", list(MellinKind))
 @pytest.mark.parametrize("s", [170.5, 171.0, 171.6])
 def test_mellin_check_up_to_the_largest_double(kind, s):
-    # the tail's integrand and the rule's sums pass the largest double from
-    # s ~ 170.3, while Gamma(s) zeta zeta fits one up to s ~ 171.62
+    # Gamma(s) zeta zeta fits a double up to s ~ 171.62, and so does every
+    # part of the integral
     integral, closed = mellin_check(s, kind)
     assert math.isfinite(closed)
-    assert abs(integral - closed) <= 1e-8 * closed
+    assert abs(integral - closed) <= 1e-15 * closed
 
 
 @pytest.mark.parametrize("kind", list(MellinKind))
@@ -751,7 +769,7 @@ def test_occupation_matches_exact_bose_sum():
 
 @pytest.mark.parametrize("s", [1.2, 1.5, 2.0, 3.0, 4.5])
 def test_occupation_mellin_head_is_exact(s):
-    # the head on [0, 1e-3] integrates Wigert's expansion termwise, so the
-    # occupation check agrees to rounding, like the other two kinds
+    # the head on [0, DUAL_SWITCH] integrates Wigert's expansion termwise, so
+    # the occupation check agrees to rounding, like the other two kinds
     integral, closed = mellin_check(s, MellinKind.OCCUPATION)
     assert abs(integral - closed) <= 2e-15 * abs(closed)
