@@ -14,7 +14,7 @@ imports mpmath.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -36,22 +36,23 @@ __all__ = [
 # Divisor sums
 # ---------------------------------------------------------------------------
 
-# The largest n divisors and divisor_sigma take: trial division to sqrt(n)
-# takes about 0.07 s at 10^12 and ten times that at 10^14
-_DIVISORS_MAX_N = 10 ** 12
+# The largest n divisors and divisor_sigma take, and the largest q of
+# factored_a: trial division to sqrt(n) takes about 0.07 s at 10^12 and ten
+# times that at 10^14
+_TRIAL_DIVISION_MAX = 10 ** 12
 
 
-def _require_divisor_n(name: str, n: int) -> None:
+def _require_trial_division(name: str, n: int, arg: str = "n") -> None:
     if n < 1:
-        raise DomainError(f"{name} needs n >= 1, got {int_text(n)}")
-    if n > _DIVISORS_MAX_N:
-        raise DomainError(f"{name} takes n <= 10**12, got {int_text(n)}")
+        raise DomainError(f"{name} needs {arg} >= 1, got {int_text(n)}")
+    if n > _TRIAL_DIVISION_MAX:
+        raise DomainError(f"{name} takes {arg} <= 10**12, got {int_text(n)}")
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n <= 10^12 in increasing order (trial
     division)."""
-    _require_divisor_n("divisors", n)
+    _require_trial_division("divisors", n)
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -71,7 +72,7 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
     Negative k is allowed and returns a Fraction; sigma_{-1}(n) equals
     sigma_1(n)/n.  Integers come back for k >= 0.
     """
-    _require_divisor_n("divisor_sigma", n)
+    _require_trial_division("divisor_sigma", n)
     if k >= 0:
         return sum(d ** k for d in divisors(n))
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))
@@ -109,24 +110,22 @@ def partition_count_oracle(n: int) -> int:
     table = _partition_cache
     if n < len(table):
         return table[n]
-    # the generalized pentagonal numbers up to n, ascending, each with the sign
-    # of its term: 1, 2, 12, 15, ... (k odd) added, 5, 7, 22, ... subtracted
-    pentagonal: list[tuple[int, bool]] = []
-    k = 1
-    while k * (3 * k - 1) // 2 <= n:
-        add = k % 2 == 1
-        pentagonal += ((k * (3 * k - 1) // 2, add), (k * (3 * k + 1) // 2, add))
-        k += 1
+    # the generalized pentagonal numbers, ascending, each with the sign of
+    # its term: 1, 2, 12, 15, ... (k odd) added, 5, 7, 22, 26, ... subtracted
+    pentagonal = ((k * (3 * k + s) // 2, k % 2) for k in itertools.count(1)
+                  for s in (-1, 1))
+    # Entry m is appended when len(table) == m, so table[m - g] is
+    # table[-g]: plus and minus hold the offsets -g of the terms added and
+    # subtracted, grown as m passes each pentagonal number
+    plus: list[int] = []
+    minus: list[int] = []
+    g, add = next(pentagonal)
+    get = table.__getitem__
     for m in range(len(table), n + 1):
-        total = 0
-        for g, add in pentagonal:
-            if g > m:
-                break
-            if add:
-                total += table[m - g]
-            else:
-                total -= table[m - g]
-        table.append(total)
+        while g <= m:
+            (plus if add else minus).append(-g)
+            g, add = next(pentagonal)
+        table.append(sum(map(get, plus)) - sum(map(get, minus)))
     return table[n]
 
 
@@ -333,11 +332,6 @@ def _cospi_arg(r: int, s: int) -> tuple[int, int]:
     return min(r, 2 * s - r), s
 
 
-# The most (q, n mod q) pairs factored_a keeps: all 4095 of q <= 90, so
-# every residue of every term of p(n) for n up to 16 131 (N <= 90)
-_A_CACHE_SIZE = 4096
-
-
 def factored_a(q: int, n: int) -> FactoredA:
     """A_q(n), the root-of-unity sum of the exact partition series in the
     classical convention, as a product over the prime powers k = p^lam of q.
@@ -358,22 +352,22 @@ def factored_a(q: int, n: int) -> FactoredA:
                 (3|k) sqrt(k) if p divides D and lam = 1,
                 and 0 if D is no square mod k or p divides D and lam > 1.
 
-    The primes come from trial division.  That is O(log q) modular work and
-    omega(q) cosines, none for A_1 = 1 and A_2 = +-1.
+    The primes come from trial division, so q above 10^12 is refused with
+    DomainError, as are q < 1 and non-integer q or n.  That is O(log q)
+    modular work and omega(q) cosines, none for A_1 = 1 and A_2 = +-1.
 
     All of this depends on n only through n mod q: each root is of D modulo
-    a divisor of 24q, and the k = 2 sign is that of n mod 2.  So results are
-    kept in a least-recently-used cache keyed by (q, n mod q), at most
-    _A_CACHE_SIZE of them, which serves runs of consecutive n.
+    a divisor of 24q, and the k = 2 sign is that of n mod 2.  Nothing is
+    cached here; modular._a_record keeps the series' terms by (q, n mod q).
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    q = require_integer("q", q)
+    n = require_integer("n", n)
+    _require_trial_division("factored_a", q, "q")
     return _factored_a(q, n % q)
 
 
-@functools.lru_cache(maxsize=_A_CACHE_SIZE)
 def _factored_a(q: int, n: int) -> FactoredA:
-    """factored_a for 0 <= n < q."""
+    """factored_a for an int q >= 1 and an int n, without checks."""
     d = 1 - 24 * n
     sign, num, den, cospi = 1, 1, 1, []
     rest, p = q, 2

@@ -13,8 +13,9 @@ and the error of each term a proved count of units; its small terms are
 doubles, under an explicit bound.  Only pi, exp and cos(pi x) come from
 mpmath.libmp, each converted once to an int.  This is the only module
 that imports mpmath, and it does so at import, so that loading it (not
-the first p(n)) pays that cost.  The A_q(n) factors come from arith's
-cache, keyed by (q, n mod q).
+the first p(n)) pays that cost.  Each term's A_q(n) factors, with the
+doubles that depend on them alone, come from one bounded cache here,
+keyed by (q, n mod q).
 Everything else is double precision: Z(e^{-x}) on 0 < y < 1 is exp(-F/kT)
 from thermo, and Z elsewhere is from eta.
 """
@@ -22,13 +23,14 @@ from thermo, and Z elsewhere is from eta.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
 from mpmath.libmp import from_man_exp, mpf_cos_pi, mpf_exp, mpf_pi, to_fixed
 
 from . import thermo
-from .arith import FactoredA, factored_a
+from .arith import FactoredA, _factored_a
 from .errors import ConvergenceError, DomainError, int_text, require_integer
 # eta and G2 live in thermo; these names keep eulergas.modular.eta working
 from .thermo import EtaTransform, eisenstein_g2, eta, eta_transform  # noqa: F401
@@ -162,6 +164,7 @@ class RademacherResult(NamedTuple):
 
 _K = math.pi * math.sqrt(2.0 / 3.0)
 _LN2 = math.log(2.0)
+_PI_ROOT2 = math.pi * math.sqrt(2.0)
 # Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
 # |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
 _REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
@@ -172,6 +175,36 @@ _EVAL_BITS = 24
 # correct sum is at most its error bound, so anything below 1/4 certifies;
 # a fifth leaves the certificate a margin of about 1/10.
 _REM_TARGET = 0.2
+
+
+# The most (q, n mod q) records _a_record keeps: all 4095 of q <= 90, so
+# every residue of every term of p(n) for n up to 16 131 (N <= 90)
+_A_CACHE_SIZE = 4096
+
+
+class _ARecord(NamedTuple):
+    """What term q of the series for p(n) takes from A_q(n): everything
+    that depends on (q, n mod q) alone."""
+
+    a: FactoredA
+    n_cos: int      # len(a.cospi)
+    kq: float       # K_q = K/q
+    root_q: float   # sqrt(q)
+    lead: float     # sqrt(q) * |sign| * sqrt(num/den), a bound on sqrt(q)|A_q|
+    a_q: float      # A_q(n) in doubles
+
+
+@functools.lru_cache(maxsize=_A_CACHE_SIZE)
+def _a_record(q: int, n: int) -> _ARecord | None:
+    """The record of term q for 0 <= n < q, or None where A_q(n) = 0
+    exactly.  A_q(n) depends on n only through n mod q, so runs of
+    consecutive n, as in a sweep, mostly hit the cache."""
+    a = _factored_a(q, n)
+    if not a.sign:
+        return None
+    root_q = math.sqrt(q)
+    lead = root_q * (abs(a.sign) * math.sqrt(a.num / a.den))
+    return _ARecord(a, len(a.cospi), _K / q, root_q, lead, float(a))
 
 
 def _remainder_bound(n: int, terms: int) -> float:
@@ -194,12 +227,20 @@ def _term_count(n: int) -> int:
     # The bound falls strictly as N grows: d/dN of sqrt(N) sinh(a), with
     # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0, so the
     # search can bisect.  The first part of the bound alone exceeds the
-    # target at every count up to lo.  Double from there until the bound
-    # is below it, then bisect (lo, hi].
+    # target at every count up to lo.  With sinh a > a the whole bound
+    # exceeds it at every count up to `below`, within a few of N for small
+    # n: start there once the bound confirms it.  Double the step from lo
+    # until the bound is below the target, then bisect (lo, hi].
     lo = math.ceil((_REM_A / _REM_TARGET) ** 2) - 1
-    hi = lo + 1
-    while _remainder_bound(n, hi) >= _REM_TARGET:
-        lo, hi = hi, 2 * hi
+    below = math.ceil(((_REM_A + _REM_B * _K * math.sqrt(n / (n - 1)))
+                       / _REM_TARGET) ** 2) - 1
+    if below > lo and _remainder_bound(n, below) >= _REM_TARGET:
+        lo = below
+    step = 1
+    while _remainder_bound(n, lo + step) >= _REM_TARGET:
+        lo += step
+        step *= 2
+    hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _remainder_bound(n, mid) < _REM_TARGET:
@@ -295,7 +336,8 @@ def rademacher_p(n: int) -> RademacherResult:
     A_q(n), the root-of-unity sum of the classical Dedekind sums, comes
     from arith.factored_a, a product over the prime powers of q of a sign,
     a square root and at most one cosine each: O(log q) modular work and
-    no Dedekind sums.
+    no Dedekind sums.  It and the doubles that depend on it alone are
+    kept in _a_record's cache, keyed by (q, n mod q).
 
     N is fixed before any term is summed: the smallest N whose Rademacher
     remainder bound is below 1/5, found by doubling and bisection.  Term
@@ -324,8 +366,10 @@ def rademacher_p(n: int) -> RademacherResult:
         return RademacherResult(n, 1, 0, 0.0, 0.0)
     n_terms = _term_count(n)
     guard = _EVAL_BITS + n_terms.bit_length()
+    doubles_max = 52 - guard
     lam = math.sqrt(n - 1.0 / 24.0)
     inv_lam = 1.0 / lam
+    four_lam2 = 4.0 * lam * lam
     size_den = 2.0 * lam * lam * math.pi * math.sqrt(2.0)
 
     # Per term: log2 of a bound on its size, |A_q(n)| being at most
@@ -340,28 +384,21 @@ def rademacher_p(n: int) -> RademacherResult:
     doubles_size = 0.0
     top, total, scale = _WORK_BITS, 0, None
     for q in range(1, n_terms + 1):
-        a = factored_a(q, n)
-        if not a.sign:
+        record = _a_record(q, n % q)
+        if record is None:
             continue  # A_q(n) = 0 exactly
-        a_bound = abs(a.sign) * math.sqrt(a.num / a.den)
-        kq = _K / q
+        a, n_cos, kq, root_q, lead, a_q = record
         u = kq * lam
-        root_q = math.sqrt(q)
-        log2_size = (u + math.log(root_q * a_bound * (kq + inv_lam)
-                                  / size_den)) / _LN2
-        log2_units = math.log2(16.0 * (u + len(a.cospi) + 4.0))
-        if math.ceil(log2_size + log2_units) + guard <= 52:
+        log2_size = (u + math.log(lead * (kq + inv_lam) / size_den)) / _LN2
+        log2_units = math.log2(16.0 * (u + n_cos + 4.0))
+        if math.ceil(log2_size + log2_units) <= doubles_max:
             e = math.exp(u)
-            deriv = (((kq - inv_lam) * e + (kq + inv_lam) / e)
-                     / (4.0 * lam * lam))
-            a_q = a_bound if a.sign > 0 else -a_bound
-            for r, s in a.cospi:
-                a_q *= math.cos(math.pi * r / s)
-            doubles.append(root_q * deriv / (math.pi * math.sqrt(2.0)) * a_q)
+            deriv = ((kq - inv_lam) * e + (kq + inv_lam) / e) / four_lam2
+            doubles.append(root_q * deriv / _PI_ROOT2 * a_q)
             doubles_size += 2.0 ** log2_size
             eval_err += 2.0 ** (log2_size + log2_units - 52)
             continue
-        log2_units = _fixed_units(log2_size, len(a.cospi))
+        log2_units = _fixed_units(log2_size, n_cos)
         bits = max(math.ceil(log2_size + log2_units) + guard, _WORK_BITS)
         if q == 1:
             # No later term needs more bits, and none is high-precision

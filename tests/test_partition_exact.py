@@ -9,6 +9,7 @@ EXACT_MAX_N the series is refused at once, and a sum that misses its
 certificate raises ConvergenceError.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -132,10 +133,37 @@ def test_factored_a_shape():
         factored_a(0, 1)
 
 
+@pytest.mark.parametrize("q,n,match", [
+    (0, 1, "needs q >= 1, got 0"),
+    (-10 ** 5000, 1, "needs q >= 1, got a negative integer of 16610 bits"),
+    (10 ** 12 + 1, 1, r"takes q <= 10\*\*12, got 1000000000001"),
+    (10 ** 14 + 31, 1, r"takes q <= 10\*\*12"),
+    (10 ** 5000, 1, r"takes q <= 10\*\*12, got an integer of 16610 bits"),
+    (5.0, 1, "q must be an integer, got 5.0"),
+    (5, 1.0, "n must be an integer, got 1.0"),
+    (5, math.nan, "n must be an integer, got nan"),
+], ids=["0", "-1e5000", "1e12+1", "1e14+31", "1e5000", "q-float", "n-float",
+        "n-nan"])
+def test_factored_a_refuses_bad_input_at_once(q, n, match):
+    # trial division to sqrt(10^14) would take most of a second
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=match):
+        factored_a(q, n)
+    assert time.monotonic() - start < 0.05
+
+
+def test_factored_a_answers_up_to_its_limit():
+    # 10^12 = 2^12 5^12: 5 divides 1 - 24n for n = 4, and 25 divides q
+    assert factored_a(10 ** 12, 4) == (0, 0, 1, ())
+    a = factored_a(10 ** 12, 10 ** 30)
+    assert a == factored_a(10 ** 12, 0)
+    assert (a.num, a.den, len(a.cospi)) == (10 ** 12, 1, 2)
+
+
 def test_factored_a_depends_on_n_mod_q_alone():
     # what the cache keyed by (q, n mod q) rests on: the uncached
     # factorisation of n equals that of n mod q, for small n and large
-    uncached = arith._factored_a.__wrapped__
+    uncached = arith._factored_a
     for q in range(1, 301):
         residues = [uncached(q, n) for n in range(q)]
         for n in range(q, 3 * q):
@@ -147,9 +175,9 @@ def test_factored_a_depends_on_n_mod_q_alone():
 
 
 def test_a_cache_is_bounded_and_serves_runs_of_n():
-    info = arith._factored_a.cache_info
-    assert info().maxsize == arith._A_CACHE_SIZE == 4096
-    arith._factored_a.cache_clear()
+    info = modular._a_record.cache_info
+    assert info().maxsize == modular._A_CACHE_SIZE == 4096
+    modular._a_record.cache_clear()
     for n in range(5001):
         assert rademacher_p(n).value == partition_count_oracle(n), n
     assert info().currsize <= info().maxsize
@@ -159,8 +187,40 @@ def test_a_cache_is_bounded_and_serves_runs_of_n():
     # 5050 pairs (q, n mod q), q <= 100, fill it without growing it
     for q in range(1, 101):
         for n in range(q):
-            factored_a(q, n)
+            modular._a_record(q, n)
     assert info().currsize == info().maxsize
+
+
+def test_a_records_hold_the_doubles_of_factored_a():
+    for q in range(1, 200):
+        for n in range(q):
+            a = factored_a(q, n)
+            record = modular._a_record(q, n)
+            if not a.sign:
+                assert record is None
+                continue
+            assert record.a == a and record.n_cos == len(a.cospi)
+            assert record.a_q == float(a)
+            assert record.kq == modular._K / q
+            assert record.root_q == math.sqrt(q)
+            assert record.lead == (math.sqrt(q) * abs(a.sign)
+                                   * math.sqrt(a.num / a.den))
+
+
+# SHA-256 of "n value terms_used residual error_bound\n", each field its
+# repr, for n = 0..3000, 4780, 10^4, 79 445, 10^5 and 10^6, as the loop that
+# rebuilt every term's doubles from A_q(n) on each call gave them
+_RESULTS_SHA256 = ("d2bc58f1534befb982f2e2b85cebcc49"
+                   "de8ef5a003b13bf6d3f6b4066797bf6a")
+
+
+def test_results_match_their_digest_to_the_bit():
+    digest = hashlib.sha256()
+    for n in [*range(3001), 4780, 10 ** 4, 79_445, 10 ** 5, 10 ** 6]:
+        res = rademacher_p(n)
+        digest.update(f"{n} {res.value!r} {res.terms_used!r} "
+                      f"{res.residual!r} {res.error_bound!r}\n".encode())
+    assert digest.hexdigest() == _RESULTS_SHA256
 
 
 # (n, terms_used, residual, error_bound) as the fixed-point evaluation gives
@@ -254,6 +314,30 @@ def _least_terms_by_scan(n):
     while _remainder_bound(n, terms) >= modular._REM_TARGET:
         terms += 1
     return terms
+
+
+def _least_terms_by_doubling(n):
+    """N by the earlier search: double the count from 32 until the bound
+    is below the target, then bisect."""
+    lo = math.ceil((modular._REM_A / modular._REM_TARGET) ** 2) - 1
+    hi = lo + 1
+    while _remainder_bound(n, hi) >= modular._REM_TARGET:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _remainder_bound(n, mid) < modular._REM_TARGET:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_term_count_matches_the_doubling_search():
+    # the search starts from a bracket below N; it must land on the same N
+    # for every n up to 10^5 and along a ladder to EXACT_MAX_N
+    ladder = [int(10 ** (k / 40)) for k in range(200, 587)]
+    for n in [*range(2, 10 ** 5 + 1), *ladder, modular.EXACT_MAX_N]:
+        assert modular._term_count(n) == _least_terms_by_doubling(n), n
 
 
 @pytest.mark.parametrize("n,terms", [
