@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,17 +43,21 @@ __all__ = [
 _TRIAL_DIVISION_MAX = 10 ** 12
 
 
-def _require_trial_division(name: str, n: int, arg: str = "n") -> None:
+def _require_trial_division(name: str, n: int, arg: str = "n") -> int:
+    """n as an int, or DomainError unless it is an integer from 1 to
+    10^12."""
+    n = require_integer(arg, n)
     if n < 1:
         raise DomainError(f"{name} needs {arg} >= 1, got {int_text(n)}")
     if n > _TRIAL_DIVISION_MAX:
         raise DomainError(f"{name} takes {arg} <= 10**12, got {int_text(n)}")
+    return n
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n <= 10^12 in increasing order (trial
-    division)."""
-    _require_trial_division("divisors", n)
+    division).  DomainError for anything else."""
+    n = _require_trial_division("divisors", n)
     small: list[int] = []
     large: list[int] = []
     d = 1
@@ -70,9 +75,11 @@ def divisor_sigma(k: int, n: int) -> int | Fraction:
     """Sum of k-th powers of the divisors of n <= 10^12, exactly.
 
     Negative k is allowed and returns a Fraction; sigma_{-1}(n) equals
-    sigma_1(n)/n.  Integers come back for k >= 0.
+    sigma_1(n)/n.  Integers come back for k >= 0.  Non-integer k or n, and
+    n outside 1..10^12, raise DomainError.
     """
-    _require_trial_division("divisor_sigma", n)
+    k = require_integer("k", k)
+    n = _require_trial_division("divisor_sigma", n)
     if k >= 0:
         return sum(d ** k for d in divisors(n))
     return sum(Fraction(1, d ** (-k)) for d in divisors(n))
@@ -116,17 +123,28 @@ def partition_count_oracle(n: int) -> int:
                   for s in (-1, 1))
     # Entry m is appended when len(table) == m, so table[m - g] is
     # table[-g]: plus and minus hold the offsets -g of the terms added and
-    # subtracted, grown as m passes each pentagonal number
+    # subtracted, grown as m passes each pentagonal number, and each sign's
+    # terms are fetched by one itemgetter, rebuilt only then
     plus: list[int] = []
     minus: list[int] = []
     g, add = next(pentagonal)
-    get = table.__getitem__
     for m in range(len(table), n + 1):
-        while g <= m:
-            (plus if add else minus).append(-g)
-            g, add = next(pentagonal)
-        table.append(sum(map(get, plus)) - sum(map(get, minus)))
+        if g <= m:
+            while g <= m:
+                (plus if add else minus).append(-g)
+                g, add = next(pentagonal)
+            get_plus, get_minus = _gather(plus), _gather(minus)
+        table.append(sum(get_plus(table)) - sum(get_minus(table)))
     return table[n]
+
+
+def _gather(offsets: list[int]):
+    """A function of a list returning the tuple of its items at `offsets`:
+    itemgetter, which returns a bare item for one offset and takes no
+    empty list, or for those a plain loop."""
+    if len(offsets) > 1:
+        return operator.itemgetter(*offsets)
+    return lambda table: tuple(table[i] for i in offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +169,10 @@ def farey_sequence(order: int) -> list[Fraction]:
 
     Uses the next-term recurrence, so consecutive entries are unimodular by
     construction; tests verify that independently against brute-force
-    enumeration.  order above 1000 is refused with DomainError.
+    enumeration.  A non-integer order, or one outside 1..1000, is refused
+    with DomainError.
     """
+    order = require_integer("farey order", order)
     if order < 1:
         raise DomainError(f"farey order must be >= 1, got {int_text(order)}")
     if order > _FAREY_MAX_ORDER:
@@ -360,9 +380,8 @@ def factored_a(q: int, n: int) -> FactoredA:
     a divisor of 24q, and the k = 2 sign is that of n mod 2.  Nothing is
     cached here; modular._a_record keeps the series' terms by (q, n mod q).
     """
-    q = require_integer("q", q)
+    q = _require_trial_division("factored_a", q, "q")
     n = require_integer("n", n)
-    _require_trial_division("factored_a", q, "q")
     return _factored_a(q, n % q)
 
 

@@ -171,14 +171,17 @@ _REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
 _REM_B = math.pi * math.sqrt(2.0) / 75.0
 # every term is evaluated to within 2^-_EVAL_BITS / N
 _EVAL_BITS = 24
-# Truncate where the remainder bound falls below this.  The residual of a
-# correct sum is at most its error bound, so anything below 1/4 certifies;
-# a fifth leaves the certificate a margin of about 1/10.
-_REM_TARGET = 0.2
+# Truncate where the remainder bound falls below this.  It certifies every
+# sum: each of the N terms is off by under 2^-guard <= 2^-24/N, in ints
+# and in doubles alike, and the fsum and its conversion add under 2^-30,
+# so the evaluation error is under 2^-23 and error_bound < 1/4.  A correct
+# sum then lies within error_bound of p(n) and rounds to it, so residual
+# <= error_bound and residual + error_bound < 1/2.
+_REM_TARGET = 0.25 - 2.0 ** -20
 
 
 # The most (q, n mod q) records _a_record keeps: all 4095 of q <= 90, so
-# every residue of every term of p(n) for n up to 16 131 (N <= 90)
+# every residue of every term of p(n) for n up to 22 283 (N <= 90)
 _A_CACHE_SIZE = 4096
 
 
@@ -340,19 +343,20 @@ def rademacher_p(n: int) -> RademacherResult:
     kept in _a_record's cache, keyed by (q, n mod q).
 
     N is fixed before any term is summed: the smallest N whose Rademacher
-    remainder bound is below 1/5, found by doubling and bisection.  Term
-    q, of size about exp(K_1*lam/q), must be off by less than 2^-24/N.  A
-    term small enough for that in doubles is evaluated in doubles; every
-    other term is a fixed-point Python int with the fractional bits its
-    size and its counted error need (_fixed_units), never fewer than 64,
-    with e^u and the cosines from mpmath.libmp.  Those ints are summed
-    exactly at the scale of the q = 1 term, and the doubles' fsum is added
-    to them and the sum rounded.  The result's error_bound is the
-    remainder bound plus the counted evaluation error, and the value is
-    certified only when residual + error_bound < 1/2; otherwise
-    ConvergenceError is raised.  DomainError is raised for non-integer or
-    negative n, and up front for n > EXACT_MAX_N (about 4.7e14, where N
-    would pass 5e6 terms).
+    remainder bound is below _REM_TARGET = 1/4 - 2^-20, found by doubling
+    and bisection.  Term q, of size about exp(K_1*lam/q), must be off by
+    less than 2^-24/N.  A term small enough for that in doubles, as its
+    own e^u shows, is evaluated in doubles; every other term is a
+    fixed-point Python int with the fractional bits its size and its
+    counted error need (_fixed_units), never fewer than 64, with e^u and
+    the cosines from mpmath.libmp.  Those ints are summed exactly at the
+    scale of the q = 1 term, and the doubles' fsum is added to them and
+    the sum rounded.  The result's error_bound is the remainder bound plus
+    the counted evaluation error, and the value is certified only when
+    residual + error_bound < 1/2; otherwise ConvergenceError is raised.
+    DomainError is raised for non-integer or negative n, and up front for
+    n > EXACT_MAX_N (about 4.7e14, the last n whose remainder bound at
+    5e6 terms is below 1/5; N there is 4 896 590).
 
     p(0) = p(1) = 1 are returned directly: the remainder bound needs n >= 2.
     """
@@ -366,22 +370,24 @@ def rademacher_p(n: int) -> RademacherResult:
         return RademacherResult(n, 1, 0, 0.0, 0.0)
     n_terms = _term_count(n)
     guard = _EVAL_BITS + n_terms.bit_length()
-    doubles_max = 52 - guard
+    doubles_max = 2.0 ** (52 - guard)
     lam = math.sqrt(n - 1.0 / 24.0)
     inv_lam = 1.0 / lam
     four_lam2 = 4.0 * lam * lam
     size_den = 2.0 * lam * lam * math.pi * math.sqrt(2.0)
 
-    # Per term: log2 of a bound on its size, |A_q(n)| being at most
-    # |sign|*sqrt(num/den).  In doubles the argument u = K_q*lam carries a
-    # relative error of a few units, which cosh and sinh magnify by u; the
-    # rest is a few dozen roundings plus a few units per cosine, each of an
-    # argument in [0, pi], all within 16*(u + cosines + 4) units of 2^-52
-    # (52 bits, to cover libm's last-bit errors).  A term that this keeps
-    # below 2^-guard is summed in doubles.
+    # Per term: a bound on its size, e^u * lead * (K_q + 1/lam)/size_den,
+    # |A_q(n)| being at most |sign|*sqrt(num/den).  In doubles the argument
+    # u = K_q*lam carries a relative error of a few units, which cosh and
+    # sinh magnify by u; the rest is a few dozen roundings plus a few units
+    # per cosine, each of an argument in [0, pi], all within
+    # 16*(u + cosines + 4) units of 2^-52 (52 bits, to cover libm's
+    # last-bit errors).  A term that this keeps below 2^-guard is summed in
+    # doubles; its size, and its error times 2^52, are summed apart and
+    # scaled once after the loop.
     eval_err = 0.0
     doubles: list[float] = []
-    doubles_size = 0.0
+    doubles_size = doubles_units = 0.0
     top, total, scale = _WORK_BITS, 0, None
     for q in range(1, n_terms + 1):
         record = _a_record(q, n % q)
@@ -389,15 +395,19 @@ def rademacher_p(n: int) -> RademacherResult:
             continue  # A_q(n) = 0 exactly
         a, n_cos, kq, root_q, lead, a_q = record
         u = kq * lam
-        log2_size = (u + math.log(lead * (kq + inv_lam) / size_den)) / _LN2
-        log2_units = math.log2(16.0 * (u + n_cos + 4.0))
-        if math.ceil(log2_size + log2_units) <= doubles_max:
+        ratio = lead * (kq + inv_lam) / size_den
+        if u < _LOG_DBL_MAX:
             e = math.exp(u)
-            deriv = ((kq - inv_lam) * e + (kq + inv_lam) / e) / four_lam2
-            doubles.append(root_q * deriv / _PI_ROOT2 * a_q)
-            doubles_size += 2.0 ** log2_size
-            eval_err += 2.0 ** (log2_size + log2_units - 52)
-            continue
+            size = e * ratio
+            units = 16.0 * (u + n_cos + 4.0)
+            if size * units <= doubles_max:
+                deriv = ((kq - inv_lam) * e + (kq + inv_lam) / e) / four_lam2
+                doubles.append(root_q * deriv / _PI_ROOT2 * a_q)
+                doubles_size += size
+                doubles_units += size * units
+                continue
+        # a fixed-point term; where e^u overflows its size lives in logs
+        log2_size = (u + math.log(ratio)) / _LN2
         log2_units = _fixed_units(log2_size, n_cos)
         bits = max(math.ceil(log2_size + log2_units) + guard, _WORK_BITS)
         if q == 1:
@@ -414,7 +424,8 @@ def rademacher_p(n: int) -> RademacherResult:
     frac, exp2 = math.frexp(math.fsum(doubles))
     mant, shift = int(math.ldexp(frac, 53)), exp2 - 53 + top
     total += mant << shift if shift >= 0 else mant >> -shift
-    eval_err += doubles_size * 2.0 ** -53 + 2.0 ** -top
+    eval_err += (doubles_units * 2.0 ** -52 + doubles_size * 2.0 ** -53
+                 + 2.0 ** -top)
     value = (total + (1 << (top - 1))) >> top
     residual = abs(total - (value << top)) / (1 << top)
 

@@ -80,6 +80,19 @@ def test_divisors_past_their_limit_are_refused_at_once(n):
         assert time.monotonic() - start < 0.05
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: divisors(math.nan), "n must be an integer, got nan"),
+    (lambda: divisors(6.0), "n must be an integer, got 6.0"),
+    (lambda: divisor_sigma(0, 6.5), "n must be an integer, got 6.5"),
+    (lambda: divisor_sigma(1.5, 6), "k must be an integer, got 1.5"),
+], ids=["divisors-nan", "divisors-6.0", "sigma-n-6.5", "sigma-k-1.5"])
+def test_divisors_refuse_non_integers(call, match):
+    # a nan passes both range checks, and a float n or k would give a
+    # float or wrong answer
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_sigma_multiplicative_for_coprime_pairs():
     for m in range(1, 51):
         for n in range(1, 51):
@@ -200,6 +213,12 @@ def test_farey_order_is_capped():
         with pytest.raises(DomainError, match="<= 1000"):
             farey_sequence(order)
     assert time.monotonic() - start < 1.0
+
+
+def test_farey_refuses_a_non_integer_order():
+    with pytest.raises(DomainError, match="farey order must be an integer, "
+                       "got 3.5"):
+        farey_sequence(3.5)
 
 
 def test_farey_matches_brute_force():

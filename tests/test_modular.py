@@ -19,7 +19,8 @@ from eulergas.modular import (EtaTransform, asymptotic_p, eisenstein_g2, eta,
                               eta_transform, functional_equation_rhs,
                               leading_term_p, partition_generating,
                               rademacher_p)
-from oracles import eta_mp, g2_mp, level_sums_mp, rademacher_paper_literal
+from oracles import (eta_mp, g2_mp, level_sums_mp, rademacher_paper_literal,
+                     rademacher_partial_sum)
 
 EPS = 2.0 ** -53
 
@@ -432,9 +433,16 @@ def test_rademacher_base_cases():
 
 
 def test_rademacher_n100():
+    # the residual is the distance of the N-term sum from p(100), so it
+    # matches the 200-bit partial sum, and it stays within the certificate
     res = rademacher_p(100)
     assert res.value == 190569292
-    assert res.residual < 1e-3
+    with mpmath.workprec(200):
+        partial = rademacher_partial_sum(
+            100, res.terms_used, DedekindConvention.CLASSICAL_SAWTOOTH).real
+        want = float(abs(partial - 190569292))
+    assert abs(res.residual - want) < 1e-9
+    assert res.residual <= res.error_bound < 0.25
 
 
 def test_rademacher_matches_oracle_sample():

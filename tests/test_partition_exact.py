@@ -181,8 +181,8 @@ def test_a_cache_is_bounded_and_serves_runs_of_n():
     for n in range(5001):
         assert rademacher_p(n).value == partition_count_oracle(n), n
     assert info().currsize <= info().maxsize
-    # consecutive n share residues: p(0..5000) has N <= 64 terms, so it
-    # needs at most 2080 distinct (q, n mod q) of its 266 241 lookups
+    # consecutive n share residues: p(0..5000) has N <= 53 terms, so it
+    # needs at most 1431 distinct (q, n mod q) of its 209 708 lookups
     assert info().hits > 10 * info().misses
     # 5050 pairs (q, n mod q), q <= 100, fill it without growing it
     for q in range(1, 101):
@@ -207,34 +207,51 @@ def test_a_records_hold_the_doubles_of_factored_a():
                                    * math.sqrt(a.num / a.den))
 
 
+_DIGEST_NS = [*range(3001), 4780, 10 ** 4, 79_445, 10 ** 5, 10 ** 6]
+
+
+def _results_digest(fields):
+    digest = hashlib.sha256()
+    for n in _DIGEST_NS:
+        res = rademacher_p(n)
+        digest.update((" ".join(repr(getattr(res, f)) for f in fields)
+                       + "\n").encode())
+    return digest.hexdigest()
+
+
+_ALL_FIELDS = ("n", "value", "terms_used", "residual", "error_bound")
+
 # SHA-256 of "n value terms_used residual error_bound\n", each field its
 # repr, for n = 0..3000, 4780, 10^4, 79 445, 10^5 and 10^6, as the loop that
-# rebuilt every term's doubles from A_q(n) on each call gave them
+# rebuilt every term's doubles from A_q(n) on each call gave them with the
+# series truncated where the remainder bound falls below 1/5
 _RESULTS_SHA256 = ("d2bc58f1534befb982f2e2b85cebcc49"
                    "de8ef5a003b13bf6d3f6b4066797bf6a")
+# the same at the production target, just under 1/4
+_RESULTS_AT_TARGET_SHA256 = ("aed8ae203ccc2a9cc3becc41724f9999"
+                             "168bb88ff4b43c6dee7e19dbdd2388a9")
+# SHA-256 of "n value\n" over the same n, as the 1/5 target gave them: the
+# value of p(n) does not depend on where a certified sum stops
+_VALUES_SHA256 = ("3339badabf1693c06cad615074ff1138"
+                  "a8aeb839a671fe717d9dd4ce70d174a0")
 
 
-def test_results_match_their_digest_to_the_bit():
-    digest = hashlib.sha256()
-    for n in [*range(3001), 4780, 10 ** 4, 79_445, 10 ** 5, 10 ** 6]:
-        res = rademacher_p(n)
-        digest.update(f"{n} {res.value!r} {res.terms_used!r} "
-                      f"{res.residual!r} {res.error_bound!r}\n".encode())
-    assert digest.hexdigest() == _RESULTS_SHA256
+def test_results_match_their_digest_to_the_bit(monkeypatch):
+    # at the 1/5 target every term is routed, evaluated and bounded as
+    # when each doubles term was routed by its log-domain size
+    monkeypatch.setattr(modular, "_REM_TARGET", 0.2)
+    assert _results_digest(_ALL_FIELDS) == _RESULTS_SHA256
 
 
-# (n, terms_used, residual, error_bound) as the fixed-point evaluation gives
-# them: every high-precision term is an int built from the same truncations
-# in the same order, so every bit must agree
-@pytest.mark.parametrize("n,terms,residual,error_bound", [
-    (2, 45, 0.0008148512802919061, 0.19818187670145362),
-    (200, 42, 0.0016515140371831344, 0.19848217660056802),
-    (1189, 48, 0.0003859420679214096, 0.1974838573496157),
-    (2392, 53, 0.00011705276554153621, 0.1996850563727164),
-    (4780, 63, 0.0003560392061154927, 0.1969563212756122),
-    (10 ** 6, 472, 7.142083849317474e-06, 0.19876767541510257),
-])
-def test_results_are_pinned_to_the_bit(n, terms, residual, error_bound):
+def test_results_at_the_target_match_their_digest_to_the_bit():
+    assert _results_digest(_ALL_FIELDS) == _RESULTS_AT_TARGET_SHA256
+
+
+def test_values_match_their_digest():
+    assert _results_digest(("n", "value")) == _VALUES_SHA256
+
+
+def _check_pinned(n, terms, residual, error_bound):
     res = rademacher_p(n)
     assert (res.n, res.terms_used) == (n, terms)
     assert repr(res.residual) == repr(residual)
@@ -247,6 +264,49 @@ def test_results_are_pinned_to_the_bit(n, terms, residual, error_bound):
         assert len(digits) == 1108
         assert digits.startswith("147168498635822339863100476060")
         assert digits.endswith("15630003467104673818")
+
+
+# (n, terms_used, residual, error_bound) as the fixed-point evaluation gives
+# them at the 1/5 target: every high-precision term is an int built from the
+# same truncations in the same order, so every bit must agree
+@pytest.mark.parametrize("n,terms,residual,error_bound", [
+    (2, 45, 0.0008148512802919061, 0.19818187670145362),
+    (200, 42, 0.0016515140371831344, 0.19848217660056802),
+    (1189, 48, 0.0003859420679214096, 0.1974838573496157),
+    (2392, 53, 0.00011705276554153621, 0.1996850563727164),
+    (4780, 63, 0.0003560392061154927, 0.1969563212756122),
+    (10 ** 6, 472, 7.142083849317474e-06, 0.19876767541510257),
+])
+def test_results_are_pinned_to_the_bit(monkeypatch, n, terms, residual,
+                                       error_bound):
+    monkeypatch.setattr(modular, "_REM_TARGET", 0.2)
+    _check_pinned(n, terms, residual, error_bound)
+
+
+# the same at the production target
+@pytest.mark.parametrize("n,terms,residual,error_bound", [
+    (2, 29, 0.0004175551485610107, 0.2469325505012846),
+    (200, 28, 0.00028873236352984456, 0.2481318762358574),
+    (1189, 36, 0.0012762232199895565, 0.2454433597942918),
+    (2392, 42, 0.002894033521239414, 0.24957505415624287),
+    (4780, 52, 0.00032486239882189677, 0.24797899739920956),
+    (10 ** 6, 446, 8.939898917913136e-05, 0.24955950813754482),
+])
+def test_results_at_the_target_are_pinned_to_the_bit(n, terms, residual,
+                                                     error_bound):
+    _check_pinned(n, terms, residual, error_bound)
+
+
+def test_certificate_holds_below_a_quarter():
+    # the evaluation error is under 2^-23, so error_bound < 1/4 and a
+    # correct sum is within it of p(n), for every n, small and large
+    ladder = [int(10 ** (k / 4)) for k in range(15, 33)]
+    for n in [*range(2, 5001), *ladder]:
+        res = rademacher_p(n)
+        assert res.error_bound < 0.25, n
+        assert res.residual <= res.error_bound, n
+        if n <= 5000:
+            assert res.value == partition_count_oracle(n), n
 
 
 def _fixed_point_terms(monkeypatch, n):
@@ -308,8 +368,9 @@ def test_fixed_point_terms_are_within_their_counted_units_at_ten_to_the_6(
 
 
 def _least_terms_by_scan(n):
-    """The least N from 32 up whose remainder bound is below the target,
-    counted one by one."""
+    """The least N from ceil((_REM_A/target)^2) up (20 at the target, 32
+    at 1/5) whose remainder bound is below the target, counted one by
+    one."""
     terms = math.ceil((modular._REM_A / modular._REM_TARGET) ** 2)
     while _remainder_bound(n, terms) >= modular._REM_TARGET:
         terms += 1
@@ -317,8 +378,8 @@ def _least_terms_by_scan(n):
 
 
 def _least_terms_by_doubling(n):
-    """N by the earlier search: double the count from 32 until the bound
-    is below the target, then bisect."""
+    """N by the earlier search: double the count from ceil((_REM_A/
+    target)^2) until the bound is below the target, then bisect."""
     lo = math.ceil((modular._REM_A / modular._REM_TARGET) ** 2) - 1
     hi = lo + 1
     while _remainder_bound(n, hi) >= modular._REM_TARGET:
@@ -343,7 +404,17 @@ def test_term_count_matches_the_doubling_search():
 @pytest.mark.parametrize("n,terms", [
     (2, 45), (200, 42), (4780, 63), (10 ** 6, 472), (10 ** 7, 1306),
     (10 ** 8, 3710), (10 ** 9, 10_706), (10 ** 10, 31_220)])
-def test_term_count_search_matches_the_scan(n, terms):
+def test_term_count_search_matches_the_scan(monkeypatch, n, terms):
+    # at 1/5, the target that defines EXACT_MAX_N
+    monkeypatch.setattr(modular, "_REM_TARGET", 0.2)
+    assert modular._term_count(n) == _least_terms_by_scan(n) == terms
+
+
+@pytest.mark.parametrize("n,terms", [
+    (2, 29), (100, 27), (200, 28), (4780, 52), (22_283, 90), (22_284, 91),
+    (10 ** 6, 446), (10 ** 7, 1250), (10 ** 8, 3576), (10 ** 9, 10_364),
+    (10 ** 10, 30_320)])
+def test_term_count_search_matches_the_scan_at_the_target(n, terms):
     assert modular._term_count(n) == _least_terms_by_scan(n) == terms
 
 
@@ -359,7 +430,7 @@ def test_term_count_search_is_logarithmic(monkeypatch):
                             lambda m, c: calls.append(c) or bound(m, c))
         terms = modular._term_count(n)
         assert bound(n, terms) < modular._REM_TARGET
-        if terms > 32:
+        if terms > 20:
             assert bound(n, terms - 1) >= modular._REM_TARGET
         assert len(calls) <= 2 * terms.bit_length(), (n, len(calls))
 
