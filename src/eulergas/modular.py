@@ -6,16 +6,18 @@ convergent series for p(n) with integer rounding.  eta, its shift/inversion
 transforms and the weight-two Eisenstein series live in thermo, next to
 the per-mode kernel, and are imported back here.
 
-The exact series needs working precision beyond 53 bits once p(n) outgrows
-doubles (n around 300).  Its large terms are fixed-point Python ints, each
-with the fractional bits its own size needs, every product truncated once
-and the error of each term a proved count of units; its small terms are
-doubles, under an explicit bound.  Only pi, exp and cos(pi x) come from
-mpmath.libmp, each converted once to an int.  This is the only module
-that imports mpmath, and it does so at import, so that loading it (not
-the first p(n)) pays that cost.  Each term's A_q(n) factors, with the
-doubles that depend on them alone, come from one bounded cache here,
-keyed by (q, n mod q).
+The exact series is truncated where a bound on its tail, from |A_q(n)| <=
+2^w sqrt(q) (w the number of odd primes dividing q), falls below what the
+certificate needs.  It needs working precision beyond 53 bits once p(n)
+outgrows doubles (n around 300).  Its large terms are fixed-point Python
+ints, each with the fractional bits its own size needs, every product
+truncated once and the error of each term a proved count of units; its
+small terms are doubles, under an explicit bound.  Only pi, exp and
+cos(pi x) come from mpmath.libmp, each converted once to an int.  This is
+the only module that imports mpmath, and it does so at import, so that
+loading it (not the first p(n)) pays that cost.  Each term's A_q(n)
+factors, with the doubles that depend on them alone, come from one
+bounded cache here, keyed by (q, n mod q).
 Everything else is double precision: Z(e^{-x}) on 0 < y < 1 is exp(-F/kT)
 from thermo, and Z elsewhere is from eta.
 """
@@ -48,8 +50,8 @@ Z_OVERFLOW_X = 2.3047e-3
 # The largest n whose leading term and crude estimate of p(n) fit a double:
 # both logs pass ln(DBL_MAX) between n = 79 445 and 79 446
 ESTIMATE_MAX_N = 79_445
-# The largest n taken by the exact series: the largest n whose remainder
-# bound at 5*10^6 terms is below 1/5
+# The largest n taken by the exact series: the largest n whose Rademacher
+# remainder bound (|A_q(n)| <= q) at 5*10^6 terms is below 1/5
 EXACT_MAX_N = 466_735_713_430_801
 # ln(DBL_MAX): the largest v for which math.exp(v) does not overflow
 _LOG_DBL_MAX = 709.782712893384
@@ -150,8 +152,9 @@ class RademacherResult(NamedTuple):
     """Outcome of the exact series: the certified value and its certificate.
 
     residual    -- |sum - round(sum)|
-    error_bound -- bound on |sum - p(n)|: Rademacher's remainder bound for
-                   the terms left out plus the evaluation error of the sum
+    error_bound -- bound on |sum - p(n)|: the bound on the terms left out
+                   from |A_q(n)| <= 2^w sqrt(q) (_remainder_bound) plus
+                   the evaluation error of the sum
     The value is returned only when residual + error_bound < 1/2.
     """
 
@@ -165,10 +168,13 @@ class RademacherResult(NamedTuple):
 _K = math.pi * math.sqrt(2.0 / 3.0)
 _LN2 = math.log(2.0)
 _PI_ROOT2 = math.pi * math.sqrt(2.0)
-# Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
-# |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
-_REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
-_REM_B = math.pi * math.sqrt(2.0) / 75.0
+# The tail bound C*f(K*lam/(N + 1))*T(N) of _remainder_bound: C = K^3/(6 pi
+# sqrt(2)), c0 of T(N) = ln 2 + gamma/2 + pi^2/12, and the coefficients
+# 6k/(2k + 1)!, k = 9 down to 2, of f's series
+_REM_C = _K ** 3 / (6.0 * _PI_ROOT2)
+_REM_C0 = _LN2 + 0.5772156649015329 / 2.0 + math.pi ** 2 / 12.0
+_F_SERIES = tuple(6.0 * k / math.factorial(2 * k + 1)
+                  for k in range(9, 1, -1))
 # every term is evaluated to within 2^-_EVAL_BITS / N
 _EVAL_BITS = 24
 # Truncate where the remainder bound falls below this.  It certifies every
@@ -181,7 +187,7 @@ _REM_TARGET = 0.25 - 2.0 ** -20
 
 
 # The most (q, n mod q) records _a_record keeps: all 4095 of q <= 90, so
-# every residue of every term of p(n) for n up to 22 283 (N <= 90)
+# every residue of every term of p(n) for n up to 35 495 (N <= 90)
 _A_CACHE_SIZE = 4096
 
 
@@ -210,16 +216,73 @@ def _a_record(q: int, n: int) -> _ARecord | None:
     return _ARecord(a, len(a.cospi), _K / q, root_q, lead, float(a))
 
 
+def _term_shape(u: float) -> float:
+    """f(u) = 3*(u*cosh(u) - sinh(u))/u^3 for u > 0: from its series below
+    u = 1, where the difference cancels (the series' terms past k = 9 are
+    under 2^-58 of f there), else from e^u; OverflowError where e^u
+    overflows."""
+    if u < 1.0:
+        u2 = u * u
+        total = 0.0
+        for c in _F_SERIES:
+            total = total * u2 + c
+        return 1.0 + total * u2
+    e = math.exp(u)
+    return 1.5 * ((u - 1.0) * e + (u + 1.0) / e) / (u * u * u)
+
+
+def _odd_divisor_tail(terms: int) -> float:
+    """T(N) for N = `terms` >= 1: a bound on sum_{q>N} d_o(q)/q^2, where
+    d_o(q) is the number of odd divisors of q, that falls strictly in N.
+
+    With q = c*b, c odd, the sum is sum_c c^-2 sum_{b > N/c} b^-2.  As
+    1/b^2 < 1/(b - 1/2) - 1/(b + 1/2), the inner sum is below 1/(N/c - 1/2)
+    for c <= N, and it is at most pi^2/6 for c > N, where sum_{c>N} c^-2 <
+    1/(2N) over odd c.  Since 1/(c(N - c/2)) = (1/c + 1/(2N - c))/N, the
+    part c <= N is (H_o + [N odd]/N)/N, where H_o = sum_{j<=N} 1/(2j - 1)
+    = H_2N - H_N/2 < ln(N)/2 + ln 2 + gamma/2 + 1/(24 N^2) by ln m + gamma
+    + 1/(2m) - 1/(12 m^2) < H_m < ln m + gamma + 1/(2m).  So the sum is
+    below
+
+        T(N) = (ln(N)/2 + c0 + 1/N + 1/(24 N^2))/N,
+        c0 = ln 2 + gamma/2 + pi^2/12,
+
+    and N^2 T'(N) < 1/2 - c0 - ln(N)/2 < 0.  T(N) lies at least 6% above
+    the sum for every N up to 2000, which covers the few units of 2^-52 by
+    which doubles round it and the bound built on it.
+    """
+    return (0.5 * math.log(terms) + _REM_C0 + 1.0 / terms
+            + 1.0 / (24.0 * terms * terms)) / terms
+
+
 def _remainder_bound(n: int, terms: int) -> float:
-    """Rademacher's bound on the terms q > `terms` of the series for p(n),
-    n >= 2, evaluated in logs; inf where it overflows, also for n beyond
-    the range of a double."""
+    """A bound on the terms q > N = `terms` of the series for p(n), n >= 2;
+    inf where e^u overflows, also for n beyond the range of a double.
+
+    Term q is sqrt(q)*A_q(n)/(pi*sqrt(2)) * (u cosh u - sinh u)/(2 lam^3)
+    with u = K*lam/q, that is C*f(u)*A_q(n)/q^(5/2) with C = K^3/(6 pi
+    sqrt(2)) and
+
+        f(u) = 3(u cosh u - sinh u)/u^3 = sum_{k>=1} 6k u^(2k-2)/(2k + 1)!
+             = 1 + u^2/10 + u^4/280 + ...,
+
+    whose coefficients are all positive, so f >= 1 and f increases with u.
+    arith._factored_a writes A_q(n) as a product over the prime powers k
+    of q of factors of size at most 1 (k = 2), sqrt(k) (k = 2^lam >= 4),
+    2 sqrt(k/3) (k = 3^lam) and 2 sqrt(k), sqrt(k) or 0 (k = p^lam, p > 3),
+    each cosine at most 1.  So |A_q(n)| <= 2^w sqrt(q), w the number of odd
+    primes dividing q (Lehmer; Johansson, arXiv:1205.5991, sec. 2), and
+    2^w <= d_o(q), the number of odd divisors of q.  For q > N, u <= K*lam/
+    (N + 1), so the tail is at most
+
+        C f(K*lam/(N + 1)) sum_{q>N} d_o(q)/q^2 < C f(K*lam/(N + 1)) T(N)
+
+    with T from _odd_divisor_tail.  Both factors fall strictly as N grows,
+    so the bound does too and _term_count can bisect.
+    """
     try:
-        a = _K * math.sqrt(n) / terms
-        log_sinh = a + math.log1p(-math.exp(-2.0 * a)) - math.log(2.0)
-        log_second = (math.log(_REM_B) + 0.5 * math.log(terms / (n - 1))
-                      + log_sinh)
-        return _REM_A / math.sqrt(terms) + math.exp(log_second)
+        u = _K * math.sqrt(n - 1.0 / 24.0) / (terms + 1)
+        return _REM_C * _term_shape(u) * _odd_divisor_tail(terms)
     except OverflowError:
         return math.inf
 
@@ -227,23 +290,33 @@ def _remainder_bound(n: int, terms: int) -> float:
 def _term_count(n: int) -> int:
     """N for p(n), n >= 2: the least number of terms whose remainder bound
     is below _REM_TARGET."""
-    # The bound falls strictly as N grows: d/dN of sqrt(N) sinh(a), with
-    # a = K sqrt(n)/N, is (sinh a - 2a cosh a)/(2 sqrt(N)) < 0, so the
-    # search can bisect.  The first part of the bound alone exceeds the
-    # target at every count up to lo.  With sinh a > a the whole bound
-    # exceeds it at every count up to `below`, within a few of N for small
-    # n: start there once the bound confirms it.  Double the step from lo
-    # until the bound is below the target, then bisect (lo, hi].
-    lo = math.ceil((_REM_A / _REM_TARGET) ** 2) - 1
-    below = math.ceil(((_REM_A + _REM_B * _K * math.sqrt(n / (n - 1)))
-                       / _REM_TARGET) ** 2) - 1
-    if below > lo and _remainder_bound(n, below) >= _REM_TARGET:
-        lo = below
+    # The bound falls strictly as N grows, so the search can bisect.  With
+    # f >= 1 and T(N) > c0/N it exceeds the target at every count up to
+    # lo.  Where it crosses the target N + 1 = K*lam/u, with u = ln(K*lam)
+    # - delta and delta from 0.66 to 1.27 for every n up to EXACT_MAX_N;
+    # the start takes delta = 1 (u at least 1/2), which is within two counts
+    # of N for every n up to 5000.  The bound at the start makes it lo or
+    # hi.  Step away from it, doubling the step, until the bound finds the
+    # other end of the bracket, then bisect (lo, hi].
+    lo, hi = math.floor(_REM_C * _REM_C0 / _REM_TARGET), 0
+    k_lam = _K * math.sqrt(n - 1.0 / 24.0)
+    start = math.floor(k_lam / max(math.log(k_lam) - 1.0, 0.5))
+    if start > lo:
+        if _remainder_bound(n, start) < _REM_TARGET:
+            hi = start
+        else:
+            lo = start
     step = 1
-    while _remainder_bound(n, lo + step) >= _REM_TARGET:
-        lo += step
-        step *= 2
-    hi = lo + step
+    if hi:
+        while hi - step > lo and _remainder_bound(n, hi - step) < _REM_TARGET:
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        while _remainder_bound(n, lo + step) >= _REM_TARGET:
+            lo += step
+            step *= 2
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _remainder_bound(n, mid) < _REM_TARGET:
@@ -342,21 +415,25 @@ def rademacher_p(n: int) -> RademacherResult:
     no Dedekind sums.  It and the doubles that depend on it alone are
     kept in _a_record's cache, keyed by (q, n mod q).
 
-    N is fixed before any term is summed: the smallest N whose Rademacher
-    remainder bound is below _REM_TARGET = 1/4 - 2^-20, found by doubling
-    and bisection.  Term q, of size about exp(K_1*lam/q), must be off by
-    less than 2^-24/N.  A term small enough for that in doubles, as its
-    own e^u shows, is evaluated in doubles; every other term is a
-    fixed-point Python int with the fractional bits its size and its
-    counted error need (_fixed_units), never fewer than 64, with e^u and
-    the cosines from mpmath.libmp.  Those ints are summed exactly at the
-    scale of the q = 1 term, and the doubles' fsum is added to them and
-    the sum rounded.  The result's error_bound is the remainder bound plus
+    N is fixed before any term is summed: the smallest N whose remainder
+    bound is below _REM_TARGET = 1/4 - 2^-20, found by stepping out from a
+    start near N and bisecting.  The bound takes |A_q(n)| <= 2^w sqrt(q),
+    w the number of odd primes dividing q (Lehmer; Johansson,
+    arXiv:1205.5991), and the size of each term from its own u = K_q*lam,
+    so N is 14 at n = 200 and 21 818 at n = 10^10 (28 and 30 320 with
+    Rademacher's |A_q(n)| <= q).  Term q, of size about exp(K_1*lam/q),
+    must be off by less than 2^-24/N.  A term small enough for that in
+    doubles, as its own e^u shows, is evaluated in doubles; every other
+    term is a fixed-point Python int with the fractional bits its size and
+    its counted error need (_fixed_units), never fewer than 64, with e^u
+    and the cosines from mpmath.libmp.  Those ints are summed exactly at
+    the scale of the q = 1 term, and the doubles' fsum is added to them
+    and the sum rounded.  The result's error_bound is the remainder bound plus
     the counted evaluation error, and the value is certified only when
     residual + error_bound < 1/2; otherwise ConvergenceError is raised.
     DomainError is raised for non-integer or negative n, and up front for
-    n > EXACT_MAX_N (about 4.7e14, the last n whose remainder bound at
-    5e6 terms is below 1/5; N there is 4 896 590).
+    n > EXACT_MAX_N (about 4.7e14, the last n whose Rademacher remainder
+    bound at 5e6 terms is below 1/5; N there is 3 227 706).
 
     p(0) = p(1) = 1 are returned directly: the remainder bound needs n >= 2.
     """

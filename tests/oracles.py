@@ -10,7 +10,9 @@ prime powers of q.  Here A_q(n) comes from Selberg's formula, a scan over
 the residues mod 2q, and from the exact Dedekind-sum phases in either
 convention, and the series is summed at a fixed precision; with the
 paper-literal phases it is the negative control that selects the
-classical convention.
+classical convention.  Rademacher's remainder bound, which truncated the
+production series before its sharper bound, is kept to replay that
+truncation.
 """
 
 import math
@@ -20,7 +22,7 @@ import mpmath
 import numpy as np
 
 from eulergas.arith import DedekindConvention, dedekind_sum
-from eulergas.modular import _remainder_bound, rademacher_p
+from eulergas.modular import _K, _remainder_bound, rademacher_p
 
 
 def sigma_table(n_max):
@@ -198,12 +200,32 @@ def rademacher_partial_sum(n, terms, convention, bits=200):
         return total
 
 
+# Rademacher (Proc. LMS 1937), as used by Lehmer (Trans. AMS 1938):
+# |p(n) - sum_{q<=N}| < _REM_A/sqrt(N) + _REM_B*sqrt(N/(n-1))*sinh(K*sqrt(n)/N)
+_REM_A = 44.0 * math.pi ** 2 / (225.0 * math.sqrt(3.0))
+_REM_B = math.pi * math.sqrt(2.0) / 75.0
+
+
+def rademacher_lehmer_bound(n, terms):
+    """Rademacher's bound on the terms q > `terms` of the series for p(n),
+    n >= 2, evaluated in logs; inf where it overflows, also for n beyond
+    the range of a double."""
+    try:
+        a = _K * math.sqrt(n) / terms
+        log_sinh = a + math.log1p(-math.exp(-2.0 * a)) - math.log(2.0)
+        log_second = (math.log(_REM_B) + 0.5 * math.log(terms / (n - 1))
+                      + log_sinh)
+        return _REM_A / math.sqrt(terms) + math.exp(log_second)
+    except OverflowError:
+        return math.inf
+
+
 def rademacher_paper_literal(n):
     """p(n) as the paper-literal convention reads it, under the production
     certificate: the series at 200 bits with the production's number of
     terms N, and the integer m nearest its real part, returned only when
-    |sum - m| plus Rademacher's remainder bound after N terms is below 1/2;
-    None otherwise.  p(0) = p(1) = 1."""
+    |sum - m| plus the production remainder bound after N terms is below
+    1/2; None otherwise.  p(0) = p(1) = 1."""
     if n <= 1:
         return 1
     terms = rademacher_p(n).terms_used

@@ -571,7 +571,8 @@ def test_unreduced_fraction_is_usage_error(capsys):
 
 def test_computation_error_serialized(capsys, monkeypatch):
     # every remainder bound 0.55 under a target of 0.6 stops the series at
-    # 4 terms, whose residual + error bound cannot fall below 1/2
+    # 2 terms, one past the count the bound's floor rules out, and their
+    # residual + error bound cannot fall below 1/2
     monkeypatch.setattr(modular, "_REM_TARGET", 0.6)
     monkeypatch.setattr(modular, "_remainder_bound", lambda n, terms: 0.55)
     code, out, err = run_cli(capsys, "partition", "--n", "100")
@@ -581,7 +582,7 @@ def test_computation_error_serialized(capsys, monkeypatch):
     assert list(error) == ["type", "message", "terms_used", "residual"]
     assert error["type"] == "ConvergenceError"
     assert "not certified" in error["message"]
-    assert error["terms_used"] == 4 and 0.0 <= error["residual"] <= 0.5
+    assert error["terms_used"] == 2 and 0.0 <= error["residual"] <= 0.5
 
 
 @pytest.mark.parametrize("argv", [
