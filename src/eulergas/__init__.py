@@ -33,7 +33,7 @@ _EXPORTS = {
                   "mode_x", "photon_density", "stefan_boltzmann"),
     "thermo": ("EtaTransform", "MellinKind", "PlanckVariant", "ThermoPerMode",
                "eisenstein_g2", "entropy", "eta", "eta_transform",
-               "euler_gamma", "free_energy", "free_energy_lowfreq", "gamma_fn",
+               "free_energy", "free_energy_lowfreq",
                "internal_energy", "internal_energy_lowfreq", "mellin_check",
                "occupation", "occupation_lowfreq",
                "per_mode_energy_fluctuation", "planck_factor", "riemann_zeta",

@@ -106,10 +106,16 @@ class CavitySpec(_CavityFields):
 
 
 def mode_x(nu: float, temperature: float, constants: PhysicalConstants) -> float:
-    """Dimensionless mode variable x = h*nu/kT."""
+    """Dimensionless mode variable x = h*nu/kT; DomainError where it is not
+    a finite positive double, as where h*nu or k*T underflows."""
     require_positive("nu", nu)
     require_positive("T", temperature)
-    return constants.h * nu / (constants.k * temperature)
+    kt = constants.k * temperature
+    x = constants.h * nu / kt if kt else math.inf
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x = h*nu/kT at nu={nu:g}, T={temperature:g} is "
+                          f"{x:g}, not a finite positive double")
+    return x
 
 
 def stefan_boltzmann(constants: PhysicalConstants) -> tuple[float, float]:
@@ -168,16 +174,19 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
 
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).  The Planck factor
     1/(e^x - 1) is taken as e^{-x}/(1 - e^{-x}), which vanishes instead of
-    overflowing at large x.
+    overflowing at large x.  PLANCK and GENERAL, which read x, are refused
+    where mode_x refuses it.
     """
+    require_positive("nu", nu)
     t = cavity.temperature
-    x = mode_x(nu, t, constants)
     c2 = constants.c ** 2
     if model is EmissivityModel.PLANCK:
-        return _bose(x, 2.0 * math.pi * constants.h / c2 * nu ** 3)
+        return _bose(mode_x(nu, t, constants),
+                     2.0 * math.pi * constants.h / c2 * nu ** 3)
     if model is EmissivityModel.RAYLEIGH_JEANS:
         return 2.0 * math.pi * constants.k / c2 * nu ** 2 * t
     if model is EmissivityModel.GENERAL:
+        x = mode_x(nu, t, constants)
         return (2.0 * math.pi * constants.h / c2 * nu ** 3
                 * (internal_energy(x) / x))
     if model is EmissivityModel.GENERAL_LOW_FREQ:

@@ -13,14 +13,17 @@ number theorem, 1/Z = prod (1 - r^d) = sum_k (-1)^k r^{k(3k-1)/2}, and its
 two derivatives, and N from Clausen's identity
 N = sum r^{m^2} (1 + r^m)/(1 - r^m); both converge like r^{k^2}, so at
 x >= 0.9 double precision takes at most 6 pentagonal pairs and 6 Clausen
-terms.  Below x = 0.9, F, E and the fluctuation follow from the dual-scale
-functional equation of ln Z with the pentagonal sums taken at 4 pi^2/x,
-which needs one pair, and N from Wigert's expansion (the residues of
-Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19 terms.  Every recorded
-tail bound is a true bound: geometric on the dropped pentagonal and Clausen
-terms, and a contour bound on Wigert's remainder.  There is no term budget:
-every finite x > 0 gives finite values, except below x ~ 3.9e-306, where N
-exceeds the largest double and OverflowError is raised.
+terms.  Below x = 0.9, F, E and the fluctuation are the closed forms of
+the dual-scale functional equation of ln Z, whose parts at 4 pi^2/x are
+below half a unit in the last place, and N is Wigert's expansion (the
+residues of Gamma(s) zeta(s)^2 x^{-s}), which needs at most 19 terms.  F,
+E, S and the fluctuation share one bounded cache; N is computed apart, and
+only where it is asked for.  Every recorded tail bound is a true bound:
+geometric on the dropped pentagonal and Clausen terms, closed-form on the
+parts at 4 pi^2/x, and a contour bound on Wigert's remainder.  There is no
+term budget: every finite x > 0 gives finite values, except below
+x ~ 3.9e-306, where N exceeds the largest double and every per-mode
+quantity raises OverflowError.
 
 The Mellin checks take [0, 0.9] in closed small-x form and the rest term by
 term as incomplete gamma functions, with a bound on the error, against
@@ -60,11 +63,11 @@ __all__ = [
     "PlanckVariant", "planck_factor",
     "MellinKind", "mellin_check",
     "eta", "EtaTransform", "eta_transform", "eisenstein_g2",
-    "ZETA3", "riemann_zeta", "gamma_fn", "euler_gamma",
+    "ZETA3", "EULER_GAMMA", "riemann_zeta",
 ]
 
-DUAL_SWITCH = 0.9        # below this x: the dual scale for F, E and the
-                         # fluctuation, Wigert's expansion for N
+DUAL_SWITCH = 0.9        # below this x: the closed forms for F, E, S and
+                         # the fluctuation, Wigert's expansion for N
 TAIL_EPS = 2.0 ** -56    # the pentagonal and Clausen sums stop once their
                          # tail bounds (the p^2-weighted one for the
                          # pentagonal) are below this fraction of their first
@@ -78,12 +81,17 @@ _BOUND_ROUNDING = 1.0 + 1e-12
 # and raised to at least the smallest positive double, since a bound that
 # underflows to 0 does not bound the positive remainder it stands for
 _BOUND_FLOOR = math.ulp(0.0)
+# pi^2, 4 pi^2 and 2 pi as the per-mode kernel rounds them, taken once
+_PI2 = math.pi ** 2
+_FOUR_PI2 = 4.0 * _PI2
+_TWO_PI = 2.0 * math.pi
+_LOG_2_600 = 600.0 * math.log(2.0)  # ln 2^600, _exp_up's scale
 
 
 def _exp_up(log_bound: float) -> float:
     """A double >= e^{log_bound} (or 0, where it is below _BOUND_FLOOR):
     rounded up at 2^600 times its size, scaled back and stepped up once."""
-    scaled = _BOUND_ROUNDING * math.exp(log_bound + 600.0 * math.log(2.0))
+    scaled = _BOUND_ROUNDING * math.exp(log_bound + _LOG_2_600)
     unit = math.ldexp(scaled, -600)
     return unit and math.nextafter(unit, math.inf)
 
@@ -96,7 +104,7 @@ def _require_x(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Zeta, gamma and the Bernoulli numbers
+# Zeta, Euler's constant and the Bernoulli numbers
 # ---------------------------------------------------------------------------
 
 # Bernoulli numbers B_2, B_4, ..., B_42 as exact (numerator, denominator)
@@ -114,6 +122,8 @@ _BERNOULLI_2K = (
 
 # Apery's constant zeta(3), correctly rounded; equal to mpmath.fp.zeta(3.0)
 ZETA3 = 1.2020569031595942
+# Euler's constant gamma, correctly rounded, for Wigert's expansion of N
+EULER_GAMMA = 0.5772156649015329
 
 # B_2k/(2k)! for k = 1..11, the coefficients of riemann_zeta's correction
 _ZETA_EM = tuple(num / (den * math.factorial(2 * k))
@@ -144,18 +154,6 @@ def riemann_zeta(s: float) -> float:
     return math.fsum(terms)
 
 
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for finite real s > 0 (math.gamma)."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"gamma_fn needs finite s > 0, got {s}")
-    return math.gamma(s)
-
-
-def euler_gamma() -> float:
-    """Euler's constant gamma = 0.5772156649015329 to double precision."""
-    return 0.5772156649015329
-
-
 # ---------------------------------------------------------------------------
 # Per-mode sums
 # ---------------------------------------------------------------------------
@@ -165,8 +163,8 @@ class ThermoPerMode(NamedTuple):
 
     s_over_k equals e_over_kT - f_over_kT exactly by construction;
     terms_used counts the pentagonal pairs and Clausen terms summed at
-    x >= DUAL_SWITCH, and below it the pentagonal pairs at 4 pi^2/x and
-    Wigert's terms; tail_bound bounds every dropped tail.
+    x >= DUAL_SWITCH, and Wigert's terms below it, where F, E, S and the
+    fluctuation are closed forms; tail_bound bounds every dropped tail.
     """
 
     f_over_kT: float
@@ -231,28 +229,16 @@ def _pentagonal(y: float | complex) -> tuple[
             return p0, p1, p2, a, k
 
 
-def _lambert(x: float, occupation: bool = False) -> tuple[
-        float, float, float, float, int, float, float, float]:
-    """The per-mode sums at x >= DUAL_SWITCH (or at the dual argument),
-    r = e^{-x}: ln Z = -ln P, E/kT = -x P_1/P and
-    fluct = x^2 ((P_1/P)^2 - P_2/P) from _pentagonal(r), and, if occupation,
-    N from Clausen's identity
-
-        N = sum_d r^d/(1 - r^d) = sum_{m>=1} r^{m^2} (1 + r^m)/(1 - r^m).
-
-    Returns (ln Z, N, E/kT, fluct, terms, tail of ln Z and N, tail of E/kT,
-    tail of fluct); without occupation N is 0 and terms counts only the
-    pentagonal pairs.
+def _lambert(x: float) -> tuple[float, float, float, int, float, float, float]:
+    """ln Z, E/kT and the fluctuation at x >= DUAL_SWITCH, r = e^{-x}:
+    ln Z = -ln P, E/kT = -x P_1/P and fluct = x^2 ((P_1/P)^2 - P_2/P) from
+    _pentagonal(r).  Returns (ln Z, E/kT, fluct, pairs, tail of ln Z, tail
+    of E/kT, tail of fluct).
 
     With the dropped P_j tails t_j = _power_tails(a - 1, r)[j] and
     P >= low = P_K - t_0 > 0, ln P moves by at most t_0/low and P_j/P by at
     most (t_j + |P_j/P| t_0)/low (du and dv for j = 1, 2), so ln Z, E and
     fluct move by at most t_0/low, x du and x^2 (du (2 |P_1/P| + du) + dv).
-    After M Clausen terms every factor (1 + r^m)/(1 - r^m) is at most
-    (1 + r)/(1 - r) and the gaps (m+1)^2 - m^2 grow, so the tail is at most
-    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Clausen's sum stops, as the
-    pairs do, once its tail bound is below TAIL_EPS of r, the first term of
-    every sum.
 
     Where r is subnormal (or 0) every power past r underflows, so each sum
     is its first term and every tail is below the smallest double.  E and
@@ -263,8 +249,7 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
     r = math.exp(-x)
     if r < sys.float_info.min:
         h = math.exp(-0.5 * x)
-        return (r, r if occupation else 0.0, x * h * h, x * (x * h) * h,
-                2 if occupation else 1, 0.0, 0.0, 0.0)
+        return r, x * h * h, x * (x * h) * h, 1, 0.0, 0.0, 0.0
     p0, p1, p2, a, k = _pentagonal(r)
     p = 1.0 + p0
     u, v = p1 / p, p2 / p
@@ -272,28 +257,69 @@ def _lambert(x: float, occupation: bool = False) -> tuple[
     low = p - t0
     du = (t1 + abs(u) * t0) / low
     dv = (t2 + abs(v) * t0) / low
-    t_z = t0 / low
+    return (-math.log1p(p0), -x * u, x * x * (u * u - v), k,
+            t0 / low, x * du, x * x * (du * (2.0 * abs(u) + du) + dv))
+
+
+def _closed_forms(x: float) -> tuple[float, float, float]:
+    """The low-frequency closed forms of F/kT, E/kT and the fluctuation:
+    -pi^2/(6x) - (1/2) ln(x/2pi) + x/24, pi^2/(6x) - 1/2 + x/24 and
+    pi^2/(3x) - 1/2, the dual-scale law without its parts at 4 pi^2/x."""
+    return (-_PI2 / (6.0 * x) - 0.5 * math.log(x / _TWO_PI) + x / 24.0,
+            _PI2 / (6.0 * x) - 0.5 + x / 24.0,
+            _PI2 / (3.0 * x) - 0.5)
+
+
+def _dual_tail(x: float) -> float:
+    """A bound on what the closed forms drop below DUAL_SWITCH: ln Z, E/kT
+    and the fluctuation at y = 4 pi^2/x, with q = e^{-y} < e^{-43.8},
+
+        sum sigma_{-1}(n) q^n,  y sum sigma_1(n) q^n,  y^2 sum n sigma_1(n) q^n.
+
+    As sigma_{-1}(n) <= n and sigma_1(n) <= n^2 they are at most
+    q/(1 - q)^2, y q (1 + q)/(1 - q)^3 and y^2 q (1 + 4q + q^2)/(1 - q)^4,
+    each at least y > 43.8 times the one before, so the last bounds all
+    three.  Where q is below the smallest normal double its factor in q is
+    within 1e-300 of 1, and y^2 q is taken in logs.
+    """
+    y = _FOUR_PI2 / x
+    q = math.exp(-y)
+    if q >= sys.float_info.min:
+        return y * y * q * (1.0 + q * (4.0 + q)) / (1.0 - q) ** 4
+    return _exp_up(2.0 * math.log(y) - y)
+
+
+def _clausen(x: float) -> tuple[float, int, float]:
+    """N at x >= DUAL_SWITCH by Clausen's identity, r = e^{-x}:
+
+        N = sum_d r^d/(1 - r^d) = sum_{m>=1} r^{m^2} (1 + r^m)/(1 - r^m).
+
+    After M terms every factor (1 + r^m)/(1 - r^m) is at most
+    (1 + r)/(1 - r) and the gaps (m+1)^2 - m^2 grow, so the tail is at most
+    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  The sum stops, as the
+    pentagonal pairs do, once that bound is below TAIL_EPS of r, its first
+    term; where r is subnormal (or 0) N is r and the tail underflows.
+    Returns (N, M, tail bound).
+    """
+    r = math.exp(-x)
+    if r < sys.float_info.min:
+        return r, 1, 0.0
     n_occ, m = 0.0, 0
-    if occupation:
-        rm, rsq, odd = 1.0, 1.0, r  # r^m, r^{m^2}, r^{2m-1}
-        ratio = (1.0 + r) / (1.0 - r)
-        while True:
-            m += 1
-            rm *= r
-            rsq *= odd
-            odd *= r * r
-            n_occ += rsq * (1.0 + rm) / (1.0 - rm)
-            head, gaps = rsq * odd, 1.0 - odd * r * r  # r^{(M+1)^2}, 1 - r^{2M+3}
-            if ratio * head <= TAIL_EPS * r * gaps:
-                break
-        if head >= sys.float_info.min:
-            t_n = ratio * head / gaps
-        else:
-            t_n = _exp_up(math.log(ratio) + (m + 1) ** 2 * math.log(r)
-                          - math.log(gaps))
-        t_z = max(t_z, t_n)
-    return (-math.log1p(p0), n_occ, -x * u, x * x * (u * u - v), k + m,
-            t_z, x * du, x * x * (du * (2.0 * abs(u) + du) + dv))
+    rm, rsq, odd = 1.0, 1.0, r  # r^m, r^{m^2}, r^{2m-1}
+    ratio = (1.0 + r) / (1.0 - r)
+    while True:
+        m += 1
+        rm *= r
+        rsq *= odd
+        odd *= r * r
+        n_occ += rsq * (1.0 + rm) / (1.0 - rm)
+        head, gaps = rsq * odd, 1.0 - odd * r * r  # r^{(M+1)^2}, 1 - r^{2M+3}
+        if ratio * head <= TAIL_EPS * r * gaps:
+            break
+    if head >= sys.float_info.min:
+        return n_occ, m, ratio * head / gaps
+    return n_occ, m, _exp_up(math.log(ratio) + (m + 1) ** 2 * math.log(r)
+                             - math.log(gaps))
 
 
 # Wigert's coefficients (B_2k/2k)^2/(2k-1)! for k = 1..21, and the
@@ -323,99 +349,115 @@ def _wigert(x: float) -> tuple[float, int, float]:
     term; below DUAL_SWITCH that is at most 19 of the 21 tabled terms.
     Returns (N, K, bound on |R_K|).
     """
-    lead = (euler_gamma() - math.log(x)) / x
+    lead = (EULER_GAMMA - math.log(x)) / x
+    lim = TAIL_EPS * lead
     x2 = x * x
-    z2 = x2 / (4.0 * math.pi ** 2) ** 2
+    z2 = x2 / _FOUR_PI2 ** 2
     xp, zp, total = x, 1.0, 0.0
     for k, (c, a) in enumerate(zip(_WIGERT, _WIGERT_BOUND), 1):
         total += c * xp
         xp *= x2
         zp *= z2
-        if a * zp <= TAIL_EPS * lead:
+        if a * zp <= lim:
             break
     bound = a * zp
     if zp < sys.float_info.min:  # lost bits to underflow: x below 5.9e-153
-        log_z = math.log(x) - math.log(4.0 * math.pi ** 2)
+        log_z = math.log(x) - math.log(_FOUR_PI2)
         bound = _exp_up(math.log(a) + 2 * k * log_z)
     return lead + 0.25 - total, k, bound
 
 
-@lru_cache(maxsize=4096)
-def _mode_sums(x: float) -> ThermoPerMode:
-    """Every per-mode quantity at x.
+# The least x at which N, about ln(1/x)/x, is a finite double (the largest
+# one); F, E and the fluctuation would overflow only below about 1.8e-308
+_X_MIN = 3.915036531051428e-306
 
-    At x >= DUAL_SWITCH all come from the pentagonal and Clausen sums of
-    _lambert.  Below it, F, E and the fluctuation come from the functional
-    equation
+
+def _require_mode_x(x: float) -> float:
+    """x as a float for the per-mode quantities: DomainError unless finite
+    and > 0, and OverflowError below _X_MIN, before any log is taken (ln of
+    the x/(2 pi) in F and S underflows at 5e-324)."""
+    x = _require_x(x)
+    if x < _X_MIN:
+        raise OverflowError(f"per-mode values at x={x:g} overflow a double")
+    return x
+
+
+@lru_cache(maxsize=4096)
+def _mode_sums(x: float) -> tuple[float, float, float, float, int, float]:
+    """F/kT, E/kT, S/k, the fluctuation, the terms summed and a bound on
+    what they drop, at x >= _X_MIN.  N is not among them: see _occupation.
+
+    At x >= DUAL_SWITCH they come from the pentagonal sums of _lambert.
+    Below it they are the closed forms of the functional equation
 
         ln Z(x) = -x/24 + (1/2) ln(x/2pi) + pi^2/(6x) + ln Z(4 pi^2/x)
 
-    and its first two x-derivatives: the low-frequency closed forms plus the
-    pentagonal sums at y = 4 pi^2/x > 43, one pair each.  N has no such law
-    and comes from
-    Wigert's expansion.  N, of order ln(1/x)/x, is the first to exceed the
-    largest double (below x ~ 3.9e-306; F, E and the fluctuation only below
-    ~1.8e-308), so OverflowError is raised there, before ln(x/2pi) can
-    underflow.
+    and its first two x-derivatives, which drop ln Z, E/kT and the
+    fluctuation at y = 4 pi^2/x > 43.8.  Those are below half a unit in the
+    last place of each value (the largest, the fluctuation's 1.7e-16 next
+    to 3.16, just below the switch), so the closed forms are the doubles
+    that the full law rounds to, and _dual_tail bounds what they drop.
     """
-    x = _require_x(x)
+    x = _require_mode_x(x)
     if x >= DUAL_SWITCH:
-        ln_z, n_occ, e, fluct, terms, t_z, t_e, t_fl = _lambert(x, occupation=True)
+        ln_z, e, fluct, terms, t_z, t_e, t_fl = _lambert(x)
         f, tail = -ln_z, max(t_z, t_e, t_fl)
     else:
-        n_occ, k, t_n = _wigert(x)
-        if n_occ == math.inf:
-            raise OverflowError(f"per-mode values at x={x:g} overflow a double")
-        ln_zy, _, e_y, fl_y, terms, t_z, t_e, t_fl = _lambert(4.0 * math.pi ** 2 / x)
-        f = free_energy_lowfreq(x) - ln_zy
-        e = internal_energy_lowfreq(x) - e_y
-        fluct = math.pi ** 2 / (3.0 * x) - 0.5 - 2.0 * e_y + fl_y
-        terms, tail = terms + k, max(t_z, 2.0 * t_e + t_fl, t_n)
-    return ThermoPerMode(f, n_occ, e, e - f, fluct, terms,
-                         max(_BOUND_ROUNDING * tail, _BOUND_FLOOR))
+        f, e, fluct = _closed_forms(x)
+        terms, tail = 0, _dual_tail(x)
+    return f, e, e - f, fluct, terms, max(_BOUND_ROUNDING * tail, _BOUND_FLOOR)
+
+
+def _occupation(x: float) -> tuple[float, int, float]:
+    """N at x >= _X_MIN with its terms and tail bound: Wigert's expansion
+    below DUAL_SWITCH, Clausen's sum above.  Not cached, as only
+    thermo_per_mode and occupation read N."""
+    return _wigert(x) if x < DUAL_SWITCH else _clausen(x)
 
 
 def thermo_per_mode(x: float) -> ThermoPerMode:
-    """Every per-mode quantity at one x from a single evaluation."""
-    return _mode_sums(x)
+    """Every per-mode quantity at one x: _mode_sums' and _occupation's,
+    with their terms added and their tail bounds joined."""
+    f, e, s, fluct, terms, tail = _mode_sums(x)
+    n_occ, n_terms, n_tail = _occupation(float(x))
+    return ThermoPerMode(f, n_occ, e, s, fluct, terms + n_terms,
+                         max(tail, _BOUND_ROUNDING * n_tail))
 
 
 def free_energy(x: float) -> float:
     """F/kT = -sum sigma_{-1}(n) e^{-nx}  (negative for all x > 0)."""
-    return _mode_sums(x).f_over_kT
+    return _mode_sums(x)[0]
 
 
 def free_energy_lowfreq(x: float) -> float:
     """Low-frequency closed form -pi^2/(6x) - (1/2) ln(x/2pi) + x/24."""
-    x = _require_x(x)
-    return -math.pi ** 2 / (6.0 * x) - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0
+    return _closed_forms(_require_x(x))[0]
 
 
 def occupation(x: float) -> float:
     """N = sum sigma_0(n) e^{-nx}."""
-    return _mode_sums(x).n_occ
+    return _occupation(_require_mode_x(x))[0]
 
 
 def occupation_lowfreq(x: float) -> float:
     """Low-frequency closed form (-ln x + gamma)/x."""
     x = _require_x(x)
-    return (-math.log(x) + euler_gamma()) / x
+    return (-math.log(x) + EULER_GAMMA) / x
 
 
 def internal_energy(x: float) -> float:
     """E/kT = x * sum sigma_1(n) e^{-nx}."""
-    return _mode_sums(x).e_over_kT
+    return _mode_sums(x)[1]
 
 
 def internal_energy_lowfreq(x: float) -> float:
     """Low-frequency closed form pi^2/(6x) - 1/2 + x/24."""
-    x = _require_x(x)
-    return math.pi ** 2 / (6.0 * x) - 0.5 + x / 24.0
+    return _closed_forms(_require_x(x))[1]
 
 
 def entropy(x: float) -> float:
     """S/k = sum sigma_1(n)(x + 1/n) e^{-nx}, taken as (E - F)/kT."""
-    return _mode_sums(x).s_over_k
+    return _mode_sums(x)[2]
 
 
 def entropy_lowfreq(x: float) -> float:
@@ -430,7 +472,7 @@ def per_mode_energy_fluctuation(x: float) -> float:
     Equals kT^2 dE/dT at fixed h*nu; the test suite checks that against a
     central finite difference.
     """
-    return _mode_sums(x).fluct
+    return _mode_sums(x)[3]
 
 
 class PlanckVariant(Enum):
@@ -481,7 +523,7 @@ def _mellin_head(s: float, k: int, c: float) -> tuple[list[float], float]:
         lead = c ** (s - 1.0)
         wigert = [w * c ** (2 * j - 1) * c_s / (2 * j - 1 + s)
                   for j, w in enumerate(_WIGERT[:terms], 1)]
-        return ([lead * (euler_gamma() - math.log(c)) / (s - 1.0),
+        return ([lead * (EULER_GAMMA - math.log(c)) / (s - 1.0),
                  lead / (s - 1.0) ** 2, c_s / (4.0 * s)] + [-v for v in wigert],
                 bound * c_s / (s + 2 * terms) + 2.0 * _U * sum(wigert))
     q = math.exp(-4.0 * math.pi ** 2 / c)
@@ -618,8 +660,8 @@ def mellin_check(s: float, kind: MellinKind) -> tuple[float, float]:
     if s > _MELLIN_MAX_S:
         raise DomainError(f"{kind.value} Mellin check needs s <= {_MELLIN_MAX_S}, "
                           f"where Gamma(s) nears the largest double; got {s}")
-    closed = (gamma_fn(s) * riemann_zeta(s) ** 2 if k == 0
-              else gamma_fn(s) * riemann_zeta(s) * riemann_zeta(s - k))
+    closed = (math.gamma(s) * riemann_zeta(s) ** 2 if k == 0
+              else math.gamma(s) * riemann_zeta(s) * riemann_zeta(s - k))
     return _mellin_integral(s, k)[0], closed
 
 

@@ -744,6 +744,18 @@ def test_arithmetic_errors_are_computation_errors(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("blackbody", "--nu", "1e12", "--temperature", "1e-320"),
+    ("blackbody", "--nu", "1e-320", "--temperature", "300"),
+])
+def test_mode_x_outside_the_doubles_is_a_usage_error(capsys, argv):
+    # k T or h nu underflows: x = h nu/kT is refused, naming nu, T and x
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: x = h*nu/kT at nu=")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("kind", ["free-energy", "occupation", "energy"])
 def test_mellin_check_at_large_s(capsys, kind):
     code, out, err = run_cli(capsys, "mellin-check", "--s", "107", "--kind",
@@ -1039,7 +1051,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
 
 forget()
 import eulergas
-assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 65
+assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 63
 for name in eulergas.__all__:
     value = getattr(eulergas, name)
     home = sys.modules[value.__module__]

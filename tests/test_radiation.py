@@ -89,6 +89,24 @@ def test_non_finite_physical_inputs_are_refused(si, value):
             call()
 
 
+@pytest.mark.parametrize("nu, temperature", [(1e12, 1e-320), (1e-320, 300.0),
+                                             (1e-300, 1e300), (1e300, 1e-300)])
+def test_mode_x_outside_the_doubles_is_refused(si, nu, temperature):
+    # k T underflows to 0, h nu to 0, x to 0, or x overflows
+    with pytest.raises(DomainError, match=r"x = h\*nu/kT") as info:
+        mode_x(nu, temperature, si)
+    assert f"nu={nu:g}, T={temperature:g}" in str(info.value)
+    # the emissivities that read x are refused with it, the others are not
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    for model in (EmissivityModel.PLANCK, EmissivityModel.GENERAL):
+        with pytest.raises(DomainError, match=r"x = h\*nu/kT"):
+            emissivity(nu, cavity, si, model)
+    if nu < 1e154:  # where nu^2 fits a double
+        for model in (EmissivityModel.RAYLEIGH_JEANS,
+                      EmissivityModel.GENERAL_LOW_FREQ):
+            assert math.isfinite(emissivity(nu, cavity, si, model))
+
+
 def test_unreadable_constants_file_is_a_domain_error(tmp_path):
     # a missing file, a directory and bytes that are not text
     binary = tmp_path / "binary.cfg"

@@ -4,12 +4,14 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulergas import thermo
+from eulergas import modular, radiation, thermo
 from eulergas.errors import DomainError
 from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
-                             _bose, _lambert, _mellin_integral, _pentagonal,
-                             _power_tails, _wigert, entropy,
+                             _bose, _dual_tail, _lambert, _mellin_integral,
+                             _pentagonal, _power_tails, _wigert, entropy,
                              entropy_lowfreq,
                              free_energy, free_energy_lowfreq,
                              internal_energy, internal_energy_lowfreq,
@@ -353,7 +355,7 @@ def test_small_x_values_match_euler_maclaurin_sums():
         tm = thermo_per_mode(x)
         got = (tm.f_over_kT, tm.n_occ, tm.e_over_kT, tm.s_over_k,
                per_mode_energy_fluctuation(x))
-        k_terms = tm.terms_used - _lambert(4.0 * math.pi ** 2 / x)[4]
+        k_terms = tm.terms_used  # below the switch every term is Wigert's
         with mpmath.workdps(50):
             want = level_sums_mp(x)
             remainder = abs(want[1] - wigert_partial_mp(x, k_terms))
@@ -369,6 +371,23 @@ def test_overflow_below_the_double_range(x):
         thermo_per_mode(x)
     with pytest.raises(OverflowError):
         per_mode_energy_fluctuation(x)
+
+
+def test_overflow_threshold_is_where_n_overflows():
+    # _X_MIN is the least x at which Wigert's N is a finite double
+    assert _wigert(thermo._X_MIN)[0] == 1.7976931348623157e308
+    assert _wigert(math.nextafter(thermo._X_MIN, 0.0))[0] == math.inf
+
+
+@pytest.mark.parametrize("x", [math.nextafter(thermo._X_MIN, 0.0), 5e-324])
+def test_every_per_mode_quantity_overflows_below_the_threshold(x):
+    # also those that never compute N, and before any log (ln(x/2pi)
+    # underflows at 5e-324)
+    for quantity in (thermo_per_mode, free_energy, occupation,
+                     internal_energy, entropy, per_mode_energy_fluctuation):
+        with pytest.raises(OverflowError):
+            quantity(x)
+    assert math.isfinite(free_energy(thermo._X_MIN))
 
 
 @pytest.mark.parametrize("x", [1e-200, 1e-160, 1e200])
@@ -513,6 +532,25 @@ def _pentagonal_bounds_mp(x, k):
     return t0 / low, x * du, x * x * (du * (2 * u + du) + dv)
 
 
+def _dual_parts_mp(x):
+    """What the closed forms drop below the switch, at the working
+    precision: ln Z, E/kT and the fluctuation at y = 4 pi^2/x, from the
+    Lambert sums there."""
+    y = 4 * mpmath.pi ** 2 / mpmath.mpf(x)
+    ln_z, _, e, fl = _mp_lambert(y, 1, 40)
+    return ln_z, y * e, y * y * fl
+
+
+def _dual_bounds_mp(x):
+    """The bounds on _dual_parts_mp at the working precision: q/(1 - q)^2,
+    y q (1 + q)/(1 - q)^3 and y^2 q (1 + 4q + q^2)/(1 - q)^4, q = e^{-y};
+    _dual_tail is the last."""
+    y = 4 * mpmath.pi ** 2 / mpmath.mpf(x)
+    q = mpmath.exp(-y)
+    return (q / (1 - q) ** 2, y * q * (1 + q) / (1 - q) ** 3,
+            y * y * q * (1 + 4 * q + q * q) / (1 - q) ** 4)
+
+
 @pytest.mark.parametrize("x", [0.9, 2.0 * math.pi, 30.0])
 def test_pentagonal_and_clausen_identities(x):
     # Euler's pentagonal theorem, P = 1 + s_0 = prod (1 - r^d); its two
@@ -551,33 +589,30 @@ def test_tail_bound_covers_dropped_terms():
                 assert bound >= t and abs(got / bound - 1) <= 1e-11, x
             dropped.append(_mp_clausen(x, m + 1, m + 30))
             assert all(tm.tail_bound >= t > 0 for t in dropped), x
-    # dual route: ln Z, E and the fluctuation come from the pentagonal sums
-    # at y = 4 pi^2/x, which drop the pairs k > k_y; N is Wigert's expansion
-    # through the remaining k_terms terms, whose remainder is the 40-digit N
-    # minus them
+    # below the switch: F, E, S and the fluctuation are closed forms, which
+    # drop ln Z, E and the fluctuation at 4 pi^2/x whole; N is Wigert's
+    # expansion through all terms_used terms, whose remainder is the 40-digit
+    # N minus them
     x = 0.5
     tm = thermo_per_mode(x)
-    y = 4.0 * math.pi ** 2 / x
-    *_, k_y, t_z, t_e, t_fl = _lambert(y)
-    k_terms = tm.terms_used - k_y
-    assert k_y >= 1 and k_terms >= 1
+    assert tm.terms_used >= 1
     with mpmath.workdps(40):
-        ln_z, e, fl = (abs(t) for t in _mp_dropped(y, k_y))
-        for got, bound, t in zip((t_z, t_e, t_fl),
-                                 _pentagonal_bounds_mp(y, k_y), (ln_z, e, fl)):
-            assert bound >= t and abs(got / bound - 1) <= 1e-11
-        dropped = (ln_z, e, 2 * e + fl)
+        dropped = [abs(t) for t in _dual_parts_mp(x)]
+        bounds = _dual_bounds_mp(x)
+        assert all(bound >= t for bound, t in zip(bounds, dropped))
+        assert bounds[0] < bounds[1] < bounds[2]
+        assert abs(_dual_tail(x) / bounds[2] - 1) <= 1e-11
         assert all(tm.tail_bound >= t > 0 for t in dropped)
-        remainder = abs(occupation_mp(x) - wigert_partial_mp(x, k_terms))
+        remainder = abs(occupation_mp(x) - wigert_partial_mp(x, tm.terms_used))
         assert tm.tail_bound >= remainder > 0
 
 
-# every ThermoPerMode field pinned to the bit, by repr: the dual route
-# (1e-12, 0.5), the pairs and Clausen's sum (0.9 to 30), subnormal powers
+# every ThermoPerMode field pinned to the bit, by repr: the closed forms and
+# Wigert's expansion (1e-12, 0.5), the pairs and Clausen's sum (0.9 to 30), subnormal powers
 # (700) and a subnormal r (745)
 PINNED_MODES = [
-    (1e-12, 'ThermoPerMode(f_over_kT=-1644934066833.492, n_occ=28208236780830.332, e_over_kT=1644934066847.7263, s_over_k=3289868133681.2183, fluct=3289868133695.9526, terms_used=2, tail_bound=5.902156259363353e-28)'),
-    (0.5, 'ThermoPerMode(f_over_kT=-2.003522676878474, n_occ=2.7872520178134574, e_over_kT=2.8107014670297863, s_over_k=4.814224143908261, fluct=6.079736267392906, terms_used=9, tail_bound=1.8980015837761135e-17)'),
+    (1e-12, 'ThermoPerMode(f_over_kT=-1644934066833.492, n_occ=28208236780830.332, e_over_kT=1644934066847.7263, s_over_k=3289868133681.2183, fluct=3289868133695.9526, terms_used=1, tail_bound=5.902156259363353e-28)'),
+    (0.5, 'ThermoPerMode(f_over_kT=-2.003522676878474, n_occ=2.7872520178134574, e_over_kT=2.8107014670297863, s_over_k=4.814224143908261, fluct=6.079736267392906, terms_used=8, tail_bound=1.8980015837761135e-17)'),
     (0.9, 'ThermoPerMode(f_over_kT=-0.8185857276866657, n_occ=1.0021594616993799, e_over_kT=1.3652045187202515, s_over_k=2.183790246406917, fluct=3.1554090374405033, terms_used=12, tail_bound=1.6688044227002262e-19)'),
     (1.0, 'ThermoPerMode(f_over_kT=-0.684328866976887, n_occ=0.8202595115424169, e_over_kT=1.1866007335148925, s_over_k=1.8709296004917795, fluct=2.789868133696462, terms_used=11, tail_bound=6.206233070603318e-19)'),
     (3.0, 'ThermoPerMode(f_over_kT=-0.05368089389292586, n_occ=0.05501049936453108, e_over_kT=0.173285995298587, s_over_k=0.22696688919151284, fluct=0.5969057209280618, terms_used=6, tail_bound=1.5745090122045362e-21)'),
@@ -623,21 +658,21 @@ def test_tail_bound_is_positive_where_the_dropped_terms_underflow(x):
     # double, so the bound is that double, not 0
     tm = thermo_per_mode(x)
     assert tm.tail_bound == math.ulp(0.0)
-    y = x if x >= DUAL_SWITCH else 4.0 * math.pi ** 2 / x
-    d = _lambert(y)[4]
     with mpmath.workdps(40):
-        ln_z, n, e, fl = _mp_lambert(y, d + 1, d + 50)
-        y = mpmath.mpf(y)
         if x >= DUAL_SWITCH:
+            d = _lambert(x)[3]
+            ln_z, n, e, fl = _mp_lambert(x, d + 1, d + 50)
+            y = mpmath.mpf(x)
             dropped = [ln_z, n, y * e, y * y * fl]
         else:
-            # Wigert's remainder after the k terms summed, by its contour
-            # bound zeta(3)^2 (k+1) (2k)! (x/4pi^2)^{2k}/(2pi)
-            k = tm.terms_used - d
+            # the parts at 4 pi^2/x that the closed forms drop, and Wigert's
+            # remainder after the k terms summed, by its contour bound
+            # zeta(3)^2 (k+1) (2k)! (x/4pi^2)^{2k}/(2pi)
+            k = tm.terms_used
             wigert = (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
                       * (mpmath.mpf(x) / (4 * mpmath.pi ** 2)) ** (2 * k)
                       / (2 * mpmath.pi))
-            dropped = [ln_z, y * e, 2 * y * e + y * y * fl, wigert]
+            dropped = [*_dual_parts_mp(x), wigert]
         assert all(0 < t < tm.tail_bound for t in dropped), dropped
 
 
@@ -646,22 +681,23 @@ def _bound_formula_mp(x, tm):
 
     Direct route, after K pentagonal pairs and M Clausen terms with
     r = e^{-x}: the largest of the three pentagonal bounds and Clausen's
-    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Dual route at the x below:
-    Wigert's contour bound zeta(3)^2 (K+1) (2K)! (x/4pi^2)^{2K}/(2pi) after
-    K terms; the pentagonal tails at 4 pi^2/x > 6e155 are of order
-    e^{-3e156}.
+    (1 + r)/(1 - r) r^{(M+1)^2}/(1 - r^{2M+3}).  Below the switch: the
+    largest of the closed forms' three bounds, of order e^{-6e155} at the x
+    below, and Wigert's contour bound
+    zeta(3)^2 (K+1) (2K)! (x/4pi^2)^{2K}/(2pi) after K terms.
     """
-    x = mpmath.mpf(x)
     if x >= DUAL_SWITCH:
-        k = _lambert(float(x))[4]
+        k = _lambert(x)[3]
         m = tm.terms_used - k
+        x = mpmath.mpf(x)
         r = mpmath.exp(-x)
         clausen = ((1 + r) / (1 - r) * r ** ((m + 1) ** 2)
                    / (1 - r ** (2 * m + 3)))
         return max(*_pentagonal_bounds_mp(x, k), clausen)
-    k = tm.terms_used - _lambert(4.0 * math.pi ** 2 / float(x))[4]
-    return (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
-            * (x / (4 * mpmath.pi ** 2)) ** (2 * k) / (2 * mpmath.pi))
+    k = tm.terms_used
+    wigert = (mpmath.zeta(3) ** 2 * (k + 1) * mpmath.factorial(2 * k)
+              * (mpmath.mpf(x) / (4 * mpmath.pi ** 2)) ** (2 * k) / (2 * mpmath.pi))
+    return max(*_dual_bounds_mp(x), wigert)
 
 
 @pytest.mark.parametrize("x", [359.0, 378.6, *np.linspace(354.0, 379.0, 51),
@@ -733,6 +769,86 @@ def test_mellin_refuses_non_finite_s(kind):
     for s in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
             mellin_check(s, kind)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms below the switch, and N apart from the rest
+# ---------------------------------------------------------------------------
+
+def _assert_closed_forms_are_the_doubles(x):
+    # the closed forms drop ln Z, E and the fluctuation at 4 pi^2/x; adding
+    # those 40-digit parts back rounds to the same doubles, and _dual_tail's
+    # bound, rounded up and floored at the smallest double as the kernel
+    # does, is at least each part
+    f, e, s, fluct, terms, tail = thermo._mode_sums(x)
+    assert terms == 0
+    with mpmath.workdps(40):
+        ln_zy, e_y, fl_y = _dual_parts_mp(x)
+        exact = (mpmath.mpf(f) - ln_zy, mpmath.mpf(e) - e_y,
+                 mpmath.mpf(s) - e_y + ln_zy, mpmath.mpf(fluct) - 2 * e_y + fl_y)
+        assert [float(v) for v in exact] == [f, e, s, fluct], x
+        # and the closed forms are the law's to rounding: within 5e-16 of
+        # the sum of their terms' sizes (3.6e-16 seen), each term taken at
+        # 40 digits
+        xm = mpmath.mpf(x)
+        a = mpmath.pi ** 2 / (6 * xm)
+        b = mpmath.log(xm / (2 * mpmath.pi)) / 2
+        c = xm / 24
+        law = ((-a - b + c - ln_zy, a + abs(b) + c),
+               (a - 0.5 + c - e_y, a + 0.5 + c),
+               (2 * a + b - 0.5 + ln_zy - e_y, 2 * a + abs(b) + 0.5),
+               (2 * a - 0.5 - 2 * e_y + fl_y, 2 * a + 0.5))
+        for got, (want, size) in zip((f, e, s, fluct), law):
+            assert abs(got - want) <= 5e-16 * size, x
+        assert tail == max(thermo._BOUND_ROUNDING * _dual_tail(x), math.ulp(0.0))
+        assert tail >= fl_y > e_y > ln_zy > 0, x
+
+
+@pytest.mark.parametrize("x", [*np.geomspace(thermo._X_MIN, 0.8, 150),
+                               *np.linspace(0.8, 0.9, 101)[:-1],
+                               math.nextafter(DUAL_SWITCH, 0.0)])
+def test_closed_forms_are_the_doubles_below_the_switch(x):
+    _assert_closed_forms_are_the_doubles(float(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=thermo._X_MIN,
+                 max_value=math.nextafter(DUAL_SWITCH, 0.0)))
+def test_closed_forms_are_the_doubles_for_any_x_below_the_switch(x):
+    _assert_closed_forms_are_the_doubles(x)
+
+
+@pytest.mark.parametrize("x", [3e-3, 0.5, math.nextafter(DUAL_SWITCH, 0.0),
+                               DUAL_SWITCH, 3.0])
+def test_only_thermo_per_mode_and_occupation_compute_n(monkeypatch, x):
+    # with Wigert's and Clausen's sums out of order, everything that does
+    # not read N still answers, on both sides of the switch
+    def refuse(x):
+        raise RuntimeError("N was computed")
+
+    thermo._mode_sums.cache_clear()
+    monkeypatch.setattr(thermo, "_wigert", refuse)
+    monkeypatch.setattr(thermo, "_clausen", refuse)
+    for quantity in (free_energy, internal_energy, entropy,
+                     per_mode_energy_fluctuation):
+        assert math.isfinite(quantity(x))
+    assert modular.partition_generating(math.exp(-x)) > 1.0
+    si = radiation.PhysicalConstants.si()
+    temperature = 300.0
+    nu = x * si.k * temperature / si.h
+    cavity = radiation.CavitySpec(volume=1.0, temperature=temperature)
+    assert radiation.emissivity(nu, cavity, si,
+                                radiation.EmissivityModel.GENERAL) > 0.0
+    for quantity in (thermo_per_mode, occupation):
+        with pytest.raises(RuntimeError, match="N was computed"):
+            quantity(x)
+
+
+def test_the_kernel_has_one_bounded_cache():
+    caches = [name for name, value in vars(thermo).items()
+              if hasattr(value, "cache_info")]
+    assert caches == ["_mode_sums"]
+    assert thermo._mode_sums.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
