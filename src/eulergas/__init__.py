@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 # Each exported name under the submodule that defines it
 _EXPORTS = {
     "arith": ("DedekindConvention", "DedekindValue", "FordCircle",
-              "TangencyPoint", "dedekind_sum", "divisor_sigma", "divisors",
-              "farey_sequence", "ford_circle", "ford_tangency",
-              "partition_count_oracle", "reduced_fraction"),
+              "TangencyPoint", "dedekind_sum", "farey_sequence", "ford_circle",
+              "ford_tangency", "partition_count_oracle", "reduced_fraction"),
     "errors": ("ConvergenceError", "DomainError"),
-    "modular": ("RademacherResult", "asymptotic_p", "functional_equation_rhs",
-                "leading_term_p", "partition_generating", "rademacher_p"),
+    "modular": ("RademacherResult", "asymptotic_p", "leading_term_p",
+                "partition_generating", "rademacher_p"),
     "phonon": ("DebyeModel", "FlickerResult", "ResonatorSpec", "SolidSpec",
                "debye_frequency", "debye_function", "debye_temperature",
                "debye_velocity", "energy_fluctuation", "flicker_floor",
@@ -32,8 +31,8 @@ _EXPORTS = {
                   "einstein_AB", "emissivity", "fluctuation_spectrum",
                   "mode_x", "photon_density", "stefan_boltzmann"),
     "thermo": ("EtaTransform", "MellinKind", "PlanckVariant", "ThermoPerMode",
-               "eisenstein_g2", "entropy", "eta", "eta_transform",
-               "free_energy", "free_energy_lowfreq",
+               "eisenstein_g2", "entropy", "entropy_lowfreq", "eta",
+               "eta_transform", "free_energy", "free_energy_lowfreq",
                "internal_energy", "internal_energy_lowfreq", "mellin_check",
                "occupation", "occupation_lowfreq",
                "per_mode_energy_fluctuation", "planck_factor", "riemann_zeta",

@@ -1,15 +1,16 @@
 """Exact arithmetic primitives.
 
-Divisor power sums, a partition-count table built by Euler's pentagonal
-number recurrence, Farey sequences, Ford circles with their tangency
-geometry, Dedekind sums in two conventions, and the root-of-unity sums
-A_q(n) of the exact partition series factored over the prime powers of q.
+A partition-count table built by Euler's pentagonal number recurrence,
+Farey sequences, Ford circles with their tangency geometry, Dedekind sums
+in two conventions, and the root-of-unity sums A_q(n) of the exact
+partition series factored over the prime powers of q.  thermo sums the
+per-mode divisor series without divisor sums, so none are computed here.
 
 Everything here is exact: ints and ``fractions.Fraction`` only, with no
-floats but FactoredA's double-precision value.  The float-valued zeta,
-gamma and Euler constant live in thermo, beside their users, so that a
-float subcommand loads neither this module nor fractions.  Nothing here
-imports mpmath.
+floats but FactoredA's double-precision value.  The float-valued zeta and
+Euler's constant live in thermo, beside their users, so that a float
+subcommand loads neither this module nor fractions.  Nothing here imports
+mpmath.
 """
 
 from __future__ import annotations
@@ -24,65 +25,11 @@ from typing import NamedTuple
 from .errors import DomainError, int_text, require_integer
 
 __all__ = [
-    "divisors", "divisor_sigma",
     "partition_count_oracle",
     "farey_sequence", "reduced_fraction",
     "FordCircle", "ford_circle", "TangencyPoint", "ford_tangency",
     "DedekindConvention", "DedekindValue", "dedekind_sum",
-    "FactoredA", "factored_a",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Divisor sums
-# ---------------------------------------------------------------------------
-
-# The largest n divisors and divisor_sigma take, and the largest q of
-# factored_a: trial division to sqrt(n) takes about 0.07 s at 10^12 and ten
-# times that at 10^14
-_TRIAL_DIVISION_MAX = 10 ** 12
-
-
-def _require_trial_division(name: str, n: int, arg: str = "n") -> int:
-    """n as an int, or DomainError unless it is an integer from 1 to
-    10^12."""
-    n = require_integer(arg, n)
-    if n < 1:
-        raise DomainError(f"{name} needs {arg} >= 1, got {int_text(n)}")
-    if n > _TRIAL_DIVISION_MAX:
-        raise DomainError(f"{name} takes {arg} <= 10**12, got {int_text(n)}")
-    return n
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n <= 10^12 in increasing order (trial
-    division).  DomainError for anything else."""
-    n = _require_trial_division("divisors", n)
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
-
-
-def divisor_sigma(k: int, n: int) -> int | Fraction:
-    """Sum of k-th powers of the divisors of n <= 10^12, exactly.
-
-    Negative k is allowed and returns a Fraction; sigma_{-1}(n) equals
-    sigma_1(n)/n.  Integers come back for k >= 0.  Non-integer k or n, and
-    n outside 1..10^12, raise DomainError.
-    """
-    k = require_integer("k", k)
-    n = _require_trial_division("divisor_sigma", n)
-    if k >= 0:
-        return sum(d ** k for d in divisors(n))
-    return sum(Fraction(1, d ** (-k)) for d in divisors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +299,11 @@ def _cospi_arg(r: int, s: int) -> tuple[int, int]:
     return min(r, 2 * s - r), s
 
 
+# The largest q factored_a takes: trial division to sqrt(q) takes about
+# 0.07 s at 10^12 and ten times that at 10^14
+_TRIAL_DIVISION_MAX = 10 ** 12
+
+
 def factored_a(q: int, n: int) -> FactoredA:
     """A_q(n), the root-of-unity sum of the exact partition series in the
     classical convention, as a product over the prime powers k = p^lam of q.
@@ -380,7 +332,11 @@ def factored_a(q: int, n: int) -> FactoredA:
     a divisor of 24q, and the k = 2 sign is that of n mod 2.  Nothing is
     cached here; modular._a_record keeps the series' terms by (q, n mod q).
     """
-    q = _require_trial_division("factored_a", q, "q")
+    q = require_integer("q", q)
+    if q < 1:
+        raise DomainError(f"factored_a needs q >= 1, got {int_text(q)}")
+    if q > _TRIAL_DIVISION_MAX:
+        raise DomainError(f"factored_a takes q <= 10**12, got {int_text(q)}")
     n = require_integer("n", n)
     return _factored_a(q, n % q)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import operator
 
+__all__ = ["DomainError", "ConvergenceError"]
+
 
 class DomainError(ValueError):
     """Input outside an operation's stated domain."""

@@ -1,10 +1,9 @@
 """Generating-function evaluation on the disk and upper half plane.
 
-The partition generating product, the dual-scale functional equation, the
-dominant closed-form term, the crude exponential estimate, and the exact
-convergent series for p(n) with integer rounding.  eta, its shift/inversion
-transforms and the weight-two Eisenstein series live in thermo, next to
-the per-mode kernel, and are imported back here.
+The partition generating product, the dominant closed-form term, the crude
+exponential estimate, and the exact convergent series for p(n) with
+integer rounding.  eta, its shift/inversion transforms and the weight-two
+Eisenstein series live in thermo, next to the per-mode kernel.
 
 The exact series is truncated where a bound on its tail, from |A_q(n)| <=
 2^w sqrt(q) (w the number of odd primes dividing q), falls below what the
@@ -34,11 +33,10 @@ from mpmath.libmp import from_man_exp, mpf_cos_pi, mpf_exp, mpf_pi, to_fixed
 from . import thermo
 from .arith import FactoredA, _factored_a
 from .errors import ConvergenceError, DomainError, int_text, require_integer
-# eta and G2 live in thermo; these names keep eulergas.modular.eta working
-from .thermo import EtaTransform, eisenstein_g2, eta, eta_transform  # noqa: F401
+from .thermo import eta
 
 __all__ = [
-    "partition_generating", "functional_equation_rhs",
+    "partition_generating",
     "RademacherResult", "rademacher_p", "leading_term_p", "asymptotic_p",
 ]
 
@@ -81,24 +79,6 @@ def partition_generating(y: complex | float) -> complex | float:
         raise DomainError(f"Z(y) at y = {y} overflows a double; Z(e^-x) "
                           f"fits only for x >= {Z_OVERFLOW_X:g}")
     return z.real if isinstance(y, float) else z  # Z is real for real y
-
-
-def functional_equation_rhs(x: float) -> float:
-    """Dual-scale prediction of Z(e^{-x}) from the modular inversion:
-
-        Z(y) = y^{1/24} / sqrt(2*pi) * x^{1/2} * exp(pi^2/(6x)) * Z(y'),
-        y = e^{-x},  y' = e^{-4*pi^2/x},
-
-    the head being thermo's low-frequency exp(-F/kT).  For x <= 1 Z(y')
-    differs from 1 by less than e^{-4*pi^2}.  Below x = Z_OVERFLOW_X the
-    value exceeds a double and DomainError is raised.
-    """
-    head = thermo.free_energy_lowfreq(x)  # refuses all but finite x > 0
-    if x < Z_OVERFLOW_X:
-        raise DomainError(f"Z(e^-x) at x = {x:g} overflows a double; it "
-                          f"fits only for x >= {Z_OVERFLOW_X:g}")
-    return math.exp(-head) * partition_generating(
-        math.exp(-4.0 * math.pi ** 2 / x))
 
 
 # ---------------------------------------------------------------------------

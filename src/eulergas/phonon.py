@@ -30,10 +30,10 @@ from .thermo import _BERNOULLI_2K, ZETA3, _bose
 __all__ = [
     "SolidSpec", "ResonatorSpec",
     "debye_velocity", "debye_frequency", "debye_temperature",
-    "debye_function", "debye_function_series",
+    "debye_function",
     "DebyeModel", "specific_heat", "energy_fluctuation",
     "FlickerResult", "flicker_floor",
-    "load_resonator_preset", "PRESET_NAMES",
+    "load_resonator_preset",
 ]
 
 

@@ -24,10 +24,9 @@ from .errors import DomainError, require_positive
 from .thermo import ZETA3, _bose, internal_energy
 
 __all__ = [
-    "PhysicalConstants", "CavitySpec", "load_key_value_file",
-    "mode_x",
+    "PhysicalConstants", "CavitySpec", "mode_x",
     "stefan_boltzmann", "PhotonModel", "photon_density",
-    "planck_spectral_density", "EmissivityModel", "emissivity",
+    "EmissivityModel", "emissivity",
     "EinsteinModel", "einstein_AB",
     "NoiseModel", "fluctuation_spectrum",
 ]
@@ -156,6 +155,12 @@ def planck_spectral_density(nu: float, cavity: CavitySpec,
                  * nu ** 3)
 
 
+def _overflow(quantity: str, nu: float, cavity: CavitySpec) -> OverflowError:
+    """The error for a value past the largest double, naming the inputs."""
+    return OverflowError(f"{quantity} at nu={nu:g}, T={cavity.temperature:g}, "
+                         f"V={cavity.volume:g} exceeds the largest double")
+
+
 class EmissivityModel(Enum):
     PLANCK = "planck"
     RAYLEIGH_JEANS = "rayleigh-jeans"
@@ -175,7 +180,8 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).  The Planck factor
     1/(e^x - 1) is taken as e^{-x}/(1 - e^{-x}), which vanishes instead of
     overflowing at large x.  PLANCK and GENERAL, which read x, are refused
-    where mode_x refuses it.
+    where mode_x refuses it; RAYLEIGH_JEANS raises OverflowError where its
+    value exceeds the doubles.
     """
     require_positive("nu", nu)
     t = cavity.temperature
@@ -184,7 +190,16 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
         return _bose(mode_x(nu, t, constants),
                      2.0 * math.pi * constants.h / c2 * nu ** 3)
     if model is EmissivityModel.RAYLEIGH_JEANS:
-        return 2.0 * math.pi * constants.k / c2 * nu ** 2 * t
+        rj = 2.0 * math.pi * constants.k / c2
+        try:
+            value = rj * nu ** 2 * t
+        except OverflowError:
+            # nu^2 alone exceeds the doubles, rj*nu does not (rj is about
+            # 1e-39 in SI), and as nu > 1 here rj*nu*T is at most the value
+            value = rj * nu * t * nu
+        if value == math.inf:
+            raise _overflow("rayleigh-jeans emissivity", nu, cavity)
+        return value
     if model is EmissivityModel.GENERAL:
         x = mode_x(nu, t, constants)
         return (2.0 * math.pi * constants.h / c2 * nu ** 3
@@ -232,15 +247,12 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
     EINSTEIN_FULL:    h nu/u + c^3/(8 pi nu^2 V) with the conventional u;
                       the shot term h nu/u dominates in the Wien regime
 
-    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.
+    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.  RAYLEIGH_JEANS
+    and GENERAL_LOW_FREQ raise OverflowError where the value exceeds the
+    doubles, as where the denominator underflows to 0.
     """
     require_positive("nu", nu)
     v = cavity.volume
-    if model is NoiseModel.RAYLEIGH_JEANS:
-        return constants.c ** 3 / (8.0 * math.pi * v * nu ** 2)
-    if model is NoiseModel.GENERAL_LOW_FREQ:
-        return (1.5 * constants.h * constants.c ** 3
-                / (math.pi ** 3 * v * constants.k * cavity.temperature * nu))
     if model is NoiseModel.EINSTEIN_FULL:
         u = planck_spectral_density(nu, cavity, constants)
         if u == 0.0:
@@ -251,5 +263,23 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
         # order, which rounds apart from that branch's at V != 1
         return (constants.h * nu / u
                 + constants.c ** 3 / (8.0 * math.pi * nu ** 2 * v))
-    raise DomainError(f"unknown noise model {model!r}")
+    try:
+        if model is NoiseModel.RAYLEIGH_JEANS:
+            try:
+                value = constants.c ** 3 / (8.0 * math.pi * v * nu ** 2)
+            except (OverflowError, ZeroDivisionError):
+                # nu^2 overflows, or the denominator underflows: divide by
+                # nu twice, which fails only where the value does
+                value = constants.c ** 3 / (8.0 * math.pi * v * nu) / nu
+        elif model is NoiseModel.GENERAL_LOW_FREQ:
+            value = (1.5 * constants.h * constants.c ** 3
+                     / (math.pi ** 3 * v * constants.k * cavity.temperature
+                        * nu))
+        else:
+            raise DomainError(f"unknown noise model {model!r}")
+    except ZeroDivisionError:  # a denominator below the least double
+        value = math.inf
+    if value == math.inf:
+        raise _overflow(f"{model.value} noise", nu, cavity)
+    return value
 

@@ -63,7 +63,7 @@ __all__ = [
     "PlanckVariant", "planck_factor",
     "MellinKind", "mellin_check",
     "eta", "EtaTransform", "eta_transform", "eisenstein_g2",
-    "ZETA3", "EULER_GAMMA", "riemann_zeta",
+    "riemann_zeta",
 ]
 
 DUAL_SWITCH = 0.9        # below this x: the closed forms for F, E, S and

@@ -4,6 +4,8 @@ The production routes in ``eulergas.thermo`` are Lambert sums, the
 dual-scale law and Wigert's expansion.  These sum over the levels
 n = 1, 2, ... instead: in doubles with numpy, or at high precision with
 mpmath.  sigma_table sieves the divisor sums that literal series need.
+Z(e^{-x}) is summed over exact p(n), and the dual-scale law that the
+production route applies below x = 0.9 is kept here as a formula.
 
 The production exact p(n) takes A_q(n) from its factorisation over the
 prime powers of q.  Here A_q(n) comes from Selberg's formula, a scan over
@@ -15,14 +17,51 @@ production series before its sharper bound, is kept to replay that
 truncation.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from eulergas.arith import DedekindConvention, dedekind_sum
-from eulergas.modular import _K, _remainder_bound, rademacher_p
+from eulergas.arith import (DedekindConvention, dedekind_sum,
+                            partition_count_oracle)
+from eulergas.modular import (_K, _remainder_bound, partition_generating,
+                              rademacher_p)
+from eulergas.thermo import free_energy_lowfreq
+
+
+def functional_equation_rhs(x):
+    """Z(e^{-x}) from the modular inversion, the dual-scale law
+
+        Z(y) = y^{1/24} / sqrt(2*pi) * x^{1/2} * exp(pi^2/(6x)) * Z(y'),
+        y = e^{-x},  y' = e^{-4*pi^2/x},
+
+    with the head from thermo's low-frequency exp(-F/kT)."""
+    return (math.exp(-free_energy_lowfreq(x))
+            * partition_generating(math.exp(-4.0 * math.pi ** 2 / x)))
+
+
+def log_partition_series(x):
+    """ln Z(e^{-x}) = ln sum_{n>=0} p(n) e^{-nx} with exact p(n) from the
+    pentagonal recurrence, independent of the dual-scale law.
+
+    Every term is positive, so nothing cancels.  The terms are taken in
+    logs and summed relative to the largest, near n = pi^2/(6x^2).  The
+    sum stops at the first term past that peak 45 e-folds below the
+    largest: p(n) e^{-nx} is log-concave from n = 26 on, so the terms left
+    fall at least geometrically from there.
+    """
+    peak = math.pi ** 2 / (6.0 * x * x)
+    logs = []
+    top = -math.inf
+    for n in itertools.count():
+        term = math.log(partition_count_oracle(n)) - n * x
+        logs.append(term)
+        top = max(top, term)
+        if n > peak and term < top - 45.0:
+            break
+    return top + math.log(math.fsum(math.exp(t - top) for t in logs))
 
 
 def sigma_table(n_max):

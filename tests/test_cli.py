@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -453,6 +454,33 @@ def test_csv_cells_holding_a_comma_are_quoted(capsys):
     assert [row[4] for row in rows[1:]] == ["", ""]
 
 
+@pytest.mark.parametrize("quantity,start,temperature", [
+    ("emissivity", "1e6", "1e-300"), ("frac-noise", "1e-320", "300")])
+def test_radiation_sweeps_name_the_inputs_they_refuse(capsys, quantity,
+                                                      start, temperature):
+    # a Rayleigh-Jeans or general-lf cell holds its value or an
+    # OverflowError naming nu, T and V: no errno tuple from nu ** 2 and no
+    # bare division by zero
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", quantity,
+                           "--start", start, "--stop", "1e300", "--points",
+                           "30", "--scale", "log", "--temperature",
+                           temperature, "--format", "json")
+    assert code == 0
+    refused = 0
+    for row in json.loads(out)["rows"]:
+        notes = dict(note.split("=", 1)
+                     for note in row.get("errors", "").split("; ") if note)
+        for model in ("rayleigh-jeans", "rj", "general-lf"):
+            if model in notes:
+                refused += 1
+                assert notes[model].startswith(f"{model} ")
+                assert notes[model].endswith(" exceeds the largest double")
+                assert ", V=1 " in notes[model]
+            elif model in row:
+                assert row[model] is not None
+    assert refused == (0 if quantity == "emissivity" else 11)
+
+
 @pytest.mark.parametrize("argv, text", [
     (("farey", "--order", "3", "--format", "csv"),
      "index,numerator,denominator,value\n0,0,1,0.0\n1,1,3,0.33333333333333331\n"
@@ -788,9 +816,8 @@ def test_non_finite_result_is_a_computation_error(capsys):
 def test_choice_lists_match_the_library_enums(capsys):
     # the parser spells its choices out, so that building it imports no
     # subsystem; they must stay the values of the enums the handlers build
-    from eulergas.modular import EtaTransform
     from eulergas.radiation import EmissivityModel, NoiseModel
-    from eulergas.thermo import MellinKind
+    from eulergas.thermo import EtaTransform, MellinKind
     commands = next(a.choices for a in build_parser()._actions
                     if a.dest == "command")
 
@@ -1051,7 +1078,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
 
 forget()
 import eulergas
-assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 63
+assert len(eulergas.__all__) == len(set(eulergas.__all__)) == 61
 for name in eulergas.__all__:
     value = getattr(eulergas, name)
     home = sys.modules[value.__module__]
@@ -1064,6 +1091,13 @@ for name in eulergas.__all__:
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_module_exports_what_the_package_does():
+    # one public surface: a submodule's __all__ is its list in _EXPORTS
+    for module, names in eulergas._EXPORTS.items():
+        home = importlib.import_module(f"eulergas.{module}")
+        assert set(home.__all__) == set(names), module
 
 
 def _without_mpmath(tmp_path, argv):

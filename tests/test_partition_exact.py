@@ -4,8 +4,8 @@ The pentagonal-recurrence oracle checks every n up to 3000; the factored
 A_q(n) is checked against Selberg's formula and the Dedekind-phase sums,
 and Selberg's against the Dedekind-phase sums; the remainder bound, and
 each of its parts, against 200-bit partial sums and exact sums; and p(n)
-beyond the oracle's reach against the recurrence mod 2^64 and Ramanujan's
-congruences.  Rademacher's bound, which the series was truncated by
+beyond the oracle's reach against the recurrence mod 2^64, Ramanujan's
+congruences and sympy's partition.  Rademacher's bound, which the series was truncated by
 before, replays that truncation to the bit, and the sharper bound never
 takes more terms.  Past EXACT_MAX_N the series is refused at once, and a
 sum that misses its certificate raises ConvergenceError.
@@ -628,6 +628,24 @@ def test_ramanujan_congruences_near_powers_of_ten(base, mod, res):
     result = rademacher_p(n)
     assert result.residual + result.error_bound < 0.5
     assert result.value % mod == 0
+
+
+# Two n per decade from 10^5 to 10^8 and one from 10^8 to 10^9, each
+# log-uniform in its decade: past the pentagonal oracle's reach
+_SYMPY_RNG = random.Random(2003)
+_SYMPY_LADDER = sorted(int(10 ** _SYMPY_RNG.uniform(k, k + 1))
+                       for k, count in ((5, 2), (6, 2), (7, 2), (8, 1))
+                       for _ in range(count))
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(n, marks=pytest.mark.slow) if n > 10 ** 8 else n
+    for n in _SYMPY_LADDER])
+def test_exact_p_matches_sympy(n):
+    # sympy's partition is a separate implementation of the same series;
+    # its exponentials and cosines also come from mpmath's libmp
+    from sympy.functions.combinatorial.numbers import partition
+    assert rademacher_p(n).value == int(partition(n))
 
 
 def _run_cli(argv):

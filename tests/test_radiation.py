@@ -1,7 +1,9 @@
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -297,6 +299,72 @@ def test_noise_slopes_by_regression(si):
                                 NoiseModel.GENERAL_LOW_FREQ) for nu in nus]
     assert abs(np.polyfit(np.log(nus), np.log(rj), 1)[0] + 2.0) < 1e-6
     assert abs(np.polyfit(np.log(nus), np.log(glf), 1)[0] + 1.0) < 1e-6
+
+
+def _rj_emissivity_mp(nu, temperature, si):
+    with mpmath.workdps(30):
+        return (2 * mpmath.pi * mpmath.mpf(si.k) * mpmath.mpf(nu) ** 2
+                * temperature / mpmath.mpf(si.c) ** 2)
+
+
+def _rj_noise_mp(nu, volume, si):
+    with mpmath.workdps(30):
+        return (mpmath.mpf(si.c) ** 3
+                / (8 * mpmath.pi * volume * mpmath.mpf(nu) ** 2))
+
+
+@pytest.mark.parametrize("nu", [1.172102298e158, 2.212216291e178, 1e300])
+def test_rj_emissivity_where_nu_squared_overflows(si, nu):
+    # the emissivity sweep at T = 1e-300: nu^2 exceeds the doubles from
+    # nu = 1.34e154, the value does not (1.3e-23 at 1.17e158)
+    cavity = CavitySpec(volume=1.0, temperature=1e-300)
+    value = emissivity(nu, cavity, si, EmissivityModel.RAYLEIGH_JEANS)
+    want = _rj_emissivity_mp(nu, 1e-300, si)
+    assert abs(value - want) <= 1e-15 * want
+
+
+def test_rj_emissivity_keeps_its_rounding_below_the_root(si):
+    cavity = CavitySpec(volume=1.0, temperature=300.0)
+    for nu in (1e6, 1e12, 1.3e154):
+        assert (emissivity(nu, cavity, si, EmissivityModel.RAYLEIGH_JEANS)
+                == 2.0 * math.pi * si.k / si.c ** 2 * nu ** 2 * 300.0)
+
+
+@pytest.mark.parametrize("nu,temperature", [(1e200, 1.0), (1e150, 1e300)])
+def test_rj_emissivity_past_the_doubles_names_its_inputs(si, nu, temperature):
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    name = f"rayleigh-jeans emissivity at nu={nu:g}, T={temperature:g}, V=1 "
+    with pytest.raises(OverflowError, match=re.escape(name)):
+        emissivity(nu, cavity, si, EmissivityModel.RAYLEIGH_JEANS)
+
+
+@pytest.mark.parametrize("model,nu", [
+    (NoiseModel.RAYLEIGH_JEANS, 9.999888672e-321),
+    (NoiseModel.RAYLEIGH_JEANS, 2.395000876e-299),
+    (NoiseModel.RAYLEIGH_JEANS, 1.082628006e-149),
+    (NoiseModel.GENERAL_LOW_FREQ, 9.999888672e-321),
+    (NoiseModel.GENERAL_LOW_FREQ, 2.395000876e-299),
+])
+def test_noise_past_the_doubles_names_its_inputs(si, model, nu):
+    # the frac-noise sweep at T = 300: nu^2 or k*T*nu underflows, or the
+    # quotient overflows; each is an OverflowError naming nu, T and V
+    cavity = CavitySpec(volume=1.0, temperature=300.0)
+    name = f"{model.value} noise at nu={nu:g}, T=300, V=1 "
+    with pytest.raises(OverflowError, match=re.escape(name)):
+        fluctuation_spectrum(nu, cavity, si, model)
+
+
+@pytest.mark.parametrize("nu,volume", [
+    (5.298304702e171, 1.0),     # nu^2 overflows; the value is subnormal
+    (1e300, 1e-300),            # nu^2 overflows; the value is 2.7e-258
+    (1e-170, 1e300),            # nu^2 underflows to 0; the value is 1.1e64
+    (1e300, 1.0),               # the value is below the least double: 0
+])
+def test_rj_noise_where_nu_squared_leaves_the_doubles(si, nu, volume):
+    cavity = CavitySpec(volume=volume, temperature=300.0)
+    value = fluctuation_spectrum(nu, cavity, si, NoiseModel.RAYLEIGH_JEANS)
+    want = _rj_noise_mp(nu, volume, si)
+    assert abs(value - want) <= 1e-15 * want + 2.0 ** -1074
 
 
 def test_einstein_full_with_planck_u_is_rj_times_exp_x(si):
