@@ -149,16 +149,36 @@ def photon_density(cavity: CavitySpec, constants: PhysicalConstants,
 def planck_spectral_density(nu: float, cavity: CavitySpec,
                             constants: PhysicalConstants) -> float:
     """Conventional spectral energy density u(nu, T) in J/Hz:
-    (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x})."""
+    (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x}).
+    Where that is not finite it is taken by _via_kt."""
     x = mode_x(nu, cavity.temperature, constants)
-    return _bose(x, 8.0 * math.pi * constants.h * cavity.volume / constants.c ** 3
-                 * nu ** 3)
+    try:
+        value = _bose(x, 8.0 * math.pi * constants.h * cavity.volume
+                      / constants.c ** 3 * nu ** 3)
+    except OverflowError:  # nu^3 alone exceeds the doubles
+        value = math.inf
+    return value if value < math.inf else _via_kt(
+        8.0 * math.pi * cavity.volume / constants.c ** 3, _bose(x, x), nu,
+        cavity, constants, "planck spectral density")
 
 
 def _overflow(quantity: str, nu: float, cavity: CavitySpec) -> OverflowError:
     """The error for a value past the largest double, naming the inputs."""
     return OverflowError(f"{quantity} at nu={nu:g}, T={cavity.temperature:g}, "
                          f"V={cavity.volume:g} exceeds the largest double")
+
+
+def _via_kt(prefactor: float, per_mode: float, nu: float, cavity: CavitySpec,
+            constants: PhysicalConstants, quantity: str) -> float:
+    """A Planck-form value prefactor * h nu^3 * per_mode/x, written with
+    h nu = x kT as prefactor * kT * per_mode * nu * nu: an order that neither
+    overflows where nu^3 does nor underflows to 0 against an overflowing
+    per_mode/x.  OverflowError naming the inputs where the value itself
+    exceeds the doubles."""
+    value = prefactor * (constants.k * cavity.temperature) * per_mode * nu * nu
+    if value == math.inf:
+        raise _overflow(quantity, nu, cavity)
+    return value
 
 
 class EmissivityModel(Enum):
@@ -180,15 +200,22 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).  The Planck factor
     1/(e^x - 1) is taken as e^{-x}/(1 - e^{-x}), which vanishes instead of
     overflowing at large x.  PLANCK and GENERAL, which read x, are refused
-    where mode_x refuses it; RAYLEIGH_JEANS raises OverflowError where its
-    value exceeds the doubles.
+    where mode_x refuses it, and taken by _via_kt where the forms above are
+    not finite.  PLANCK, RAYLEIGH_JEANS and GENERAL raise OverflowError where
+    their value exceeds the doubles.
     """
     require_positive("nu", nu)
     t = cavity.temperature
     c2 = constants.c ** 2
     if model is EmissivityModel.PLANCK:
-        return _bose(mode_x(nu, t, constants),
-                     2.0 * math.pi * constants.h / c2 * nu ** 3)
+        x = mode_x(nu, t, constants)
+        try:
+            value = _bose(x, 2.0 * math.pi * constants.h / c2 * nu ** 3)
+        except OverflowError:  # nu^3 alone exceeds the doubles
+            value = math.inf
+        return value if value < math.inf else _via_kt(
+            2.0 * math.pi / c2, _bose(x, x), nu, cavity, constants,
+            "planck emissivity")
     if model is EmissivityModel.RAYLEIGH_JEANS:
         rj = 2.0 * math.pi * constants.k / c2
         try:
@@ -202,8 +229,14 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
         return value
     if model is EmissivityModel.GENERAL:
         x = mode_x(nu, t, constants)
-        return (2.0 * math.pi * constants.h / c2 * nu ** 3
-                * (internal_energy(x) / x))
+        e = internal_energy(x)
+        try:
+            # nan where nu^3 underflows to 0 and e/x overflows
+            value = 2.0 * math.pi * constants.h / c2 * nu ** 3 * (e / x)
+        except OverflowError:  # nu^3 alone exceeds the doubles
+            value = math.inf
+        return value if value < math.inf else _via_kt(
+            2.0 * math.pi / c2, e, nu, cavity, constants, "general emissivity")
     if model is EmissivityModel.GENERAL_LOW_FREQ:
         return (math.pi ** 3 / 3.0) * constants.k ** 2 / (c2 * constants.h) * nu * t * t
     raise DomainError(f"unknown emissivity model {model!r}")
@@ -261,8 +294,11 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
                                 f"to 0 at nu={nu:g}")
         # the wave term is the RAYLEIGH_JEANS value, but in this operand
         # order, which rounds apart from that branch's at V != 1
-        return (constants.h * nu / u
-                + constants.c ** 3 / (8.0 * math.pi * nu ** 2 * v))
+        try:
+            wave = constants.c ** 3 / (8.0 * math.pi * nu ** 2 * v)
+        except OverflowError:  # nu^2 alone exceeds the doubles
+            wave = constants.c ** 3 / (8.0 * math.pi * nu * v) / nu
+        return constants.h * nu / u + wave
     try:
         if model is NoiseModel.RAYLEIGH_JEANS:
             try:

@@ -495,7 +495,9 @@ def planck_factor(x: float, variant: PlanckVariant) -> float:
     if variant is PlanckVariant.PLANCK:
         return _bose(x, x)
     if variant is PlanckVariant.ZERO_POINT:
-        return x / math.tanh(0.5 * x)
+        # x coth(x/2) rounds to 2.0 below the least normal double, where
+        # 0.5 * x loses bits (and is 0 at 5e-324)
+        return x / math.tanh(0.5 * x) if x >= sys.float_info.min else 2.0
     raise DomainError(f"unknown Planck variant {variant!r}")
 
 

@@ -367,6 +367,57 @@ def test_rj_noise_where_nu_squared_leaves_the_doubles(si, nu, volume):
     assert abs(value - want) <= 1e-15 * want + 2.0 ** -1074
 
 
+def _planck_forms_mp(nu, temperature, si):
+    """The Planck-form values at V = 1 to 30 digits, as kT nu^2 times the
+    per-mode factor: x/(e^x - 1), and E(x) = pi^2/(6x) - 1/2 + x/24, exact
+    far below a double at the x < 1e-5 used here."""
+    with mpmath.workdps(30):
+        kt = mpmath.mpf(si.k) * temperature
+        x = mpmath.mpf(si.h) * nu / kt
+        kt_nu2 = kt * mpmath.mpf(nu) ** 2
+        planck = x / mpmath.expm1(x)
+        general = mpmath.pi ** 2 / (6 * x) - 0.5 + x / 24
+        c = mpmath.mpf(si.c)
+        return {"density": 8 * mpmath.pi / c ** 3 * kt_nu2 * planck,
+                EmissivityModel.PLANCK: 2 * mpmath.pi / c ** 2 * kt_nu2 * planck,
+                EmissivityModel.GENERAL: 2 * mpmath.pi / c ** 2 * kt_nu2 * general}
+
+
+@pytest.mark.parametrize("nu,temperature", [(1e110, 1e105), (1e-160, 0.5)])
+def test_planck_forms_where_nu_cubed_leaves_the_doubles(si, nu, temperature):
+    # nu^3 overflows at 1e110, and at 1e-160 underflows to 0 while E(x)/x
+    # overflows; each value that fits a double is returned
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    got = {"density": planck_spectral_density(nu, cavity, si),
+           **{m: emissivity(nu, cavity, si, m)
+              for m in (EmissivityModel.PLANCK, EmissivityModel.GENERAL)}}
+    for key, want in _planck_forms_mp(nu, temperature, si).items():
+        assert abs(got[key] - want) <= 1e-15 * want + 2.0 ** -1074, key
+
+
+def test_planck_forms_past_the_doubles_name_their_inputs(si):
+    cavity = CavitySpec(volume=1.0, temperature=1e300)
+    where = re.escape(" at nu=1e+150, T=1e+300, V=1 ")
+    with pytest.raises(OverflowError, match="planck spectral density" + where):
+        planck_spectral_density(1e150, cavity, si)
+    for model in (EmissivityModel.PLANCK, EmissivityModel.GENERAL):
+        with pytest.raises(OverflowError, match=f"{model.value} emissivity" + where):
+            emissivity(1e150, cavity, si, model)
+
+
+def test_einstein_wave_term_where_nu_squared_overflows(si):
+    # x = 500: the shot term is finite and nu^2 exceeds the doubles; the sum
+    # is RJ * e^x, as below
+    nu = 1e155
+    temperature = si.h * nu / (500.0 * si.k)
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    got = fluctuation_spectrum(nu, cavity, si, NoiseModel.EINSTEIN_FULL)
+    with mpmath.workdps(30):
+        want = _rj_noise_mp(nu, 1.0, si) * mpmath.exp(
+            mpmath.mpf(si.h) * nu / (mpmath.mpf(si.k) * temperature))
+    assert abs(got - want) <= 1e-13 * want
+
+
 def test_einstein_full_with_planck_u_is_rj_times_exp_x(si):
     # algebraic collapse: h nu/u + c^3/(8 pi nu^2 V) = RJ * e^x for Planck u
     cavity = CavitySpec(volume=1e-3, temperature=300.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import mpmath
@@ -223,6 +224,21 @@ def test_zero_point_identity():
         zp = planck_factor(x, PlanckVariant.ZERO_POINT)
         assert zp == pytest.approx(x + 2.0 * planck_factor(x, PlanckVariant.PLANCK),
                                    rel=1e-13)
+
+
+def test_zero_point_factor_at_subnormal_x():
+    # below the least normal double 0.5 * x loses bits (and is 0 at 5e-324),
+    # while x coth(x/2) rounds to 2.0; from there up the quotient is within
+    # an ulp of 2
+    subnormals = [k * 5e-324 for k in range(1, 2000)]
+    subnormals += [2.0 ** -e for e in range(1023, 1075)]
+    subnormals += [1e-310, math.nextafter(sys.float_info.min, 0.0)]
+    for x in subnormals:
+        assert planck_factor(x, PlanckVariant.ZERO_POINT) == 2.0, x
+    x = sys.float_info.min
+    for _ in range(2000):
+        assert abs(planck_factor(x, PlanckVariant.ZERO_POINT) - 2.0) <= 2.0 ** -51
+        x = math.nextafter(x, 1.0)
 
 
 def test_planck_factor_domain():
