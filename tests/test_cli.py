@@ -4,6 +4,7 @@ installed; the hypothesis property test is in test_cli_properties.py."""
 
 import ast
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -13,6 +14,7 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
@@ -1101,3 +1103,30 @@ def test_exact_p_without_mpmath_is_a_computation_error(tmp_path, argv):
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [
         {"schema": 1, "error": {"type": "ImportError",
                                 "message": "mpmath is kept out of this test"}}]
+
+
+# ---------------------------------------------------------------------------
+# the output corpus
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).with_name("cli_corpus.jsonl")
+
+
+def replay(argv):
+    """argv, its exit code and the SHA-256 of its stdout and of its stderr,
+    from an in-process run: one line of the corpus."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "code": code,
+            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+
+
+def test_cli_bytes_match_the_corpus():
+    # every argv of the corpus prints the bytes it printed when
+    # tests/write_cli_corpus.py last wrote it
+    lines = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+    changed = [line["argv"] for line in lines if replay(line["argv"]) != line]
+    assert len(lines) > 100
+    assert changed == []
