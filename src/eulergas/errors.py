@@ -5,7 +5,8 @@ an operation's domain, size limits included (DomainError), and sums that
 fail their certificate (ConvergenceError), which carries its diagnostic
 fields so front ends can serialize it.  require_positive is the one check
 of a physical input: finite and > 0; require_integer that of a count such
-as n in p(n); int_text spells an int of any size in a message.
+as n in p(n); finite that of a float result; int_text spells an int of any
+size in a message.
 """
 
 from __future__ import annotations
@@ -33,6 +34,25 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def finite(quantity: str, inputs, *orders) -> float:
+    """The first finite double that orders, the quantity's evaluation orders
+    as zero-argument functions, give; a 0 counts only from the last, as an
+    underflow in one order need not be one in the next.  Orders that raise
+    OverflowError or ZeroDivisionError, or give inf or nan, are passed over;
+    where all are, OverflowError naming the quantity and its inputs, a dict
+    of floats or a spec (a NamedTuple) whose fields are floats or None."""
+    for order in orders:
+        try:
+            value = order()
+        except (OverflowError, ZeroDivisionError):
+            continue
+        if math.isfinite(value) and (value or order is orders[-1]):
+            return value
+    named = inputs._asdict() if hasattr(inputs, "_asdict") else inputs
+    where = ", ".join(f"{name}={v:g}" for name, v in named.items() if v is not None)
+    raise OverflowError(f"{quantity} at {where} exceeds the largest double")
 
 
 def int_text(n: int) -> str:

@@ -63,8 +63,9 @@ def partition_generating(y: complex | float) -> complex | float:
     double."""
     if not isinstance(y, complex) or y.imag == 0.0:
         y = float(y.real)
-    if not abs(y) < 1.0:
-        raise DomainError(f"need |y| < 1, got |y| = {abs(y)}")
+    # |y| of a complex y raises OverflowError near the largest double
+    if not (abs(y.real) < 1.0 and abs(y.imag) < 1.0 and abs(y) < 1.0):
+        raise DomainError(f"need |y| < 1, got y = {y}")
     if y == 0.0:
         return 1.0
     try:

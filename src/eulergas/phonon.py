@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, finite, require_positive
 from .radiation import PhysicalConstants, load_key_value_file
 from .thermo import _BERNOULLI_2K, ZETA3, _bose
 
@@ -38,10 +38,17 @@ __all__ = [
 
 
 def debye_velocity(c_transverse: float, c_longitudinal: float) -> float:
-    """Average wave velocity from 3/c_ph^3 = 2/c_t^3 + 1/c_l^3."""
+    """Average wave velocity from 3/c_ph^3 = 2/c_t^3 + 1/c_l^3, taken in
+    units of the smaller speed where a cube leaves the doubles."""
     require_positive("c_transverse", c_transverse)
     require_positive("c_longitudinal", c_longitudinal)
-    return (3.0 / (2.0 / c_transverse ** 3 + 1.0 / c_longitudinal ** 3)) ** (1.0 / 3.0)
+    unit = min(c_transverse, c_longitudinal)
+    a, b = c_transverse / unit, c_longitudinal / unit  # one is 1, neither < 1
+    return finite("debye velocity", {"c_transverse": c_transverse,
+                                     "c_longitudinal": c_longitudinal},
+                  lambda: (3.0 / (2.0 / c_transverse ** 3
+                                  + 1.0 / c_longitudinal ** 3)) ** (1.0 / 3.0),
+                  lambda: unit * math.cbrt(3.0 / (2.0 / (a * a * a) + 1.0 / (b * b * b))))
 
 
 class _SolidFields(NamedTuple):
@@ -97,14 +104,23 @@ class ResonatorSpec(_ResonatorFields):
 
 
 def debye_frequency(solid: SolidSpec) -> float:
-    """Maximal vibrational frequency nu_m = (3 N0 c_ph^3 / (4 pi V))^{1/3}."""
-    return (3.0 * solid.n_atoms * solid.c_ph ** 3
-            / (4.0 * math.pi * solid.volume)) ** (1.0 / 3.0)
+    """Maximal vibrational frequency nu_m = (3 N0 c_ph^3 / (4 pi V))^{1/3},
+    taken as c_ph ((3/(4 pi))^{1/3} N0^{1/3}/V^{1/3}) where c_ph^3 or the
+    quotient leaves the doubles: only its last product can."""
+    return finite("debye frequency", solid,
+                  lambda: (3.0 * solid.n_atoms * solid.c_ph ** 3
+                           / (4.0 * math.pi * solid.volume)) ** (1.0 / 3.0),
+                  lambda: solid.c_ph * (math.cbrt(0.75 / math.pi)
+                                        * math.cbrt(solid.n_atoms)
+                                        / math.cbrt(solid.volume)))
 
 
 def debye_temperature(solid: SolidSpec, constants: PhysicalConstants) -> float:
     """theta_D = h nu_m / k."""
-    return constants.h * debye_frequency(solid) / constants.k
+    nu_m = debye_frequency(solid)
+    return finite("debye temperature", solid,
+                  lambda: constants.h * nu_m / constants.k,
+                  lambda: constants.h / constants.k * nu_m)
 
 
 # Coefficient of a^{2k} in D(a) = 1 - 3a/8 + sum_k 3 B_2k a^{2k}/((2k)! (2k+3))
@@ -182,25 +198,39 @@ def specific_heat(solid: SolidSpec, constants: PhysicalConstants,
     The GENERAL model multiplies by zeta(3).  Divide by 3*N0*k for the
     Dulong-Petit ratio.
     """
+    if model is DebyeModel.CONVENTIONAL:
+        excess = 1.0
+    elif model is DebyeModel.GENERAL:
+        excess = ZETA3
+    else:
+        raise DomainError(f"unknown Debye model {model!r}")
     x_m = debye_temperature(solid, constants) / solid.temperature
     # x_m = inf where T is subnormal; the Bose term is 0 there
     ratio = 4.0 * debye_function(x_m) - 3.0 * _bose(x_m, x_m)
-    cv = 3.0 * solid.n_atoms * constants.k * ratio
-    if model is DebyeModel.CONVENTIONAL:
-        return cv
-    if model is DebyeModel.GENERAL:
-        return cv * ZETA3
-    raise DomainError(f"unknown Debye model {model!r}")
+    n0, k = solid.n_atoms, constants.k
+    if not ratio:  # from x_m = 2e108, where ratio is 4 pi^4/(5 x_m^3)
+        return finite("specific heat", solid,
+                      lambda: n0 * k * (2.4 * math.pi ** 4 * excess) / x_m / x_m / x_m)
+    # 3 N0 overflows from N0 = 6e307, where N0 k does not
+    return finite("specific heat", solid,
+                  lambda: 3.0 * n0 * k * ratio * excess,
+                  lambda: n0 * k * ratio * 3.0 * excess)
 
 
 def energy_fluctuation(solid: SolidSpec,
                        constants: PhysicalConstants) -> tuple[float, float]:
     """(epsilon^2, relative): canonical variance k T^2 C_v in J^2, and the
     relative fluctuation scale (2/(3 N0))^{1/2}, which is independent of T
-    in the Dulong-Petit regime."""
+    in the Dulong-Petit regime.  Where T^2 or 2/(3 N0) leaves the doubles
+    they are taken as k T C_v T and (2/3)^{1/2}/N0^{1/2}."""
     cv = specific_heat(solid, constants, DebyeModel.CONVENTIONAL)
-    eps_sq = constants.k * solid.temperature ** 2 * cv
-    relative = math.sqrt(2.0 / (3.0 * solid.n_atoms))
+    t, n0 = solid.temperature, solid.n_atoms
+    eps_sq = finite("energy variance", solid,
+                    lambda: constants.k * t ** 2 * cv,
+                    lambda: constants.k * t * cv * t)
+    relative = finite("relative energy fluctuation", solid,
+                      lambda: math.sqrt(2.0 / (3.0 * n0)),
+                      lambda: math.sqrt(2.0 / 3.0) / math.sqrt(n0))
     return eps_sq, relative
 
 
@@ -211,10 +241,23 @@ class FlickerResult(NamedTuple):
 
 def flicker_floor(resonator: ResonatorSpec,
                   constants: PhysicalConstants) -> FlickerResult:
-    """Flicker-noise floor of a resonator: S_omega(nu)/omega^2 = h_-1/nu."""
-    a_ph = (9.0 * constants.h * resonator.c_ph ** 3
-            / (4.0 * math.pi ** 3 * constants.k * resonator.temperature))
-    h_m1 = a_ph / (4.0 * resonator.q_factor ** 4 * resonator.active_volume)
+    """Flicker-noise floor of a resonator: S_omega(nu)/omega^2 = h_-1/nu.
+    Where c_ph^3, Q^4 or a denominator leaves the doubles, a_ph and h_-1
+    are taken as the exp of their logs."""
+    h, k = constants.h, constants.k
+    q, v, t, c = (resonator.q_factor, resonator.active_volume,
+                  resonator.temperature, resonator.c_ph)
+
+    def log_a_ph():
+        return (math.log(9.0 / (4.0 * math.pi ** 3)) + math.log(h) - math.log(k)
+                + 3.0 * math.log(c) - math.log(t))
+    a_ph = finite("a_ph", resonator,
+                  lambda: 9.0 * h * c ** 3 / (4.0 * math.pi ** 3 * k * t),
+                  lambda: math.exp(log_a_ph()))
+    h_m1 = finite("h_-1", resonator,
+                  lambda: a_ph / (4.0 * q ** 4 * v),
+                  lambda: math.exp(log_a_ph() - math.log(4.0) - 4.0 * math.log(q)
+                                   - math.log(v)))
     return FlickerResult(a_ph, h_m1)
 
 

@@ -16,11 +16,12 @@ twice.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, finite, require_positive
 from .thermo import ZETA3, _bose, internal_energy
 
 __all__ = [
@@ -123,9 +124,9 @@ def stefan_boltzmann(constants: PhysicalConstants) -> tuple[float, float]:
     excess is the multiplicative correction zeta(3) the divisor-series model
     applies to the integrated free energy.
     """
-    sigma = (2.0 * math.pi ** 5 * constants.k ** 4
-             / (15.0 * constants.c ** 2 * constants.h ** 3))
-    return sigma, ZETA3
+    return finite("stefan-boltzmann constant", constants,
+                  lambda: 2.0 * math.pi ** 5 * constants.k ** 4
+                  / (15.0 * constants.c ** 2 * constants.h ** 3)), ZETA3
 
 
 class PhotonModel(Enum):
@@ -137,48 +138,43 @@ def photon_density(cavity: CavitySpec, constants: PhysicalConstants,
                    model: PhotonModel) -> float:
     """Photons per unit volume: 8 pi (kT/ch)^3 * 2 zeta(3), times zeta(3)
     again in the general model."""
-    scale = 8.0 * math.pi * (constants.k * cavity.temperature
-                             / (constants.c * constants.h)) ** 3
-    if model is PhotonModel.CONVENTIONAL:
-        return scale * 2.0 * ZETA3
-    if model is PhotonModel.GENERAL:
-        return scale * 2.0 * ZETA3 * ZETA3
-    raise DomainError(f"unknown photon model {model!r}")
+    if not isinstance(model, PhotonModel):
+        raise DomainError(f"unknown photon model {model!r}")
+    excess = ZETA3 if model is PhotonModel.GENERAL else 1.0
+    return finite(f"{model.value} photon density", {"T": cavity.temperature},
+                  lambda: 8.0 * math.pi * (constants.k * cavity.temperature
+                                           / (constants.c * constants.h)) ** 3
+                  * 2.0 * ZETA3 * excess)
+
+
+def _planck_form(quantity: str, nu: float, cavity: CavitySpec,
+                 constants: PhysicalConstants, x: float, as_written,
+                 per_mode: float, weight: float, power: int) -> float:
+    """A Planck-form value weight/c^power * h nu^3 * per_mode/x: as written,
+    or else with h nu = x kT as weight/c^power * kT * per_mode * nu * nu,
+    which neither overflows where nu^3 does nor underflows to 0 against an
+    overflowing per_mode/x, or else as the exp of its logs, where per_mode
+    below the least normal double is x e^{-x} in both models."""
+    c, t = constants.c, cavity.temperature
+    return finite(
+        quantity, {"nu": nu, "T": t, "V": cavity.volume}, as_written,
+        lambda: weight / c ** power * (constants.k * t) * per_mode * nu * nu,
+        lambda: math.exp(
+            math.log(weight) - power * math.log(c) + math.log(constants.k * t)
+            + 2.0 * math.log(nu) + (math.log(per_mode) if per_mode >= sys.float_info.min
+                                    else math.log(x) - x)))
 
 
 def planck_spectral_density(nu: float, cavity: CavitySpec,
                             constants: PhysicalConstants) -> float:
     """Conventional spectral energy density u(nu, T) in J/Hz:
-    (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x}).
-    Where that is not finite it is taken by _via_kt."""
-    x = mode_x(nu, cavity.temperature, constants)
-    try:
-        value = _bose(x, 8.0 * math.pi * constants.h * cavity.volume
-                      / constants.c ** 3 * nu ** 3)
-    except OverflowError:  # nu^3 alone exceeds the doubles
-        value = math.inf
-    return value if value < math.inf else _via_kt(
-        8.0 * math.pi * cavity.volume / constants.c ** 3, _bose(x, x), nu,
-        cavity, constants, "planck spectral density")
-
-
-def _overflow(quantity: str, nu: float, cavity: CavitySpec) -> OverflowError:
-    """The error for a value past the largest double, naming the inputs."""
-    return OverflowError(f"{quantity} at nu={nu:g}, T={cavity.temperature:g}, "
-                         f"V={cavity.volume:g} exceeds the largest double")
-
-
-def _via_kt(prefactor: float, per_mode: float, nu: float, cavity: CavitySpec,
-            constants: PhysicalConstants, quantity: str) -> float:
-    """A Planck-form value prefactor * h nu^3 * per_mode/x, written with
-    h nu = x kT as prefactor * kT * per_mode * nu * nu: an order that neither
-    overflows where nu^3 does nor underflows to 0 against an overflowing
-    per_mode/x.  OverflowError naming the inputs where the value itself
-    exceeds the doubles."""
-    value = prefactor * (constants.k * cavity.temperature) * per_mode * nu * nu
-    if value == math.inf:
-        raise _overflow(quantity, nu, cavity)
-    return value
+    (8 pi h V / c^3) nu^3 / (e^x - 1), taken as nu^3 e^{-x}/(1 - e^{-x}),
+    or in _planck_form's other orders where that is not finite."""
+    x, v = mode_x(nu, cavity.temperature, constants), cavity.volume
+    return _planck_form(
+        "planck spectral density", nu, cavity, constants, x,
+        lambda: _bose(x, 8.0 * math.pi * constants.h * v / constants.c ** 3 * nu ** 3),
+        _bose(x, x), 8.0 * math.pi * v, 3)
 
 
 class EmissivityModel(Enum):
@@ -200,45 +196,33 @@ def emissivity(nu: float, cavity: CavitySpec, constants: PhysicalConstants,
     GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals pi^2/(6x).  The Planck factor
     1/(e^x - 1) is taken as e^{-x}/(1 - e^{-x}), which vanishes instead of
     overflowing at large x.  PLANCK and GENERAL, which read x, are refused
-    where mode_x refuses it, and taken by _via_kt where the forms above are
-    not finite.  PLANCK, RAYLEIGH_JEANS and GENERAL raise OverflowError where
-    their value exceeds the doubles.
+    where mode_x refuses it.  Where a form above is not a finite double they
+    take _planck_form's other orders and RAYLEIGH_JEANS takes rj nu T nu;
+    each raises OverflowError where its value exceeds the doubles.
     """
     require_positive("nu", nu)
-    t = cavity.temperature
-    c2 = constants.c ** 2
+    t, c = cavity.temperature, constants.c
     if model is EmissivityModel.PLANCK:
         x = mode_x(nu, t, constants)
-        try:
-            value = _bose(x, 2.0 * math.pi * constants.h / c2 * nu ** 3)
-        except OverflowError:  # nu^3 alone exceeds the doubles
-            value = math.inf
-        return value if value < math.inf else _via_kt(
-            2.0 * math.pi / c2, _bose(x, x), nu, cavity, constants,
-            "planck emissivity")
+        return _planck_form(
+            "planck emissivity", nu, cavity, constants, x,
+            lambda: _bose(x, 2.0 * math.pi * constants.h / c ** 2 * nu ** 3),
+            _bose(x, x), 2.0 * math.pi, 2)
     if model is EmissivityModel.RAYLEIGH_JEANS:
-        rj = 2.0 * math.pi * constants.k / c2
-        try:
-            value = rj * nu ** 2 * t
-        except OverflowError:
-            # nu^2 alone exceeds the doubles, rj*nu does not (rj is about
-            # 1e-39 in SI), and as nu > 1 here rj*nu*T is at most the value
-            value = rj * nu * t * nu
-        if value == math.inf:
-            raise _overflow("rayleigh-jeans emissivity", nu, cavity)
-        return value
+        return finite("rayleigh-jeans emissivity", {"nu": nu, "T": t, "V": cavity.volume},
+                      lambda: 2.0 * math.pi * constants.k / c ** 2 * nu ** 2 * t,
+                      lambda: 2.0 * math.pi * constants.k / c ** 2 * nu * t * nu)
     if model is EmissivityModel.GENERAL:
         x = mode_x(nu, t, constants)
         e = internal_energy(x)
-        try:
-            # nan where nu^3 underflows to 0 and e/x overflows
-            value = 2.0 * math.pi * constants.h / c2 * nu ** 3 * (e / x)
-        except OverflowError:  # nu^3 alone exceeds the doubles
-            value = math.inf
-        return value if value < math.inf else _via_kt(
-            2.0 * math.pi / c2, e, nu, cavity, constants, "general emissivity")
+        return _planck_form(
+            "general emissivity", nu, cavity, constants, x,
+            lambda: 2.0 * math.pi * constants.h / c ** 2 * nu ** 3 * (e / x),
+            e, 2.0 * math.pi, 2)
     if model is EmissivityModel.GENERAL_LOW_FREQ:
-        return (math.pi ** 3 / 3.0) * constants.k ** 2 / (c2 * constants.h) * nu * t * t
+        return finite("general-lf emissivity", {"nu": nu, "T": t, "V": cavity.volume},
+                      lambda: (math.pi ** 3 / 3.0) * constants.k ** 2
+                      / (c ** 2 * constants.h) * nu * t * t)
     raise DomainError(f"unknown emissivity model {model!r}")
 
 
@@ -253,15 +237,22 @@ def einstein_AB(nu: float, constants: PhysicalConstants, temperature: float,
 
     CONVENTIONAL: 8 pi h / lambda^3 with lambda = c/nu.
     GENERAL_LOW_FREQ: 4 pi^3 k T / (3 c lambda^2); the two differ by the
-    factor pi^2/(6x) exactly.
+    factor pi^2/(6x) exactly.  Where lambda^3 or lambda^2 leaves the doubles
+    they divide by lambda once per power.
     """
     require_positive("nu", nu)
     require_positive("T", temperature)
     lam = constants.c / nu
     if model is EinsteinModel.CONVENTIONAL:
-        return 8.0 * math.pi * constants.h / lam ** 3
+        return finite("conventional A/B", {"nu": nu, "T": temperature},
+                      lambda: 8.0 * math.pi * constants.h / lam ** 3,
+                      lambda: 8.0 * math.pi * constants.h / lam / lam / lam)
     if model is EinsteinModel.GENERAL_LOW_FREQ:
-        return 4.0 * math.pi ** 3 * constants.k * temperature / (3.0 * constants.c * lam ** 2)
+        return finite("general-lf A/B", {"nu": nu, "T": temperature},
+                      lambda: 4.0 * math.pi ** 3 * constants.k * temperature
+                      / (3.0 * constants.c * lam ** 2),
+                      lambda: 4.0 * math.pi ** 3 * constants.k / (3.0 * constants.c)
+                      * (temperature / lam) / lam)
     raise DomainError(f"unknown Einstein model {model!r}")
 
 
@@ -280,42 +271,30 @@ def fluctuation_spectrum(nu: float, cavity: CavitySpec,
     EINSTEIN_FULL:    h nu/u + c^3/(8 pi nu^2 V) with the conventional u;
                       the shot term h nu/u dominates in the Wien regime
 
-    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.  RAYLEIGH_JEANS
-    and GENERAL_LOW_FREQ raise OverflowError where the value exceeds the
-    doubles, as where the denominator underflows to 0.
+    GENERAL_LOW_FREQ / RAYLEIGH_JEANS equals 12 x / pi^2.  Where nu^2 leaves
+    the doubles the nu^2 terms divide by nu twice, and GENERAL_LOW_FREQ is
+    taken in logs where its denominator does.  Each raises OverflowError
+    where its value exceeds the doubles, as where u underflows to 0.
     """
     require_positive("nu", nu)
-    v = cavity.volume
+    v, c, h = cavity.volume, constants.c, constants.h
+    where = {"nu": nu, "T": cavity.temperature, "V": v}
     if model is NoiseModel.EINSTEIN_FULL:
         u = planck_spectral_density(nu, cavity, constants)
-        if u == 0.0:
-            # e^{-x} underflowed, so the shot term h nu/u exceeds every double
-            raise OverflowError(f"shot term h*nu/u overflows: u underflows "
-                                f"to 0 at nu={nu:g}")
         # the wave term is the RAYLEIGH_JEANS value, but in this operand
         # order, which rounds apart from that branch's at V != 1
-        try:
-            wave = constants.c ** 3 / (8.0 * math.pi * nu ** 2 * v)
-        except OverflowError:  # nu^2 alone exceeds the doubles
-            wave = constants.c ** 3 / (8.0 * math.pi * nu * v) / nu
-        return constants.h * nu / u + wave
-    try:
-        if model is NoiseModel.RAYLEIGH_JEANS:
-            try:
-                value = constants.c ** 3 / (8.0 * math.pi * v * nu ** 2)
-            except (OverflowError, ZeroDivisionError):
-                # nu^2 overflows, or the denominator underflows: divide by
-                # nu twice, which fails only where the value does
-                value = constants.c ** 3 / (8.0 * math.pi * v * nu) / nu
-        elif model is NoiseModel.GENERAL_LOW_FREQ:
-            value = (1.5 * constants.h * constants.c ** 3
-                     / (math.pi ** 3 * v * constants.k * cavity.temperature
-                        * nu))
-        else:
-            raise DomainError(f"unknown noise model {model!r}")
-    except ZeroDivisionError:  # a denominator below the least double
-        value = math.inf
-    if value == math.inf:
-        raise _overflow(f"{model.value} noise", nu, cavity)
-    return value
-
+        return finite("einstein noise", where,
+                      lambda: h * nu / u + c ** 3 / (8.0 * math.pi * nu ** 2 * v),
+                      lambda: h * nu / u + c ** 3 / (8.0 * math.pi * nu * v) / nu)
+    if model is NoiseModel.RAYLEIGH_JEANS:
+        return finite("rj noise", where,
+                      lambda: c ** 3 / (8.0 * math.pi * v * nu ** 2),
+                      lambda: c ** 3 / (8.0 * math.pi * v * nu) / nu)
+    if model is NoiseModel.GENERAL_LOW_FREQ:
+        k, t = constants.k, cavity.temperature
+        return finite("general-lf noise", where,
+                      lambda: 1.5 * h * c ** 3 / (math.pi ** 3 * v * k * t * nu),
+                      lambda: math.exp(math.log(1.5 / math.pi ** 3) + math.log(h)
+                                       + 3.0 * math.log(c) - math.log(v)
+                                       - math.log(k) - math.log(t) - math.log(nu)))
+    raise DomainError(f"unknown noise model {model!r}")

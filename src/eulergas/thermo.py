@@ -51,7 +51,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, finite
 
 __all__ = [
     "ThermoPerMode", "thermo_per_mode",
@@ -429,9 +429,17 @@ def free_energy(x: float) -> float:
     return _mode_sums(x)[0]
 
 
+def _lowfreq(quantity: str, x: float, form) -> float:
+    """form(x), a low-frequency closed form at x, or OverflowError naming x
+    where that is not a finite double (below x ~ 1e-308).  Its ln(x/2pi) is
+    not taken where x/(2pi) underflows to 0: its 1/x has overflowed there."""
+    x = _require_x(x)
+    return finite(quantity, {"x": x}, lambda: form(x) if x / _TWO_PI else math.inf)
+
+
 def free_energy_lowfreq(x: float) -> float:
     """Low-frequency closed form -pi^2/(6x) - (1/2) ln(x/2pi) + x/24."""
-    return _closed_forms(_require_x(x))[0]
+    return _lowfreq("low-frequency F/kT", x, lambda x: _closed_forms(x)[0])
 
 
 def occupation(x: float) -> float:
@@ -441,8 +449,8 @@ def occupation(x: float) -> float:
 
 def occupation_lowfreq(x: float) -> float:
     """Low-frequency closed form (-ln x + gamma)/x."""
-    x = _require_x(x)
-    return (-math.log(x) + EULER_GAMMA) / x
+    return _lowfreq("low-frequency N", x,
+                    lambda x: (-math.log(x) + EULER_GAMMA) / x)
 
 
 def internal_energy(x: float) -> float:
@@ -452,7 +460,7 @@ def internal_energy(x: float) -> float:
 
 def internal_energy_lowfreq(x: float) -> float:
     """Low-frequency closed form pi^2/(6x) - 1/2 + x/24."""
-    return _closed_forms(_require_x(x))[1]
+    return _lowfreq("low-frequency E/kT", x, lambda x: _closed_forms(x)[1])
 
 
 def entropy(x: float) -> float:
@@ -462,8 +470,8 @@ def entropy(x: float) -> float:
 
 def entropy_lowfreq(x: float) -> float:
     """Low-frequency closed form pi^2/(3x) + (1/2) ln(x/2pi) - 1/2."""
-    x = _require_x(x)
-    return math.pi ** 2 / (3.0 * x) + 0.5 * math.log(x / (2.0 * math.pi)) - 0.5
+    return _lowfreq("low-frequency S/k", x, lambda x: math.pi ** 2 / (3.0 * x)
+                    + 0.5 * math.log(x / (2.0 * math.pi)) - 0.5)
 
 
 def per_mode_energy_fluctuation(x: float) -> float:

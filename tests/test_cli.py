@@ -782,7 +782,7 @@ _QUARTZ = ("quartz", "--carrier", "5e6", "--volume", "1e-6",
     ("blackbody", "--nu", "1e-300", "--temperature", "1e300"),
     ("blackbody", "--nu", "1e300", "--temperature", "300"),
     (*_QUARTZ, "--q-factor", "1e-300"),
-    (*_QUARTZ, "--q-factor", "1e200"),
+    (*_QUARTZ, "--q-factor", "1e-100"),
     ("mellin-check", "--s", "200", "--kind", "free-energy"),
     ("thermo", "--x", "1e-306"),
 ])
@@ -900,6 +900,51 @@ def test_underflowed_planck_density_is_a_computation_error(capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == "OverflowError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("blackbody", "--nu", "1e20", "--temperature", "300"),
+     "einstein noise at nu=1e+20, T=300, V=1 exceeds the largest double"),
+    (("phonon", "--n-atoms", "6e23", "--volume", "1e-5", "--temperature",
+      "1e300", "--c-ph", "3500"),
+     "energy variance at n_atoms=6e+23, volume=1e-05, temperature=1e+300, "
+     "c_ph=3500 exceeds the largest double"),
+    ((*_QUARTZ, "--q-factor", "1e-100"),
+     "h_-1 at q_factor=1e-100, carrier=5e+06, active_volume=1e-06, "
+     "temperature=300, c_ph=3500 exceeds the largest double"),
+])
+def test_overflow_names_the_quantity_and_its_inputs(capsys, argv, message):
+    # one rule for every radiation and phonon value: no errno tuple, no bare
+    # division by zero
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "OverflowError",
+                                        "message": message}
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    # c_ph^3 overflows, nu_m = 2.4e119 does not; it read the errno tuple
+    (("phonon", "--n-atoms", "6e23", "--volume", "1e-5", "--temperature",
+      "77", "--c-ph", "1e110"), "nu_m", 2.4285900630052811e+119),
+    # Q^4 overflows, and h_-1 underflows to 0.0; it read the errno tuple
+    ((*_QUARTZ, "--q-factor", "1e100"), "h_minus_1", 0.0),
+])
+def test_values_that_fit_a_double_are_printed(capsys, argv, key, value):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0][key] == value
+
+
+def test_lowfreq_cells_past_the_doubles_name_x(capsys):
+    # ln(x/2pi) at x = 5e-324 read "math domain error"
+    code, out, _ = run_cli(capsys, "sweep", "--quantity", "energy", "--start",
+                           "5e-324", "--stop", "1e308", "--points", "4",
+                           "--scale", "log", "--format", "json")
+    assert code == 0
+    first = json.loads(out)["rows"][0]
+    assert first["lowfreq"] is None
+    assert ("lowfreq=low-frequency E/kT at x=4.94066e-324 exceeds the largest "
+            "double") in first["errors"]
 
 
 def test_json_value_round_trips_a_5000_digit_int():

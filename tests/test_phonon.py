@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -301,3 +302,111 @@ def test_named_preset_is_a_literal(monkeypatch):
     assert refs == {"reference_a_ph": 5e-4, "reference_h_minus_1": 6e-24}
     assert list(refs) == ["reference_a_ph", "reference_h_minus_1"]
     assert PRESET_NAMES == ("p5-5mhz",)
+
+
+# ---------------------------------------------------------------------------
+# finite values or named refusals at extreme doubles
+# ---------------------------------------------------------------------------
+
+def _nu_m_mp(solid):
+    with mpmath.workdps(30):
+        return (3 * mpmath.mpf(solid.n_atoms) * mpmath.mpf(solid.c_ph) ** 3
+                / (4 * mpmath.pi * solid.volume)) ** (mpmath.mpf(1) / 3)
+
+
+@pytest.mark.parametrize("n_atoms,volume,c_ph", [
+    (6e23, 1e-5, 1e110),      # c_ph^3 overflows; nu_m is 2.4e119
+    (1e300, 1e-5, 3500.0),    # the quotient overflows; nu_m is 3.4e105
+    (1.7e308, 3500.0, 5e-324),  # 3 N0 overflows and c_ph^3 is 0: nan
+])
+def test_debye_scale_where_its_cube_leaves_the_doubles(si, n_atoms, volume,
+                                                        c_ph):
+    solid = make_solid(77.0, n_atoms=n_atoms, volume=volume, c_ph=c_ph)
+    want = _nu_m_mp(solid)
+    assert abs(debye_frequency(solid) - want) <= 4e-16 * want
+    theta = debye_temperature(solid, si)
+    assert abs(theta - want * si.h / si.k) <= 1e-15 * want * si.h / si.k
+
+
+def test_debye_scale_past_the_doubles_names_its_inputs(si):
+    solid = make_solid(77.0, n_atoms=1e300, volume=1e-300, c_ph=1e300)
+    where = ("at n_atoms=1e+300, volume=1e-300, temperature=77, c_ph=1e+300 "
+             "exceeds the largest double")
+    for call in (lambda: debye_frequency(solid),
+                 lambda: debye_temperature(solid, si),
+                 lambda: specific_heat(solid, si, DebyeModel.GENERAL),
+                 lambda: energy_fluctuation(solid, si)):
+        with pytest.raises(OverflowError) as exc:
+            call()
+        assert str(exc.value) == f"debye frequency {where}"
+
+
+def test_specific_heat_where_3_n0_overflows(si):
+    # 3 N0 overflows, N0 k does not; at a subnormal T the value is 0.0
+    # (it read nan), at T = 77 it is 3 N0 k times the ratio at 6e23 atoms
+    huge = make_solid(5e-324, n_atoms=1.7e308)
+    assert specific_heat(huge, si, DebyeModel.CONVENTIONAL) == 0.0
+    for temperature in (77.0, 1e4):
+        solid = make_solid(temperature, n_atoms=1.7e308, volume=1.7e308 / 6e18)
+        ref = make_solid(temperature, n_atoms=6e23, volume=6e23 / 6e18)
+        for model in DebyeModel:
+            got = specific_heat(solid, si, model)
+            want = specific_heat(ref, si, model) * (1.7e308 / 6e23)
+            assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_specific_heat_where_its_ratio_underflows(si):
+    # x_m = 1e110 > 2e108: 4 D(x_m) - 3 x_m/(e^{x_m} - 1) is 0 in doubles,
+    # while 3 N0 k times it, 12 pi^4 N0 k/(5 x_m^3), is not (it read 0.0)
+    solid = make_solid(1e-5, n_atoms=1.7e308, volume=1e-100)
+    x_m = debye_temperature(solid, si) / solid.temperature
+    assert x_m > 2e108
+    with mpmath.workdps(30):
+        want = (12 * mpmath.pi ** 4 / 5 * mpmath.mpf(solid.n_atoms) * si.k
+                / mpmath.mpf(x_m) ** 3)
+    got = specific_heat(solid, si, DebyeModel.CONVENTIONAL)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_energy_fluctuation_at_the_ends_of_the_doubles(si):
+    # 2/(3 N0) overflows at N0 = 5e-324 (relative read inf) and underflows
+    # at 1.7e308 (relative read 0.0); T^2 overflows at T = 1e160
+    for n_atoms in (5e-324, 1.7e308):
+        relative = energy_fluctuation(make_solid(77.0, n_atoms=n_atoms), si)[1]
+        with mpmath.workdps(30):
+            want = mpmath.sqrt(mpmath.mpf(2) / (3 * mpmath.mpf(n_atoms)))
+        assert abs(relative - want) <= 4e-16 * want
+    solid = make_solid(1e160, n_atoms=1.0)
+    eps_sq = energy_fluctuation(solid, si)[0]
+    cv = specific_heat(solid, si, DebyeModel.CONVENTIONAL)
+    assert eps_sq == pytest.approx(si.k * 1e160 * cv * 1e160, rel=1e-15)
+    with pytest.raises(OverflowError, match="^energy variance at n_atoms=6.022e"):
+        energy_fluctuation(make_solid(1e300), si)
+
+
+@pytest.mark.parametrize("q_factor,c_ph,temperature", [
+    (1e100, 3500.0, 300.0),    # Q^4 overflows; h_-1 underflows to 0.0
+    (1e77, 3500.0, 300.0),     # 4 Q^4 overflows; h_-1 is 1.2e-306
+    (1.2e77, 3500.0, 300.0),   # Q^4 overflows; h_-1 is 6.0e-307
+    (1e-90, 3500.0, 300.0),    # Q^4 underflows; h_-1 is 1.2e358: refused
+    (2e6, 1e110, 1e100),       # c_ph^3 overflows; a_ph is 1.2e216
+    (2e6, 3500.0, 1e-305),     # 4 pi^3 k T underflows; a_ph is 1.5e304
+])
+def test_flicker_floor_at_the_ends_of_the_doubles(si, q_factor, c_ph,
+                                                  temperature):
+    spec = ResonatorSpec(q_factor=q_factor, carrier=5e6, active_volume=1e-6,
+                         temperature=temperature, c_ph=c_ph)
+    with mpmath.workdps(30):
+        a_ph = (9 * mpmath.mpf(si.h) * mpmath.mpf(c_ph) ** 3
+                / (4 * mpmath.pi ** 3 * mpmath.mpf(si.k) * temperature))
+        h_m1 = a_ph / (4 * mpmath.mpf(q_factor) ** 4 * 1e-6)
+    if h_m1 > 1.7976931348623157e308:
+        with pytest.raises(OverflowError, match="^" + re.escape(
+                f"h_-1 at q_factor={q_factor:g}, carrier=5e+06, "
+                f"active_volume=1e-06, temperature={temperature:g}, "
+                f"c_ph={c_ph:g} exceeds the largest double")):
+            flicker_floor(spec, si)
+        return
+    result = flicker_floor(spec, si)
+    for got, want in zip(result, (a_ph, h_m1)):
+        assert abs(got - want) <= 1e-12 * want + 2.0 ** -1074

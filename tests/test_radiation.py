@@ -367,31 +367,55 @@ def test_rj_noise_where_nu_squared_leaves_the_doubles(si, nu, volume):
     assert abs(value - want) <= 1e-15 * want + 2.0 ** -1074
 
 
-def _planck_forms_mp(nu, temperature, si):
-    """The Planck-form values at V = 1 to 30 digits, as kT nu^2 times the
-    per-mode factor: x/(e^x - 1), and E(x) = pi^2/(6x) - 1/2 + x/24, exact
-    far below a double at the x < 1e-5 used here."""
+@pytest.mark.parametrize("nu,volume,temperature", [
+    (1e12, 1e-300, 1e-5),     # pi^3 V k T nu underflows to 0; 6.3e306
+    (1e20, 1.0, 1e-310),      # and here to a subnormal that is refused
+])
+def test_general_lf_noise_where_its_denominator_underflows(si, nu, volume,
+                                                           temperature):
+    # it read an OverflowError, as if the value exceeded the doubles
+    cavity = CavitySpec(volume=volume, temperature=temperature)
+    got = fluctuation_spectrum(nu, cavity, si, NoiseModel.GENERAL_LOW_FREQ)
+    with mpmath.workdps(30):
+        want = (1.5 * mpmath.mpf(si.h) * mpmath.mpf(si.c) ** 3
+                / (mpmath.pi ** 3 * volume * mpmath.mpf(si.k) * temperature * nu))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def _planck_forms_mp(nu, temperature, si, volume=1.0):
+    """The Planck-form values at V = volume to 30 digits, as kT nu^2 times
+    the per-mode factor: x/(e^x - 1), and E(x) = pi^2/(6x) - 1/2 + x/24,
+    exact far below a double at the x < 1e-5 used here, or x e^{-x} at the
+    x > 1e30 used here."""
     with mpmath.workdps(30):
         kt = mpmath.mpf(si.k) * temperature
         x = mpmath.mpf(si.h) * nu / kt
         kt_nu2 = kt * mpmath.mpf(nu) ** 2
         planck = x / mpmath.expm1(x)
-        general = mpmath.pi ** 2 / (6 * x) - 0.5 + x / 24
+        general = (mpmath.pi ** 2 / (6 * x) - 0.5 + x / 24 if x < 1
+                   else x * mpmath.exp(-x))
         c = mpmath.mpf(si.c)
-        return {"density": 8 * mpmath.pi / c ** 3 * kt_nu2 * planck,
+        return {"density": 8 * mpmath.pi * volume / c ** 3 * kt_nu2 * planck,
                 EmissivityModel.PLANCK: 2 * mpmath.pi / c ** 2 * kt_nu2 * planck,
                 EmissivityModel.GENERAL: 2 * mpmath.pi / c ** 2 * kt_nu2 * general}
 
 
-@pytest.mark.parametrize("nu,temperature", [(1e110, 1e105), (1e-160, 0.5)])
-def test_planck_forms_where_nu_cubed_leaves_the_doubles(si, nu, temperature):
-    # nu^3 overflows at 1e110, and at 1e-160 underflows to 0 while E(x)/x
-    # overflows; each value that fits a double is returned
-    cavity = CavitySpec(volume=1.0, temperature=temperature)
+@pytest.mark.parametrize("nu,temperature,volume", [
+    pytest.param(1e110, 1e105, 1.0, id="1e+110-1e+105"),
+    pytest.param(1e-160, 0.5, 1.0, id="1e-160-0.5"),
+    # x = 4.8e34: the density's kT times its prefactor overflows while
+    # x/(e^x - 1) is 0, a product that read nan; the value underflows
+    pytest.param(1e150, 1e105, 1e300, id="1e+150-1e+105-1e+300"),
+])
+def test_planck_forms_where_nu_cubed_leaves_the_doubles(si, nu, temperature,
+                                                         volume):
+    # nu^3 overflows at 1e110 and 1e150, and at 1e-160 underflows to 0 while
+    # E(x)/x overflows; each value that fits a double is returned
+    cavity = CavitySpec(volume=volume, temperature=temperature)
     got = {"density": planck_spectral_density(nu, cavity, si),
            **{m: emissivity(nu, cavity, si, m)
               for m in (EmissivityModel.PLANCK, EmissivityModel.GENERAL)}}
-    for key, want in _planck_forms_mp(nu, temperature, si).items():
+    for key, want in _planck_forms_mp(nu, temperature, si, volume).items():
         assert abs(got[key] - want) <= 1e-15 * want + 2.0 ** -1074, key
 
 
@@ -403,6 +427,72 @@ def test_planck_forms_past_the_doubles_name_their_inputs(si):
     for model in (EmissivityModel.PLANCK, EmissivityModel.GENERAL):
         with pytest.raises(OverflowError, match=f"{model.value} emissivity" + where):
             emissivity(1e150, cavity, si, model)
+
+
+@pytest.mark.parametrize("nu,x", [(1e103, 800.0), (1e150, 746.0),
+                                  (1e150, 1500.0), (1e300, 2000.0)])
+def test_planck_forms_where_the_per_mode_factor_underflows(si, nu, x):
+    # nu^3 overflows and x/(e^x - 1) underflows to 0, so the order by kT read
+    # 0.0 whatever the value; in logs it is 1e-96 to 1e191 here
+    temperature = si.h * nu / (x * si.k)
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    with mpmath.workdps(30):
+        xx = mpmath.mpf(si.h) * nu / (mpmath.mpf(si.k) * temperature)
+        planck = (2 * mpmath.pi * mpmath.mpf(si.h) / mpmath.mpf(si.c) ** 2
+                  * mpmath.mpf(nu) ** 3 / mpmath.expm1(xx))
+    got = emissivity(nu, cavity, si, EmissivityModel.PLANCK)
+    assert abs(got - planck) <= 1e-12 * planck
+    assert planck_spectral_density(nu, cavity, si) == pytest.approx(
+        4.0 / si.c * float(planck), rel=1e-12)
+
+
+def test_planck_forms_that_read_0_past_the_doubles_are_refused(si):
+    # x = 800 at nu = 1e300: the value is e^1140 (it read 0.0)
+    cavity = CavitySpec(volume=1.0, temperature=si.h * 1e300 / (800.0 * si.k))
+    for model in (EmissivityModel.PLANCK, EmissivityModel.GENERAL):
+        with pytest.raises(OverflowError, match=f"^{model.value} emissivity "):
+            emissivity(1e300, cavity, si, model)
+
+
+@pytest.mark.parametrize("nu,temperature", [(1e-200, 1e150), (1e-170, 1e300)])
+def test_rj_emissivity_where_nu_squared_underflows(si, nu, temperature):
+    # nu^2 underflows to 0, so the nu^2 order reads 0.0; nu T nu does not
+    cavity = CavitySpec(volume=1.0, temperature=temperature)
+    value = emissivity(nu, cavity, si, EmissivityModel.RAYLEIGH_JEANS)
+    want = _rj_emissivity_mp(nu, temperature, si)
+    assert abs(value - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("model", list(EinsteinModel))
+@pytest.mark.parametrize("nu,temperature", [(1e-200, 300.0), (1e-120, 300.0),
+                                            (1e171, 300.0), (1e250, 1e-300)])
+def test_einstein_ab_where_a_power_of_lambda_leaves_the_doubles(si, model, nu,
+                                                                temperature):
+    # lambda^3 or lambda^2 overflows (it raised the errno tuple) or
+    # underflows to 0 (a bare ZeroDivisionError)
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(si.c) / nu
+        want = (8 * mpmath.pi * mpmath.mpf(si.h) / lam ** 3
+                if model is EinsteinModel.CONVENTIONAL else
+                4 * mpmath.pi ** 3 * mpmath.mpf(si.k) * temperature
+                / (3 * mpmath.mpf(si.c) * lam ** 2))
+    if want > 1.7976931348623157e308:
+        with pytest.raises(OverflowError, match="^" + re.escape(
+                f"{model.value} A/B at nu={nu:g}, T={temperature:g} exceeds")):
+            einstein_AB(nu, si, temperature, model)
+    else:
+        got = einstein_AB(nu, si, temperature, model)
+        assert abs(got - want) <= 1e-15 * want + 2.0 ** -1074
+
+
+def test_integrated_quantities_past_the_doubles_name_their_inputs(si):
+    with pytest.raises(OverflowError, match=re.escape(
+            "general photon density at T=1e+110 exceeds the largest double")):
+        photon_density(CavitySpec(volume=1.0, temperature=1e110), si,
+                       PhotonModel.GENERAL)
+    with pytest.raises(OverflowError, match=(
+            r"^stefan-boltzmann constant at h=1e-300, k=1e\+100, c=1 exceeds")):
+        stefan_boltzmann(PhysicalConstants(h=1e-300, k=1e100, c=1.0))
 
 
 def test_einstein_wave_term_where_nu_squared_overflows(si):

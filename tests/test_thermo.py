@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from eulergas import modular, radiation, thermo
 from eulergas.errors import DomainError
-from eulergas.thermo import (DUAL_SWITCH, TAIL_EPS, MellinKind, PlanckVariant,
+from eulergas.thermo import (DUAL_SWITCH, EULER_GAMMA, TAIL_EPS, MellinKind,
+                             PlanckVariant,
                              _bose, _dual_tail, _lambert, _mellin_integral,
                              _pentagonal, _power_tails, _wigert, entropy,
                              entropy_lowfreq,
@@ -404,6 +406,47 @@ def test_every_per_mode_quantity_overflows_below_the_threshold(x):
         with pytest.raises(OverflowError):
             quantity(x)
     assert math.isfinite(free_energy(thermo._X_MIN))
+
+
+_LOWFREQ = {
+    "F/kT": (free_energy_lowfreq, lambda x: -math.pi ** 2 / (6.0 * x)
+             - 0.5 * math.log(x / (2.0 * math.pi)) + x / 24.0),
+    "E/kT": (internal_energy_lowfreq,
+             lambda x: math.pi ** 2 / (6.0 * x) - 0.5 + x / 24.0),
+    "S/k": (entropy_lowfreq, lambda x: math.pi ** 2 / (3.0 * x)
+            + 0.5 * math.log(x / (2.0 * math.pi)) - 0.5),
+    "N": (occupation_lowfreq, lambda x: (-math.log(x) + EULER_GAMMA) / x),
+}
+
+
+@pytest.mark.parametrize("name", _LOWFREQ)
+@pytest.mark.parametrize("x", [5e-324, 1e-323, 1.5e-323, 1e-310])
+def test_lowfreq_forms_past_the_doubles_name_x(name, x):
+    # they read a bare ValueError from ln(x/2pi) at 5e-324 and 1e-323, and
+    # inf or -inf at 1e-310
+    with pytest.raises(OverflowError, match=(
+            rf"^low-frequency {re.escape(name)} at x={x:g} exceeds the "
+            r"largest double$")):
+        _LOWFREQ[name][0](x)
+
+
+@pytest.mark.parametrize("name", _LOWFREQ)
+def test_lowfreq_forms_keep_their_bits_down_to_where_they_overflow(name):
+    form, literal = _LOWFREQ[name]
+    x = 1e-300
+    while True:  # halve x until the form is refused: every value before that
+        try:     # is the formula's double
+            value = form(x)
+        except OverflowError:
+            break
+        assert value == literal(x) and math.isfinite(value)
+        x *= 0.5
+    assert x < 1e-305
+    try:  # and the formula's double is not finite where it is refused
+        refused = literal(x)
+    except ValueError:  # ln(x/2pi) of 0
+        refused = math.inf
+    assert not math.isfinite(refused)
 
 
 @pytest.mark.parametrize("x", [1e-200, 1e-160, 1e200])
