@@ -464,8 +464,8 @@ def test_rj_emissivity_where_nu_squared_underflows(si, nu, temperature):
 
 
 @pytest.mark.parametrize("model", list(EinsteinModel))
-@pytest.mark.parametrize("nu,temperature", [(1e-200, 300.0), (1e-120, 300.0),
-                                            (1e171, 300.0), (1e250, 1e-300)])
+@pytest.mark.parametrize("nu,temperature", [(1e-200, 300.0), (1e171, 300.0),
+                                            (1e250, 1e-300)])
 def test_einstein_ab_where_a_power_of_lambda_leaves_the_doubles(si, model, nu,
                                                                 temperature):
     # lambda^3 or lambda^2 overflows (it raised the errno tuple) or
